@@ -7,13 +7,10 @@ oracles, instance generators, and a CLI round out the toolkit.
 
 from .budget_paths import (
     BoundedCostDistances,
-    LayeredDigraph,
     NoPathError,
     PathSource,
     PathWitness,
-    SourceDistances,
     apsp_b,
-    build_layered_digraph,
     reconstruct_path,
     sssp_b,
 )
@@ -89,7 +86,6 @@ __all__ = [
     "HeightTable",
     "InfeasibleEntryError",
     "InstanceError",
-    "LayeredDigraph",
     "NoPathError",
     "OracleLimitError",
     "Pair",
@@ -100,11 +96,9 @@ __all__ = [
     "ReductionLayout",
     "RunReport",
     "SetCoverInstance",
-    "SourceDistances",
     "WeightedInstance",
     "apsp_b",
     "augment",
-    "build_layered_digraph",
     "cluster_spanning_mst",
     "diameter",
     "diameter2_feasible",

@@ -1,185 +1,119 @@
-"""Budget-bounded shortest paths via a layered search digraph.
+"""Budget-bounded shortest paths by a (min,+) table recurrence.
 
 A path in the complete graph on the instance vertices may use non-edges as
-long as their insertion costs sum to at most a budget ``beta``. To compute
-the cheapest such path for every budget 0..B at once, the instance graph is
-replicated into B+1 layers: staying inside a layer follows existing edges,
-jumping from layer ``i`` to layer ``i + cost({u, v})`` crosses the non-edge
-``{u, v}``, and a zero-weight arc from ``(v, i)`` to ``(v, i + 1)`` lets a
-path stop spending early. The shortest directed distance from ``(u, 0)`` to
-``(v, beta)`` then equals the cheapest beta-bounded u-v path weight, and
-one single-source run per vertex fills the whole table.
+long as their insertion costs sum to at most a budget ``beta``. Write D₀ for
+the graph metric (existing edges only), W_c for the matrix holding the
+weight of every non-edge of cost c (unreachable elsewhere), and ⊗ for the
+(min,+) matrix product. Splitting a cheapest beta-bounded path at its last
+non-edge gives
 
-The layered digraph is materialized only on request (for inspection and
-tests); the searches generate arcs on the fly.
+    D_beta = min(D_{beta-1}, min_{c <= beta} (D_{beta-c} ⊗ W_c) ⊗ D₀),
+
+so the table for every budget 0..B follows from D₀ and the W_c alone. Row
+s of D_beta depends only on row s of the smaller budgets, so the same
+recurrence fills every row (:func:`apsp_b`) or one source's row
+(:class:`PathSource`). Products loop over the middle index, which keeps
+temporaries at rows × n; entries are uint64 while they are summed, so two
+"unreachable" sentinels (2**62 each) add up without wrapping.
+
+Witness paths are walked back from the table. An entry that equals its D₀
+entry is a graph path, read from a Dijkstra predecessor tree. Otherwise its
+last non-edge is the smallest (c, x, y) with
+D_{beta-c}[s, x] + w(x, y) + D₀[y, v] = D_beta[s, v]; the walk continues
+from (x, beta - c) and ends with a graph path y -> v. The budget drops on
+every jump, so zero-weight ties cannot make the walk cycle.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .core import (
-    INF,
-    MAX_FINITE_DISTANCE,
+    INF64,
     Dist,
     Pair,
+    PairTable,
     WeightedInstance,
+    _dijkstra,
     ensure_valid,
     ordered_pair,
+    to_dist,
 )
-
-LayeredNode = tuple[int, int]  # (vertex, layer)
 
 
 class NoPathError(LookupError):
     """Requested a path witness for an unreachable table entry."""
 
 
-@dataclass(frozen=True, eq=False)
-class LayeredDigraph:
-    """Materialized layered search digraph (inspection/testing only).
-
-    ``nodes`` lists every (vertex, layer) pair; ``arcs`` lists
-    (source, target, weight) triples sorted by (source, target).
-    """
-
-    n: int
-    budget: int
-    nodes: tuple[LayeredNode, ...]
-    arcs: tuple[tuple[LayeredNode, LayeredNode, int], ...]
-
-
-def build_layered_digraph(instance: WeightedInstance) -> LayeredDigraph:
-    ensure_valid(instance)
-    n, budget = instance.n, instance.budget
-    nodes = tuple((v, i) for v in range(n) for i in range(budget + 1))
-    arcs: list[tuple[LayeredNode, LayeredNode, int]] = []
-    for i in range(budget + 1):
-        for u, v in instance.edges:
-            w = instance.weight.get(u, v)
-            arcs.append(((u, i), (v, i), w))
-            arcs.append(((v, i), (u, i), w))
-    for u, v in instance.non_edges():
-        c = instance.cost.get(u, v)
-        w = instance.weight.get(u, v)
-        for i in range(budget - c + 1):
-            arcs.append(((u, i), (v, i + c), w))
-            arcs.append(((v, i), (u, i + c), w))
-    for v in range(n):
-        for i in range(budget):
-            arcs.append(((v, i), (v, i + 1), 0))
-    arcs.sort(key=lambda arc: (arc[0], arc[1]))
-    return LayeredDigraph(n=n, budget=budget, nodes=nodes, arcs=tuple(arcs))
-
-
-def _cross_candidates(instance: WeightedInstance) -> list[list[tuple[int, int, int]]]:
-    """Per-vertex list of (other, weight, cost) over the non-edges at that vertex."""
-    n = instance.n
-    neighbor_sets = [set(x for x, _ in entries) for entries in instance.adjacency]
-    out: list[list[tuple[int, int, int]]] = []
-    for v in range(n):
-        row = []
-        for x in range(n):
-            if x == v or x in neighbor_sets[v]:
-                continue
-            row.append((x, instance.weight.get(v, x), instance.cost.get(v, x)))
-        out.append(row)
+def _pair_matrix(table: PairTable, n: int, cap: int) -> np.ndarray:
+    """``table`` as a symmetric n×n int64 matrix, every value clipped to ``cap``."""
+    fill = cap if table.default is None else min(table.default, cap)
+    out = np.full((n, n), fill, dtype=np.int64)
+    if table.overrides:
+        u, v = np.array(list(table.overrides), dtype=np.intp).T
+        values = np.fromiter(
+            (min(value, cap) for value in table.overrides.values()),
+            dtype=np.int64,
+            count=len(table.overrides),
+        )
+        out[u, v] = values
+        out[v, u] = values
     return out
 
 
-def _layered_dijkstra(
-    instance: WeightedInstance,
-    source: int,
-    cross: list[list[tuple[int, int, int]]],
-) -> tuple[list[Dist], list[int]]:
-    """Single-source run over the implicit layered digraph from (source, 0).
+def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``out = min(out, a ⊗ b)`` over uint64 entries no larger than the sentinel."""
+    for k in range(a.shape[1]):
+        np.minimum(out, a[:, k, None] + b[None, k, :], out=out)
 
-    Returns distances and predecessors indexed by ``layer * n + vertex``.
-    Predecessor ties go to the smaller (vertex, layer) key, making witness
-    paths deterministic; -1 marks the source and unreachable nodes.
-    """
+
+def _engine_inputs(instance: WeightedInstance) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """D₀ and the nonempty W_c (c <= budget) as uint64 matrices, INF64 for unreachable."""
     n, budget = instance.n, instance.budget
-    size = (budget + 1) * n
-    dist: list[Dist] = [INF] * size
-    pred = [-1] * size
-    done = [False] * size
-    start = source  # layer 0
-    dist[start] = 0
-    heap: list[tuple[Dist, int]] = [(0, start)]
-    adjacency = instance.adjacency
-
-    def pred_key(node: int) -> tuple[int, int]:
-        return (node % n, node // n)
-
-    while heap:
-        d, node = heapq.heappop(heap)
-        if done[node]:
-            continue
-        done[node] = True
-        layer, v = divmod(node, n)
-        base = layer * n
-
-        def relax(target: int, weight: int) -> None:
-            nd = d + weight
-            if nd < dist[target]:
-                dist[target] = nd
-                pred[target] = node
-                heapq.heappush(heap, (nd, target))
-            elif nd == dist[target] and not done[target] and target != start:
-                # Rewiring only unsettled targets keeps every predecessor
-                # earlier in settlement order, so chains cannot cycle even
-                # through zero-weight ties.
-                cur = pred[target]
-                if cur < 0 or pred_key(node) < pred_key(cur):
-                    pred[target] = node
-
-        if layer < budget:
-            relax(node + n, 0)
-        for x, w in adjacency[v]:
-            relax(base + x, w)
-        for x, w, c in cross[v]:
-            j = layer + c
-            if j <= budget:
-                relax(j * n + x, w)
-    return dist, pred
+    weight = _pair_matrix(instance.weight, n, INF64).astype(np.uint64)
+    cost = _pair_matrix(instance.cost, n, budget + 1)
+    graph = np.full((n, n), INF64, dtype=np.uint64)
+    if instance.edges:
+        u, v = np.array(list(instance.edges), dtype=np.intp).T
+        graph[u, v] = graph[v, u] = weight[u, v]
+        cost[u, v] = cost[v, u] = budget + 1  # existing edges are never inserted
+    np.fill_diagonal(graph, 0)
+    np.fill_diagonal(cost, budget + 1)
+    for k in range(n):  # Floyd–Warshall closure into the graph metric
+        np.minimum(graph, graph[:, k, None] + graph[None, k, :], out=graph)
+    jumps = {
+        int(c): np.where(cost == c, weight, np.uint64(INF64))
+        for c in np.unique(cost)
+        if c <= budget
+    }
+    return graph, jumps
 
 
-def _to_int64(dist: list[Dist]) -> np.ndarray:
-    return np.array(
-        [MAX_FINITE_DISTANCE if d == INF else d for d in dist], dtype=np.int64
-    )
-
-
-def _as_dist(value: int) -> Dist:
-    return INF if value >= MAX_FINITE_DISTANCE else int(value)
-
-
-@dataclass(frozen=True, eq=False)
-class SourceDistances:
-    """One row of the bounded-cost distance table: a fixed source vertex.
-
-    ``table[beta][v]`` is the cheapest weight of a beta-bounded path from
-    the source to ``v`` (int64, with 2**62 standing in for unreachable).
-    """
-
-    source: int
-    table: np.ndarray
-
-    def get(self, beta: int, v: int) -> Dist:
-        return _as_dist(int(self.table[beta, v]))
+def _table_rows(
+    graph: np.ndarray, jumps: dict[int, np.ndarray], budget: int, rows: np.ndarray
+) -> np.ndarray:
+    """Rows ``rows`` of D_beta for beta = 0..budget, shape (budget+1, len(rows), n), uint64."""
+    table = np.empty((budget + 1, len(rows), graph.shape[0]), dtype=np.uint64)
+    table[0] = graph[rows]
+    for beta in range(1, budget + 1):
+        last_jump = np.full(table.shape[1:], INF64, dtype=np.uint64)
+        for c, jump in jumps.items():
+            if c <= beta:
+                _min_plus(table[beta - c], jump, last_jump)
+        table[beta] = table[beta - 1]
+        _min_plus(last_jump, graph, table[beta])
+    return table
 
 
 @dataclass(frozen=True, eq=False)
 class BoundedCostDistances:
     """Full bounded-cost distance table ``table[beta][u][v]`` plus provenance.
 
-    Keeps the originating instance so witness paths can be reconstructed on
-    demand; predecessors are not stored globally, reconstruction re-runs a
-    single-source search.
+    ``table`` is int64 with INF64 for unreachable entries. Keeps the
+    originating instance so witness paths can be reconstructed on demand
+    through :class:`PathSource`.
     """
 
     instance: WeightedInstance
@@ -194,41 +128,15 @@ class BoundedCostDistances:
         return self.table.shape[1]
 
     def get(self, beta: int, u: int, v: int) -> Dist:
-        return _as_dist(int(self.table[beta, u, v]))
-
-    def entries(self) -> Iterator[tuple[int, int, int, Dist]]:
-        budget, n = self.budget, self.n
-        for beta in range(budget + 1):
-            for u in range(n):
-                for v in range(n):
-                    yield beta, u, v, self.get(beta, u, v)
-
-
-def sssp_b(instance: WeightedInstance, source: int) -> SourceDistances:
-    """Bounded-cost distances from one source, for every budget 0..B."""
-    ensure_valid(instance)
-    if not (0 <= source < instance.n):
-        raise ValueError(f"source {source} out of range for n={instance.n}")
-    cross = _cross_candidates(instance)
-    dist, _ = _layered_dijkstra(instance, source, cross)
-    table = _to_int64(dist).reshape(instance.budget + 1, instance.n)
-    return SourceDistances(source=source, table=table)
+        return to_dist(int(self.table[beta, u, v]))
 
 
 def apsp_b(instance: WeightedInstance) -> BoundedCostDistances:
-    """Bounded-cost distances between all pairs, for every budget 0..B.
-
-    One single-source run per vertex over the layered digraph; output is
-    independent of the execution order of those runs.
-    """
+    """Bounded-cost distances between all pairs, for every budget 0..B."""
     ensure_valid(instance)
-    n, budget = instance.n, instance.budget
-    cross = _cross_candidates(instance)
-    table = np.empty((budget + 1, n, n), dtype=np.int64)
-    for u in range(n):
-        dist, _ = _layered_dijkstra(instance, u, cross)
-        table[:, u, :] = _to_int64(dist).reshape(budget + 1, n)
-    return BoundedCostDistances(instance=instance, table=table)
+    graph, jumps = _engine_inputs(instance)
+    table = _table_rows(graph, jumps, instance.budget, np.arange(instance.n))
+    return BoundedCostDistances(instance=instance, table=table.view(np.int64))
 
 
 @dataclass(frozen=True)
@@ -247,10 +155,11 @@ class PathWitness:
 
 
 class PathSource:
-    """Witness-path factory for a fixed source vertex.
+    """One row of the bounded-cost distance table, with witness paths.
 
-    Wraps one predecessor-carrying single-source run so several targets and
-    budgets can be reconstructed without repeating the search.
+    ``table[beta][v]`` is the cheapest weight of a beta-bounded path from
+    ``source`` to ``v`` (int64, INF64 for unreachable). Several targets and
+    budgets can be reconstructed from one row.
     """
 
     def __init__(self, instance: WeightedInstance, source: int):
@@ -259,49 +168,73 @@ class PathSource:
             raise ValueError(f"source {source} out of range for n={instance.n}")
         self.instance = instance
         self.source = source
-        cross = _cross_candidates(instance)
-        self._dist, self._pred = _layered_dijkstra(instance, source, cross)
+        self._graph, self._jumps = _engine_inputs(instance)
+        rows = _table_rows(self._graph, self._jumps, instance.budget, np.array([source]))
+        self._row = rows[:, 0]
+        self.table = self._row.view(np.int64)
+        self._trees: dict[int, list[int]] = {}
 
-    def distance(self, beta: int, v: int) -> Dist:
-        n = self.instance.n
-        return self._dist[beta * n + v]
+    def get(self, beta: int, v: int) -> Dist:
+        return to_dist(int(self.table[beta, v]))
+
+    def _graph_path(self, a: int, b: int) -> list[int]:
+        """Vertices of a shortest a-b path over existing edges."""
+        if a not in self._trees:
+            self._trees[a] = _dijkstra(self.instance.n, self.instance.adjacency, a)[1]
+        pred = self._trees[a]
+        path = [b]
+        while path[-1] != a:
+            path.append(pred[path[-1]])
+        path.reverse()
+        return path
+
+    def _last_jump(self, beta: int, v: int) -> tuple[int, int, int]:
+        """Smallest (c, x, y) whose jump ends a cheapest beta-bounded path to ``v``."""
+        into_v = self._graph[:, v][None, :]
+        for c in sorted(self._jumps):
+            if c > beta:
+                break
+            total = self._row[beta - c][:, None] + self._jumps[c] + into_v
+            hits = np.flatnonzero(total == self._row[beta, v])
+            if hits.size:
+                x, y = divmod(int(hits[0]), self.instance.n)
+                return c, x, y
+        raise AssertionError(f"table entry ({beta}, {self.source}, {v}) has no last jump")
 
     def path_to(self, v: int, beta: int) -> PathWitness:
         """Witness path for the (beta, source, v) table entry.
 
         Raises NoPathError when the entry is unreachable.
         """
-        instance, n = self.instance, self.instance.n
+        instance = self.instance
         if not (0 <= beta <= instance.budget):
             raise ValueError(f"beta {beta} out of range for budget {instance.budget}")
-        target = beta * n + v
-        if self._dist[target] == INF:
+        if self._row[beta, v] >= INF64:
             raise NoPathError(f"no path: source {self.source}, target {v}, budget {beta}")
-        chain = [target]
-        while chain[-1] != self.source:  # source node index == vertex id at layer 0
-            chain.append(self._pred[chain[-1]])
-        chain.reverse()
-
-        vertices = [self.source]
+        tails: list[list[int]] = []  # graph paths y -> v, each after a jump x -> y
         used: set[Pair] = set()
-        weight = 0
         cost = 0
-        for a, b in zip(chain, chain[1:]):
-            la, va = divmod(a, n)
-            lb, vb = divmod(b, n)
-            if va == vb:
-                continue  # zero-weight layer advance: same vertex, no step
-            weight += instance.weight.get(va, vb)
-            if lb != la:
-                used.add(ordered_pair(va, vb))
-                cost += lb - la
-            vertices.append(vb)
+        while self._row[beta, v] != self._graph[self.source, v]:
+            c, x, y = self._last_jump(beta, v)
+            tails.append(self._graph_path(y, v))
+            used.add(ordered_pair(x, y))
+            cost += c
+            beta, v = beta - c, x
+        vertices = self._graph_path(self.source, v)
+        for tail in reversed(tails):
+            vertices += tail
+        weight = sum(instance.weight.get(a, b) for a, b in zip(vertices, vertices[1:]))
         return PathWitness(
             vertices=tuple(vertices),
             used_non_edges=frozenset(used),
             weight=weight,
             cost=cost,
         )
+
+
+def sssp_b(instance: WeightedInstance, source: int) -> PathSource:
+    """Bounded-cost distances from one source, for every budget 0..B."""
+    return PathSource(instance, source)
 
 
 def reconstruct_path(

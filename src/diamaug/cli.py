@@ -45,7 +45,7 @@ from .generators import (
     reduce_setcover_multicopy,
 )
 from .oracle import OracleLimitError
-from .report import RunReport, instance_digest
+from .report import RunReport, instance_digest, render_dist
 
 APPROX_BOUNDS = {"fpt": 4, "pairs": 3, "star": 4}  # mst bound depends on the budget
 
@@ -55,10 +55,6 @@ def _load_instance(path: str) -> WeightedInstance:
     instance = parse_instance(text)
     ensure_valid(instance)
     return instance
-
-
-def _render_dist(value) -> str:
-    return "inf" if value == INF else str(value)
 
 
 def _solve_one(
@@ -152,8 +148,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             )
         if recomputed.diameter != claimed_diameter:
             problems.append(
-                f"diameter mismatch: claimed {_render_dist(claimed_diameter)}, "
-                f"recomputed {_render_dist(recomputed.diameter)}"
+                f"diameter mismatch: claimed {render_dist(claimed_diameter)}, "
+                f"recomputed {render_dist(recomputed.diameter)}"
             )
         if recomputed.total_cost > instance.budget:
             problems.append(
@@ -163,7 +159,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         for p in problems:
             print(f"check failed: {p}")
         return 1
-    print(f"check ok: cost {claimed_cost}, diameter {_render_dist(claimed_diameter)}")
+    print(f"check ok: cost {claimed_cost}, diameter {render_dist(claimed_diameter)}")
     return 0
 
 
@@ -177,7 +173,7 @@ def _cmd_apsp(args: argparse.Namespace) -> int:
             if args.source is not None and u != args.source:
                 continue
             for v in range(instance.n):
-                print(f"{beta} {u} {v} {_render_dist(dists.get(beta, u, v))}")
+                print(f"{beta} {u} {v} {render_dist(dists.get(beta, u, v))}")
     return 0
 
 
@@ -187,8 +183,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     print("centers " + " ".join(str(c) for c in clusters.centers))
     for v in range(instance.n):
         center = clusters.centers[clusters.assignment[v]]
-        print(f"assign {v} {center} {_render_dist(clusters.center_distances[v])}")
-    print(f"radius {_render_dist(clusters.radius)}")
+        print(f"assign {v} {center} {render_dist(clusters.center_distances[v])}")
+    print(f"radius {render_dist(clusters.radius)}")
     return 0
 
 
@@ -299,8 +295,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
             rows.append(
                 f"{name} {algo} cost={augmentation.total_cost} "
-                f"diameter={_render_dist(augmentation.diameter)} "
-                f"d_opt={_render_dist(d_opt)} ratio={ratio} bound={bound} "
+                f"diameter={render_dist(augmentation.diameter)} "
+                f"d_opt={render_dist(d_opt)} ratio={ratio} bound={bound} "
                 f"{'ok' if ok else 'VIOLATION'}"
             )
     for row in sorted(rows):

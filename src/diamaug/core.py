@@ -26,9 +26,15 @@ Dist = int | float
 
 Pair = tuple[int, int]
 
-# Headroom bound: every finite distance produced by any solver must stay
-# below 2**62 so downstream int64 table arithmetic cannot overflow.
-MAX_FINITE_DISTANCE = 2**62
+# int64 stand-in for INF in numpy distance tables. It is also the headroom
+# bound: validation keeps every finite distance below it, so table entries
+# are exact and two of them add up without wrapping in uint64.
+INF64 = 2**62
+
+
+def to_dist(value: int) -> Dist:
+    """A numpy table entry as a Dist: INF for INF64 (or above), else the int."""
+    return INF if value >= INF64 else int(value)
 
 
 class InstanceError(ValueError):
@@ -178,10 +184,10 @@ def validate(instance: WeightedInstance) -> list[str]:
         if cost < 1:
             problems.append(f"cost of non-edge {pair} must be >= 1, got {cost}")
 
-    if instance.weight.covers(n) and n * instance.weight.max_value() >= MAX_FINITE_DISTANCE:
+    if instance.weight.covers(n) and n * instance.weight.max_value() >= INF64:
         problems.append(
             f"overflow headroom exceeded: n * max_weight = {n * instance.weight.max_value()} "
-            f"must stay below {MAX_FINITE_DISTANCE}"
+            f"must stay below {INF64}"
         )
     return problems
 

@@ -33,16 +33,15 @@ from .budget_paths import BoundedCostDistances, PathSource, apsp_b
 from .clustering import ClusterCenters, greedy_centers
 from .core import (
     INF,
-    MAX_FINITE_DISTANCE,
+    INF64,
     Augmentation,
     Dist,
     Pair,
     WeightedInstance,
     augment,
     ensure_valid,
+    to_dist,
 )
-
-_INF64 = MAX_FINITE_DISTANCE
 
 
 class InfeasibleEntryError(LookupError):
@@ -91,14 +90,13 @@ class HeightTable:
         return (1 << len(self.others)) - 1
 
     def height(self, u: int, mask: int, j: int) -> Dist:
-        value = int(self.values[mask, j, u])
-        return INF if value >= _INF64 else value
+        return to_dist(int(self.values[mask, j, u]))
 
     def choice(self, u: int, mask: int, j: int) -> BaseChoice | SplitChoice | None:
         """The recorded minimizing rule for a finite entry, else None."""
         if mask == 0 or not 0 <= j <= self.budget:
             raise ValueError(f"bad table entry: mask={mask}, j={j}")
-        if int(self.values[mask, j, u]) >= _INF64:
+        if int(self.values[mask, j, u]) >= INF64:
             return None
         if mask.bit_count() == 1:
             return BaseChoice(center=self.others[mask.bit_length() - 1], budget=j)
@@ -122,9 +120,9 @@ def solve_height_table(
     others = tuple(centers.centers[1:])
     m = len(others)
     d64 = dists.table  # (budget+1, n, n)
-    d_inf = d64 >= _INF64
+    d_inf = d64 >= INF64
 
-    values = np.full(((1 << m), budget + 1, n), _INF64, dtype=np.int64)
+    values = np.full(((1 << m), budget + 1, n), INF64, dtype=np.int64)
     shape = values.shape
     choice_v = np.full(shape, -1, dtype=np.int32)
     choice_mask = np.full(shape, -1, dtype=np.int32)
@@ -153,18 +151,18 @@ def solve_height_table(
                     for j3 in range(budget - j1 - j2 + 1):
                         j = j1 + j2 + j3
                         inner = np.maximum(kept[j2], comp[j3])
-                        inner_inf = inner >= _INF64
+                        inner_inf = inner >= INF64
                         if inner_inf.all():
                             continue
                         total = d64[j1] + inner[None, :]
                         bad = d_inf[j1] | inner_inf[None, :]
-                        total = np.where(bad, _INF64, total)
+                        total = np.where(bad, INF64, total)
                         cand_v = np.argmin(total, axis=1).astype(np.int32)
                         cand_val = total[rows, cand_v]
                         improve = (cand_val < best_val[j]) | (
                             (cand_val == best_val[j]) & (cand_v < best_v[j])
                         )
-                        improve &= cand_val < _INF64
+                        improve &= cand_val < INF64
                         if not improve.any():
                             continue
                         best_val[j] = np.where(improve, cand_val, best_val[j])

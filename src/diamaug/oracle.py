@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (
     INF,
-    MAX_FINITE_DISTANCE,
+    INF64,
     Dist,
     InstanceError,
     Pair,
@@ -24,10 +24,8 @@ from .core import (
     all_pairs,
     ensure_valid,
     sssp,
+    to_dist,
 )
-
-# int64 stand-in for "unreachable" inside numpy distance matrices.
-_INF64 = MAX_FINITE_DISTANCE
 
 DEFAULT_MAX_NONEDGES = 28
 DEFAULT_MAX_NODES = 2_000_000
@@ -46,14 +44,10 @@ class ExactResult:
     explored: int
 
 
-def _as_dist(value: int) -> Dist:
-    return INF if value >= _INF64 else int(value)
-
-
 def _base_matrix(instance: WeightedInstance) -> np.ndarray:
     """All-pairs distance matrix of the bare instance graph (int64)."""
     n = instance.n
-    d = np.full((n, n), _INF64, dtype=np.int64)
+    d = np.full((n, n), INF64, dtype=np.int64)
     np.fill_diagonal(d, 0)
     for (u, v) in instance.edges:
         w = instance.weight.get(u, v)
@@ -62,18 +56,18 @@ def _base_matrix(instance: WeightedInstance) -> np.ndarray:
             d[v, u] = w
     for k in range(n):
         via = d[:, k, None] + d[None, k, :]
-        bad = (d[:, k, None] >= _INF64) | (d[None, k, :] >= _INF64)
-        via = np.where(bad, _INF64, via)
+        bad = (d[:, k, None] >= INF64) | (d[None, k, :] >= INF64)
+        via = np.where(bad, INF64, via)
         np.minimum(d, via, out=d)
     return d
 
 
 def _with_edge(d: np.ndarray, u: int, v: int, w: int) -> np.ndarray:
     """Distance matrix after adding one undirected edge of weight ``w``."""
-    inner = np.minimum(d[v] + w, _INF64)
+    inner = np.minimum(d[v] + w, INF64)
     via = d[:, u, None] + inner[None, :]
-    bad = (d[:, u, None] >= _INF64) | (inner[None, :] >= _INF64)
-    via = np.where(bad, _INF64, via)
+    bad = (d[:, u, None] >= INF64) | (inner[None, :] >= INF64)
+    via = np.where(bad, INF64, via)
     out = np.minimum(d, via)
     np.minimum(out, via.T, out=out)
     return out
@@ -113,7 +107,7 @@ def exact_optimum(
             raise OracleLimitError(
                 f"instance too large: enumeration exceeded {max_nodes} candidate sets"
             )
-        key = (_as_dist(int(d.max())), tuple(chosen))
+        key = (to_dist(int(d.max())), tuple(chosen))
         if key < best_key:
             best_key = key
         for idx in range(start, len(non_edges)):

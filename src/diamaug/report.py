@@ -20,7 +20,7 @@ def instance_digest(instance: WeightedInstance) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _render_dist(value: Dist) -> str:
+def render_dist(value: Dist) -> str:
     return "inf" if value == INF else str(value)
 
 
@@ -55,13 +55,13 @@ class RunReport:
         for u, v in sorted(self.added):
             lines.append(f"add {u} {v}")
         lines.append(f"cost {self.total_cost}")
-        lines.append(f"diameter {_render_dist(self.diameter)}")
+        lines.append(f"diameter {render_dist(self.diameter)}")
         if self.tree_height is not None:
-            lines.append(f"tree_height {_render_dist(self.tree_height)}")
+            lines.append(f"tree_height {render_dist(self.tree_height)}")
         if self.cluster_radius is not None:
-            lines.append(f"cluster_radius {_render_dist(self.cluster_radius)}")
+            lines.append(f"cluster_radius {render_dist(self.cluster_radius)}")
         if self.d_opt is not None:
-            lines.append(f"d_opt {_render_dist(self.d_opt)}")
+            lines.append(f"d_opt {render_dist(self.d_opt)}")
         ratio = self.ratio
         if ratio is not None:
             lines.append(f"ratio {ratio:.4f}")
@@ -77,14 +77,14 @@ class RunReport:
             "parameters": dict(self.parameters),
             "added": [[u, v] for u, v in sorted(self.added)],
             "cost": self.total_cost,
-            "diameter": _render_dist(self.diameter),
+            "diameter": render_dist(self.diameter),
         }
         if self.tree_height is not None:
-            payload["tree_height"] = _render_dist(self.tree_height)
+            payload["tree_height"] = render_dist(self.tree_height)
         if self.cluster_radius is not None:
-            payload["cluster_radius"] = _render_dist(self.cluster_radius)
+            payload["cluster_radius"] = render_dist(self.cluster_radius)
         if self.d_opt is not None:
-            payload["d_opt"] = _render_dist(self.d_opt)
+            payload["d_opt"] = render_dist(self.d_opt)
         ratio = self.ratio
         if ratio is not None:
             payload["ratio"] = round(ratio, 4)

@@ -41,8 +41,8 @@ def ensure_unit_cost(instance: WeightedInstance) -> None:
 def pairwise_centers(instance: WeightedInstance, first_center: int = 0) -> Augmentation:
     """Insert the non-edges of a cheapest k-bounded path between every center pair.
 
-    Unreachable center pairs contribute nothing. The bounded-path searches
-    run once per center and serve all of its pairs.
+    Unreachable center pairs contribute nothing. Each center's row of the
+    bounded-cost table is computed once and serves all of its pairs.
     """
     ensure_unit_cost(instance)
     centers = greedy_centers(instance, first_center).centers
@@ -62,8 +62,8 @@ def pairwise_centers(instance: WeightedInstance, first_center: int = 0) -> Augme
 def star_centers(instance: WeightedInstance, first_center: int = 0) -> Augmentation:
     """Insert the non-edges of cheapest k-bounded paths from the first center.
 
-    A single bounded-path search from the first center serves every other
-    center.
+    The first center's row of the bounded-cost table, computed once, serves
+    every other center.
     """
     ensure_unit_cost(instance)
     centers = greedy_centers(instance, first_center).centers
@@ -85,8 +85,10 @@ def cluster_spanning_mst(instance: WeightedInstance, first_center: int = 0) -> A
     For every pair of non-empty clusters the lightest connecting vertex pair
     becomes a candidate; a minimum spanning tree over those candidates is
     selected and only its non-edge connectors are inserted, so at most k
-    edges are spent. Weight ties prefer existing edges (they cost nothing to
-    use), then the lexicographically smallest (cluster i, cluster j, u, v).
+    edges are spent. Within one cluster pair, weight ties prefer an existing
+    edge, then the smallest (u, v). Kruskal then takes the connectors in
+    (weight, cluster i, cluster j) order, so across cluster pairs a weight
+    tie goes to the smaller cluster pair, edge or not.
     """
     ensure_unit_cost(instance)
     clusters = greedy_centers(instance, first_center)

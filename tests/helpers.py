@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
-from diamaug import PairTable, WeightedInstance, gen_random
+from diamaug import PairTable, WeightedInstance, ensure_valid, gen_random
 
 
 def build(
@@ -97,3 +98,50 @@ def seeded_corpus(
         p = rng.choice((0.25, 0.4, 0.6, 0.85))
         out.append(gen_random(n, p, max_weight, max_cost, budget, seed * 100_000 + i))
     return out
+
+
+LayeredNode = tuple[int, int]  # (vertex, layer)
+
+
+@dataclass(frozen=True, eq=False)
+class LayeredDigraph:
+    """Layered search digraph, the differential reference for ``apsp_b``.
+
+    The instance graph is replicated into B+1 layers: staying inside a layer
+    follows existing edges, jumping from layer ``i`` to layer
+    ``i + cost({u, v})`` crosses the non-edge ``{u, v}``, and a zero-weight
+    arc from ``(v, i)`` to ``(v, i + 1)`` lets a path stop spending early. The
+    shortest directed distance from ``(u, 0)`` to ``(v, beta)`` is then the
+    cheapest beta-bounded u-v path weight.
+
+    ``nodes`` lists every (vertex, layer) pair; ``arcs`` lists
+    (source, target, weight) triples sorted by (source, target).
+    """
+
+    n: int
+    budget: int
+    nodes: tuple[LayeredNode, ...]
+    arcs: tuple[tuple[LayeredNode, LayeredNode, int], ...]
+
+
+def build_layered_digraph(instance: WeightedInstance) -> LayeredDigraph:
+    ensure_valid(instance)
+    n, budget = instance.n, instance.budget
+    nodes = tuple((v, i) for v in range(n) for i in range(budget + 1))
+    arcs: list[tuple[LayeredNode, LayeredNode, int]] = []
+    for i in range(budget + 1):
+        for u, v in instance.edges:
+            w = instance.weight.get(u, v)
+            arcs.append(((u, i), (v, i), w))
+            arcs.append(((v, i), (u, i), w))
+    for u, v in instance.non_edges():
+        c = instance.cost.get(u, v)
+        w = instance.weight.get(u, v)
+        for i in range(budget - c + 1):
+            arcs.append(((u, i), (v, i + c), w))
+            arcs.append(((v, i), (u, i + c), w))
+    for v in range(n):
+        for i in range(budget):
+            arcs.append(((v, i), (v, i + 1), 0))
+    arcs.sort(key=lambda arc: (arc[0], arc[1]))
+    return LayeredDigraph(n=n, budget=budget, nodes=nodes, arcs=tuple(arcs))

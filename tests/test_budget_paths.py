@@ -10,13 +10,28 @@ from diamaug import (
     INF,
     NoPathError,
     apsp_b,
-    build_layered_digraph,
     path_oracle,
     reconstruct_path,
     sssp,
     sssp_b,
 )
-from helpers import build, complete_graph, p4, seeded_corpus
+from diamaug.core import INF64
+from helpers import build, build_layered_digraph, complete_graph, p4, path_graph, seeded_corpus
+
+_HEADROOM = (2**62 - 1) // 5  # largest weight that n = 5 admits
+
+# Zero weights, disconnected graphs, n = 1, budget 0, costs above B, headroom weights.
+EDGE_CASES = [
+    build(1, set(), budget=2),
+    build(4, {(0, 1), (2, 3)}, budget=0),
+    build(5, {(0, 1), (1, 2)}, budget=1, default_cost=2),
+    build(5, {(0, 1), (3, 4)}, budget=3, cost_overrides={(0, 4): 4, (1, 3): 2}),
+    path_graph(5, budget=2, default_weight=0, edge_weight=0),
+    build(5, {(0, 1), (1, 2)}, budget=2, default_weight=0, cost_overrides={(2, 3): 3}),
+    path_graph(5, budget=2, default_weight=_HEADROOM, edge_weight=_HEADROOM),
+    build(5, {(0, 1)}, budget=2, default_weight=_HEADROOM, default_cost=2),
+    build(5, {(0, 1), (1, 2), (2, 3)}, budget=1, default_weight=_HEADROOM, edge_weight=0),
+]
 
 
 def test_layered_p4_counts():
@@ -160,6 +175,20 @@ def test_layer_shift_invariance(instance):
                 assert from_one.get((v, j), INF) == from_zero.get((v, j - 1), INF)
 
 
+@pytest.mark.parametrize("instance", EDGE_CASES)
+def test_apsp_equals_layered_reference(instance):
+    # bit for bit, INF64 standing in for unreachable; sentinel sums must not wrap
+    table = apsp_b(instance).table
+    layered = build_layered_digraph(instance)
+    for u in range(instance.n):
+        dist = _arc_dijkstra(layered, (u, 0))
+        for beta in range(instance.budget + 1):
+            for v in range(instance.n):
+                expected = dist.get((v, beta), INF)
+                assert table[beta, u, v] == (INF64 if expected == INF else expected)
+    assert (table >= 0).all()
+
+
 def test_reconstruct_direct_jump():
     dists = apsp_b(p4())
     witness = reconstruct_path(dists, 1, 0, 3)
@@ -206,7 +235,7 @@ def test_witness_reconstruction_with_zero_weight_ties():
                 assert witness.cost <= beta
 
 
-@pytest.mark.parametrize("instance", seeded_corpus(8, seed=36, n_range=(2, 6)))
+@pytest.mark.parametrize("instance", seeded_corpus(8, seed=36, n_range=(2, 6)) + EDGE_CASES)
 def test_witness_roundtrip(instance):
     dists = apsp_b(instance)
     for beta in range(instance.budget + 1):
