@@ -16,22 +16,14 @@ from diamaug import (
     sssp_b,
 )
 from diamaug.core import INF64
-from helpers import build, build_layered_digraph, complete_graph, p4, path_graph, seeded_corpus
-
-_HEADROOM = (2**62 - 1) // 5  # largest weight that n = 5 admits
-
-# Zero weights, disconnected graphs, n = 1, budget 0, costs above B, headroom weights.
-EDGE_CASES = [
-    build(1, set(), budget=2),
-    build(4, {(0, 1), (2, 3)}, budget=0),
-    build(5, {(0, 1), (1, 2)}, budget=1, default_cost=2),
-    build(5, {(0, 1), (3, 4)}, budget=3, cost_overrides={(0, 4): 4, (1, 3): 2}),
-    path_graph(5, budget=2, default_weight=0, edge_weight=0),
-    build(5, {(0, 1), (1, 2)}, budget=2, default_weight=0, cost_overrides={(2, 3): 3}),
-    path_graph(5, budget=2, default_weight=_HEADROOM, edge_weight=_HEADROOM),
-    build(5, {(0, 1)}, budget=2, default_weight=_HEADROOM, default_cost=2),
-    build(5, {(0, 1), (1, 2), (2, 3)}, budget=1, default_weight=_HEADROOM, edge_weight=0),
-]
+from helpers import (
+    EDGE_CASES,
+    build,
+    build_layered_digraph,
+    complete_graph,
+    p4,
+    seeded_corpus,
+)
 
 
 def test_layered_p4_counts():

@@ -15,8 +15,20 @@ from diamaug import (
     solve_height_table,
     span_height_profile,
 )
+from diamaug.core import INF64
 from diamaug.fpt import BaseChoice, SplitChoice
-from helpers import build, complete_graph, cycle_graph, p4, seeded_corpus, star_graph
+from helpers import (
+    EDGE_CASES,
+    build,
+    complete_graph,
+    cycle_graph,
+    p4,
+    seeded_corpus,
+    star_graph,
+)
+
+# The shared edge cases plus n <= B + 1, where every vertex is a center.
+DP_EDGE_CASES = EDGE_CASES + [build(4, {(0, 1), (2, 3)}, budget=4, default_weight=2)]
 
 
 def _table_for(instance, first=0):
@@ -55,6 +67,25 @@ def _reference_height(instance, others, dists):
     return height_of
 
 
+def _reference_choice(instance, table, dists, u, mask, j):
+    """Smallest (v, smask, j1, j2) reaching a finite split entry, by enumeration."""
+    target = table.height(u, mask, j)
+    low_bit = mask & -mask
+    for v in range(instance.n):
+        for smask in range(low_bit, mask):
+            if smask & mask != smask or not smask & low_bit:
+                continue
+            for j1 in range(j + 1):
+                for j2 in range(j - j1 + 1):
+                    j3 = j - j1 - j2
+                    candidate = dists.get(j1, u, v) + max(
+                        table.height(v, smask, j2), table.height(v, mask ^ smask, j3)
+                    )
+                    if candidate == target:
+                        return SplitChoice(via=v, subset_mask=smask, budgets=(j1, j2, j3))
+    raise AssertionError(f"entry ({u}, {mask:#x}, {j}) is reached by no split")
+
+
 def test_base_case_is_the_bounded_distance():
     table, centers, dists = _table_for(p4())
     assert centers.centers == (0, 3)
@@ -78,9 +109,10 @@ def test_star_fixture_split_value():
     assert rule.via == 0 and rule.budgets == (0, 0, 0)
 
 
-@pytest.mark.parametrize("instance", seeded_corpus(12, seed=51, n_range=(2, 6)))
+@pytest.mark.parametrize("instance", seeded_corpus(12, seed=51, n_range=(2, 6)) + DP_EDGE_CASES)
 def test_matches_reference_recurrence(instance):
     table, centers, dists = _table_for(instance)
+    assert ((table.values >= 0) & (table.values <= INF64)).all()
     reference = _reference_height(instance, table.others, dists)
     m = len(table.others)
     for mask in range(1, 1 << m):
@@ -150,6 +182,24 @@ def test_recorded_choices_have_valid_shape(instance):
                 assert smask & (mask & -mask)  # kept half holds the lowest center
                 j1, j2, j3 = rule.budgets
                 assert min(j1, j2, j3) >= 0 and j1 + j2 + j3 == j
+
+
+@pytest.mark.parametrize(
+    "instance", seeded_corpus(12, seed=58, n_range=(3, 7), budget_range=(2, 4)) + DP_EDGE_CASES
+)
+def test_choice_is_smallest_reaching_tuple(instance):
+    # tie-break: smallest (via, subset mask, path budget, kept budget), kept half has the low bit
+    table, _, dists = _table_for(instance)
+    for mask in range(1, 1 << len(table.others)):
+        for j in range(instance.budget + 1):
+            for u in range(instance.n):
+                if table.height(u, mask, j) == INF:
+                    continue
+                if mask.bit_count() == 1:
+                    expected = BaseChoice(center=table.others[mask.bit_length() - 1], budget=j)
+                else:
+                    expected = _reference_choice(instance, table, dists, u, mask, j)
+                assert table.choice(u, mask, j) == expected
 
 
 def test_reconstruct_p4_branch():
