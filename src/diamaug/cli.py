@@ -325,10 +325,14 @@ def _bench_scale(args: argparse.Namespace) -> int:
     for budget in budgets:
         instance = gen_random(args.n, 0.15, 5, 3, budget, args.seed)
         start = time.perf_counter()
-        fpt_solve(instance)
+        stages = fpt_solve(instance).timings
         elapsed = time.perf_counter() - start
         timings.append((budget, elapsed))
-        print(f"n={args.n} budget={budget} seconds={elapsed:.3f}")
+        print(
+            f"n={args.n} budget={budget} seconds={elapsed:.3f} "
+            f"table={stages.get('table', 0.0):.3f} "
+            f"reconstruct={stages.get('reconstruct', 0.0):.3f}"
+        )
     for (b1, t1), (b2, t2) in zip(timings, timings[1:]):
         growth = t2 / t1 if t1 > 0 else float("inf")
         print(f"growth budget {b1} -> {b2}: x{growth:.2f}")
@@ -396,7 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--suite", default="small", choices=["small", "scale"])
     bench.add_argument("--seed", type=int, default=7)
     bench.add_argument("--n", type=int, default=50, help="scale suite: vertex count")
-    bench.add_argument("--budgets", default="4,5,6", help="scale suite: comma-separated budgets")
+    bench.add_argument(
+        "--budgets", default="4,5,6,7,8", help="scale suite: comma-separated budgets"
+    )
     bench.set_defaults(func=_cmd_bench)
 
     return parser

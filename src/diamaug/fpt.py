@@ -14,12 +14,26 @@ the tree height small. Heights come from a table indexed by
 Inserting the tree's non-edges into the graph spends at most the budget and
 provably brings the diameter within 4x of the best achievable value.
 
-The table is filled with vectorized min-plus sweeps, smallest subsets
-first. Splits are only enumerated with the subset containing the
-lowest-indexed center, which halves the work without changing any value
-(the two halves are interchangeable). Ties between choices are broken by
-the smallest (via vertex, subset mask, first budget, second budget) tuple,
-restricted to that enumeration, so reconstruction is deterministic.
+The table H[S, j, u] is filled in two steps per subset S, in ascending
+mask order so that every proper submask comes first (the Dreyfus–Wagner
+send-and-split structure of Steiner-tree dynamic programs):
+
+* merge at v: g[S, j', v] = min over splits S = A ⊎ B and j2 + j3 = j' of
+  max(H[A, j2, v], H[B, j3, v]), elementwise over v;
+* move along a path: H[S, j, u] = min over j1 <= j and v of
+  D_{j1}[u, v] + g[S, j - j1, v], with D the bounded-cost distance table.
+
+This costs O(3^m·B²·n + 2^m·B²·n²) for m non-root centers instead of the
+O(3^m·B³·n²) of minimizing over (split, j1, j2, v) at once, with the same
+values. Splits are only enumerated with A holding the lowest-indexed
+center, which halves the work without changing any value (the two halves
+are interchangeable).
+
+Only values are stored. The rule behind an entry is recomputed on demand,
+and only reconstruction asks for it (at most 2m entries per tree). Ties
+are broken by the smallest (via vertex, subset mask, first budget, second
+budget) tuple that reaches the entry, with the kept subset holding the
+lowest-indexed center, so reconstruction is deterministic.
 """
 
 from __future__ import annotations
@@ -68,6 +82,18 @@ class SplitChoice:
     budgets: tuple[int, int, int]
 
 
+def _kept_halves(mask: int) -> np.ndarray:
+    """Kept halves of every split of ``mask``, ascending: each holds its lowest bit."""
+    low_bit = mask & -mask
+    rest = mask ^ low_bit
+    halves = []
+    sub = rest
+    while sub:  # the proper submasks of rest, descending
+        sub = (sub - 1) & rest
+        halves.append(low_bit | sub)
+    return np.array(halves[::-1])
+
+
 @dataclass(frozen=True, eq=False)
 class HeightTable:
     """Minimum spanning heights for every (subset, budget, root vertex).
@@ -75,15 +101,14 @@ class HeightTable:
     ``others`` lists the non-root centers in selection order; bit i of a
     subset mask stands for ``others[i]``. ``values`` has shape
     (2**len(others), budget+1, n) with 2**62 marking unreachable entries.
+    Only values are stored: :meth:`choice` recomputes the minimizing rule of
+    an entry from ``values`` and the bounded-cost table in ``dists``.
     """
 
     others: tuple[int, ...]
     budget: int
     values: np.ndarray
-    choice_v: np.ndarray
-    choice_mask: np.ndarray
-    choice_j1: np.ndarray
-    choice_j2: np.ndarray
+    dists: BoundedCostDistances
 
     @property
     def full_mask(self) -> int:
@@ -93,17 +118,33 @@ class HeightTable:
         return to_dist(int(self.values[mask, j, u]))
 
     def choice(self, u: int, mask: int, j: int) -> BaseChoice | SplitChoice | None:
-        """The recorded minimizing rule for a finite entry, else None."""
+        """The minimizing rule of a finite entry, else None.
+
+        A split entry returns the smallest (via, subset mask, path budget,
+        kept budget) tuple that reaches its value, the kept half holding the
+        lowest-indexed center.
+        """
         if mask == 0 or not 0 <= j <= self.budget:
             raise ValueError(f"bad table entry: mask={mask}, j={j}")
-        if int(self.values[mask, j, u]) >= INF64:
+        target = self.values[mask, j, u]
+        if target >= INF64:
             return None
         if mask.bit_count() == 1:
             return BaseChoice(center=self.others[mask.bit_length() - 1], budget=j)
-        v = int(self.choice_v[mask, j, u])
-        smask = int(self.choice_mask[mask, j, u])
-        j1 = int(self.choice_j1[mask, j, u])
-        j2 = int(self.choice_j2[mask, j, u])
+        smasks = _kept_halves(mask)
+        values = self.values.view(np.uint64)
+        kept, comp = values[smasks], values[mask ^ smasks]  # (splits, budget+1, n)
+        path = self.dists.table[:, u].view(np.uint64)  # (budget+1, n)
+        best = None
+        for j1 in range(j + 1):
+            left = j - j1  # kept budget j2 = 0..left, complement budget left - j2
+            total = path[j1] + np.maximum(kept[:, : left + 1], comp[:, left::-1])
+            hits = np.argwhere((total == target).transpose(2, 0, 1))  # (v, split, j2)
+            if hits.size:
+                v, split, j2 = (int(x) for x in hits[0])
+                candidate = (v, int(smasks[split]), j1, j2)
+                best = candidate if best is None else min(best, candidate)
+        v, smask, j1, j2 = best
         return SplitChoice(via=v, subset_mask=smask, budgets=(j1, j2, j - j1 - j2))
 
 
@@ -112,74 +153,45 @@ def solve_height_table(
     centers: ClusterCenters,
     dists: BoundedCostDistances,
 ) -> HeightTable:
-    """Fill the height table bottom-up over subsets of the non-root centers."""
+    """Fill the height table over subsets of the non-root centers.
+
+    Masks run in ascending order, so every proper submask is done before
+    the mask itself. Each mask takes a merge step, then a move step. Move
+    sums run in uint64, so two INF64 terms cannot wrap. No entry needs a
+    clamp: the term for v = u and j1 = 0 is merged[j, u] itself (the
+    distance table has a zero diagonal), which is finite below 2**62 or
+    INF64, so a minimum at or above 2**62 is exactly INF64.
+    """
     ensure_valid(instance)
     n, budget = instance.n, instance.budget
     if dists.n != n or dists.budget != budget:
         raise ValueError("distance table does not match the instance")
     others = tuple(centers.centers[1:])
     m = len(others)
-    d64 = dists.table  # (budget+1, n, n)
-    d_inf = d64 >= INF64
+    d = dists.table.view(np.uint64)  # (budget+1, n, n)
 
-    values = np.full(((1 << m), budget + 1, n), INF64, dtype=np.int64)
-    shape = values.shape
-    choice_v = np.full(shape, -1, dtype=np.int32)
-    choice_mask = np.full(shape, -1, dtype=np.int32)
-    choice_j1 = np.full(shape, -1, dtype=np.int32)
-    choice_j2 = np.full(shape, -1, dtype=np.int32)
-
+    values = np.full(((1 << m), budget + 1, n), INF64, dtype=np.uint64)
     for i, c in enumerate(others):
-        values[1 << i] = d64[:, :, c]
+        values[1 << i] = d[:, :, c]
 
-    rows = np.arange(n)
-    for mask in sorted(range(1, 1 << m), key=lambda s: (s.bit_count(), s)):
-        if mask.bit_count() < 2:
+    merged = np.empty((budget + 1, n), dtype=np.uint64)
+    for mask in range(1, 1 << m):
+        if mask & (mask - 1) == 0:
             continue
-        best_val = values[mask]
-        best_v = choice_v[mask]
-        low_bit = mask & -mask
-        rest = mask ^ low_bit
-        for sub in range(rest + 1):
-            if sub & rest != sub or sub == rest:
-                continue
-            smask = low_bit | sub
-            kept = values[smask]
-            comp = values[mask ^ smask]
-            for j1 in range(budget + 1):
-                for j2 in range(budget - j1 + 1):
-                    for j3 in range(budget - j1 - j2 + 1):
-                        j = j1 + j2 + j3
-                        inner = np.maximum(kept[j2], comp[j3])
-                        inner_inf = inner >= INF64
-                        if inner_inf.all():
-                            continue
-                        total = d64[j1] + inner[None, :]
-                        bad = d_inf[j1] | inner_inf[None, :]
-                        total = np.where(bad, INF64, total)
-                        cand_v = np.argmin(total, axis=1).astype(np.int32)
-                        cand_val = total[rows, cand_v]
-                        improve = (cand_val < best_val[j]) | (
-                            (cand_val == best_val[j]) & (cand_v < best_v[j])
-                        )
-                        improve &= cand_val < INF64
-                        if not improve.any():
-                            continue
-                        best_val[j] = np.where(improve, cand_val, best_val[j])
-                        best_v[j] = np.where(improve, cand_v, best_v[j])
-                        choice_mask[mask, j] = np.where(improve, smask, choice_mask[mask, j])
-                        choice_j1[mask, j] = np.where(improve, j1, choice_j1[mask, j])
-                        choice_j2[mask, j] = np.where(improve, j2, choice_j2[mask, j])
+        # merge at v: merged[j', v] = min over splits and j2 + j3 = j' of the larger half
+        smasks = _kept_halves(mask)
+        kept, comp = values[smasks], values[mask ^ smasks]  # (splits, budget+1, n)
+        merged.fill(INF64)
+        for j2 in range(budget + 1):
+            halves = np.maximum(kept[:, j2, None], comp[:, : budget + 1 - j2])
+            np.minimum(merged[j2:], halves.min(axis=0), out=merged[j2:])
+        # move along a path: values[mask, j, u] = min over j1 and v of d[j1, u, v] + merged[j - j1, v]
+        out = values[mask]
+        for j1 in range(budget + 1):
+            sums = d[j1][:, None, :] + merged[None, : budget + 1 - j1, :]  # (u, j - j1, v)
+            np.minimum(out[j1:], sums.min(axis=2).T, out=out[j1:])
 
-    return HeightTable(
-        others=others,
-        budget=budget,
-        values=values,
-        choice_v=choice_v,
-        choice_mask=choice_mask,
-        choice_j1=choice_j1,
-        choice_j2=choice_j2,
-    )
+    return HeightTable(others=others, budget=budget, values=values.view(np.int64), dists=dists)
 
 
 @dataclass(frozen=True)
