@@ -30,7 +30,7 @@ center, which halves the work without changing any value (the two halves
 are interchangeable).
 
 Only values are stored. The rule behind an entry is recomputed on demand,
-and only reconstruction asks for it (at most 2m entries per tree). Ties
+and only reconstruction asks for it (fewer than 2m entries per tree). Ties
 are broken by the smallest (via vertex, subset mask, first budget, second
 budget) tuple that reaches the entry, with the kept subset holding the
 lowest-indexed center, so reconstruction is deterministic.
@@ -135,16 +135,15 @@ class HeightTable:
         values = self.values.view(np.uint64)
         kept, comp = values[smasks], values[mask ^ smasks]  # (splits, budget+1, n)
         path = self.dists.table[:, u].view(np.uint64)  # (budget+1, n)
-        best = None
+        candidates = []
         for j1 in range(j + 1):
             left = j - j1  # kept budget j2 = 0..left, complement budget left - j2
             total = path[j1] + np.maximum(kept[:, : left + 1], comp[:, left::-1])
             hits = np.argwhere((total == target).transpose(2, 0, 1))  # (v, split, j2)
             if hits.size:
                 v, split, j2 = (int(x) for x in hits[0])
-                candidate = (v, int(smasks[split]), j1, j2)
-                best = candidate if best is None else min(best, candidate)
-        v, smask, j1, j2 = best
+                candidates.append((v, int(smasks[split]), j1, j2))
+        v, smask, j1, j2 = min(candidates)
         return SplitChoice(via=v, subset_mask=smask, budgets=(j1, j2, j - j1 - j2))
 
 
@@ -183,9 +182,9 @@ def solve_height_table(
         kept, comp = values[smasks], values[mask ^ smasks]  # (splits, budget+1, n)
         merged.fill(INF64)
         for j2 in range(budget + 1):
-            halves = np.maximum(kept[:, j2, None], comp[:, : budget + 1 - j2])
-            np.minimum(merged[j2:], halves.min(axis=0), out=merged[j2:])
-        # move along a path: values[mask, j, u] = min over j1 and v of d[j1, u, v] + merged[j - j1, v]
+            larger = np.maximum(kept[:, j2, None], comp[:, : budget + 1 - j2])
+            np.minimum(merged[j2:], larger.min(axis=0), out=merged[j2:])
+        # move along a path: out[j, u] = min over j1 and v of d[j1, u, v] + merged[j - j1, v]
         out = values[mask]
         for j1 in range(budget + 1):
             sums = d[j1][:, None, :] + merged[None, : budget + 1 - j1, :]  # (u, j - j1, v)
@@ -230,7 +229,7 @@ def reconstruct_tree(
     mask: int,
     j: int,
 ) -> CenterTree:
-    """Expand recorded choices into a concrete tree for a finite entry.
+    """Expand the table's choices into a concrete tree for a finite entry.
 
     Leaf rules expand into bounded-path witnesses, branch rules into a
     witness path grafted onto the two recursively expanded halves. Raises
