@@ -10,11 +10,12 @@ non-edge gives
     D_beta = min(D_{beta-1}, min_{c <= beta} (D_{beta-c} ⊗ W_c) ⊗ D₀),
 
 so the table for every budget 0..B follows from D₀ and the W_c alone. Row
-s of D_beta depends only on row s of the smaller budgets, so the same
-recurrence fills every row (:func:`apsp_b`) or one source's row
-(:class:`PathSource`). Products loop over the middle index, which keeps
-temporaries at rows × n; entries are uint64 while they are summed, so two
-"unreachable" sentinels (2**62 each) add up without wrapping.
+s of D_beta depends only on row s of the smaller budgets, so :func:`apsp_b`
+builds D₀ and the W_c once and fills the rows of the sources asked for;
+a :class:`PathSource` is a view of one of those rows. Products loop over the
+middle index, which keeps temporaries at rows × n; entries are uint64 while
+they are summed, so two "unreachable" sentinels (2**62 each) add up without
+wrapping.
 
 Witness paths are walked back from the table. An entry that equals its D₀
 entry is a graph path, read from a Dijkstra predecessor tree. Otherwise its
@@ -27,6 +28,7 @@ every jump, so zero-weight ties cannot make the walk cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -109,15 +111,18 @@ def _table_rows(
 
 @dataclass(frozen=True, eq=False)
 class BoundedCostDistances:
-    """Full bounded-cost distance table ``table[beta][u][v]`` plus provenance.
+    """Rows ``table[beta][i][v]`` of the bounded-cost table for ``sources[i]``.
 
-    ``table`` is int64 with INF64 for unreachable entries. Keeps the
-    originating instance so witness paths can be reconstructed on demand
-    through :class:`PathSource`.
+    ``table`` is int64 with INF64 for unreachable entries; with every vertex
+    a source, ``sources`` is ``range(n)`` and row i is vertex i. ``graph``
+    (D₀) and ``jumps`` (W_c) are kept for witness walks by :class:`PathSource`.
     """
 
     instance: WeightedInstance
+    sources: Sequence[int]
     table: np.ndarray
+    graph: np.ndarray
+    jumps: dict[int, np.ndarray]
 
     @property
     def budget(self) -> int:
@@ -125,18 +130,30 @@ class BoundedCostDistances:
 
     @property
     def n(self) -> int:
-        return self.table.shape[1]
+        return self.table.shape[2]
+
+    def row(self, u: int) -> int:
+        """Index of ``u``'s row in ``table``; ValueError when ``u`` is not a source."""
+        if u not in self.sources:
+            raise ValueError(f"vertex {u} is not a source of this table")
+        return self.sources.index(u)
 
     def get(self, beta: int, u: int, v: int) -> Dist:
-        return to_dist(int(self.table[beta, u, v]))
+        return to_dist(int(self.table[beta, self.row(u), v]))
 
 
-def apsp_b(instance: WeightedInstance) -> BoundedCostDistances:
-    """Bounded-cost distances between all pairs, for every budget 0..B."""
+def apsp_b(
+    instance: WeightedInstance, sources: Sequence[int] | None = None
+) -> BoundedCostDistances:
+    """Bounded-cost distances from ``sources`` (default: every vertex), for budgets 0..B."""
     ensure_valid(instance)
+    n = instance.n
+    rows = range(n) if sources is None else tuple(sources)
+    if not all(0 <= s < n for s in rows):
+        raise ValueError(f"sources {list(rows)} out of range for n={n}")
     graph, jumps = _engine_inputs(instance)
-    table = _table_rows(graph, jumps, instance.budget, np.arange(instance.n))
-    return BoundedCostDistances(instance=instance, table=table.view(np.int64))
+    table = _table_rows(graph, jumps, instance.budget, np.array(rows, dtype=np.intp))
+    return BoundedCostDistances(instance, rows, table.view(np.int64), graph, jumps)
 
 
 @dataclass(frozen=True)
@@ -155,23 +172,19 @@ class PathWitness:
 
 
 class PathSource:
-    """One row of the bounded-cost distance table, with witness paths.
+    """A view of ``source``'s row of ``dists``, with witness paths.
 
     ``table[beta][v]`` is the cheapest weight of a beta-bounded path from
-    ``source`` to ``v`` (int64, INF64 for unreachable). Several targets and
-    budgets can be reconstructed from one row.
+    ``source`` to ``v`` (int64, INF64 for unreachable). Nothing is computed
+    here; ValueError when ``source`` is not a row of ``dists``.
     """
 
-    def __init__(self, instance: WeightedInstance, source: int):
-        ensure_valid(instance)
-        if not (0 <= source < instance.n):
-            raise ValueError(f"source {source} out of range for n={instance.n}")
-        self.instance = instance
+    def __init__(self, dists: BoundedCostDistances, source: int):
+        self.table = dists.table[:, dists.row(source)]
+        self.instance = dists.instance
         self.source = source
-        self._graph, self._jumps = _engine_inputs(instance)
-        rows = _table_rows(self._graph, self._jumps, instance.budget, np.array([source]))
-        self._row = rows[:, 0]
-        self.table = self._row.view(np.int64)
+        self._graph, self._jumps = dists.graph, dists.jumps
+        self._row = self.table.view(np.uint64)
         self._trees: dict[int, list[int]] = {}
 
     def get(self, beta: int, v: int) -> Dist:
@@ -209,6 +222,8 @@ class PathSource:
         instance = self.instance
         if not (0 <= beta <= instance.budget):
             raise ValueError(f"beta {beta} out of range for budget {instance.budget}")
+        if not (0 <= v < instance.n):  # a negative index would walk a wrapped row forever
+            raise ValueError(f"target {v} out of range for n={instance.n}")
         if self._row[beta, v] >= INF64:
             raise NoPathError(f"no path: source {self.source}, target {v}, budget {beta}")
         tails: list[list[int]] = []  # graph paths y -> v, each after a jump x -> y
@@ -234,11 +249,11 @@ class PathSource:
 
 def sssp_b(instance: WeightedInstance, source: int) -> PathSource:
     """Bounded-cost distances from one source, for every budget 0..B."""
-    return PathSource(instance, source)
+    return PathSource(apsp_b(instance, (source,)), source)
 
 
 def reconstruct_path(
     dists: BoundedCostDistances, beta: int, u: int, v: int
 ) -> PathWitness:
-    """Witness path for a finite table entry of :func:`apsp_b`."""
-    return PathSource(dists.instance, u).path_to(v, beta)
+    """Witness path for a finite entry of ``dists``; ``u`` must be one of its sources."""
+    return PathSource(dists, u).path_to(v, beta)

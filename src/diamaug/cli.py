@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: solve, exact, check, apsp, cluster, gen, bench. Exit codes:
-0 success, 1 invalid input (malformed file, failed check, bound violation),
-2 guard refusal (oracle too large, degenerate reduction).
+0 success, 1 invalid input (malformed file, vertex or budget flag outside
+the instance, failed check, bound violation), 2 guard refusal (oracle too
+large, degenerate reduction).
 
 All randomness enters through explicit ``--seed`` flags; repeated runs with
 identical inputs produce byte-identical output. Wall-clock numbers never
@@ -12,6 +13,7 @@ appear in reports unless ``--timings`` is given.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -48,6 +50,8 @@ from .oracle import OracleLimitError
 from .report import RunReport, instance_digest, render_dist
 
 APPROX_BOUNDS = {"fpt": 4, "pairs": 3, "star": 4}  # mst bound depends on the budget
+# Scale-suite runs per budget; the median drops a first run's one-off costs.
+SCALE_REPEATS = 3
 
 
 def _load_instance(path: str) -> WeightedInstance:
@@ -57,64 +61,57 @@ def _load_instance(path: str) -> WeightedInstance:
     return instance
 
 
+class FlagError(Exception):
+    """A command-line flag names a vertex or budget the instance does not have."""
+
+
+def _check_flag(flag: str, value: int | None, limit: int) -> None:
+    if value is not None and not 0 <= value < limit:
+        raise FlagError(f"{flag} {value} is outside 0..{limit - 1}")
+
+
 def _solve_one(
     instance: WeightedInstance, algo: str, first_center: int
 ) -> tuple[Augmentation, RunReport]:
-    digest = instance_digest(instance)
+    parameters: dict[str, int | str] = {"first_center": first_center}
+    extras: dict[str, object] = {}
+    timings = None
+    start = time.perf_counter()
     if algo == "fpt":
         outcome = fpt_solve(instance, first_center)
-        report = RunReport(
-            algorithm=algo,
-            digest=digest,
-            parameters={"first_center": first_center},
-            added=tuple(sorted(outcome.augmentation.added)),
-            total_cost=outcome.augmentation.total_cost,
-            diameter=outcome.augmentation.diameter,
-            tree_height=outcome.tree_height,
-            cluster_radius=outcome.cluster_radius,
-            timings=outcome.timings,
-        )
-        return outcome.augmentation, report
-    if algo in ("pairs", "star", "mst"):
-        func = {
+        augmentation, timings = outcome.augmentation, outcome.timings
+        extras = {"tree_height": outcome.tree_height, "cluster_radius": outcome.cluster_radius}
+    elif algo == "exact":
+        result = oracle.exact_optimum(instance)
+        augmentation = augment(instance, result.best_added)
+        parameters = {"explored": result.explored}
+        extras = {"d_opt": result.best_diameter}
+    elif algo in ("pairs", "star", "mst"):
+        solver = {  # looked up per call, so a replaced unit_cost attribute is honoured
             "pairs": unit_cost.pairwise_centers,
             "star": unit_cost.star_centers,
             "mst": unit_cost.cluster_spanning_mst,
         }[algo]
-        start = time.perf_counter()
-        augmentation = func(instance, first_center)
-        elapsed = time.perf_counter() - start
-        report = RunReport(
-            algorithm=algo,
-            digest=digest,
-            parameters={"first_center": first_center},
-            added=tuple(sorted(augmentation.added)),
-            total_cost=augmentation.total_cost,
-            diameter=augmentation.diameter,
-            timings={"solve": elapsed},
-        )
-        return augmentation, report
-    if algo == "exact":
-        start = time.perf_counter()
-        result = oracle.exact_optimum(instance)
-        elapsed = time.perf_counter() - start
-        augmentation = augment(instance, result.best_added)
-        report = RunReport(
-            algorithm=algo,
-            digest=digest,
-            parameters={"explored": result.explored},
-            added=tuple(sorted(augmentation.added)),
-            total_cost=augmentation.total_cost,
-            diameter=augmentation.diameter,
-            d_opt=result.best_diameter,
-            timings={"solve": elapsed},
-        )
-        return augmentation, report
-    raise ValueError(f"unknown algorithm {algo!r}")
+        augmentation = solver(instance, first_center)
+    else:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    timings = timings or {"solve": time.perf_counter() - start}
+    report = RunReport(
+        algorithm=algo,
+        digest=instance_digest(instance),
+        parameters=parameters,
+        added=tuple(sorted(augmentation.added)),
+        total_cost=augmentation.total_cost,
+        diameter=augmentation.diameter,
+        timings=timings,
+        **extras,
+    )
+    return augmentation, report
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
+    _check_flag("--first", args.first, instance.n)
     augmentation, report = _solve_one(instance, args.algo, args.first)
     if args.report == "json":
         sys.stdout.write(report.to_json(include_timings=args.timings))
@@ -165,13 +162,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_apsp(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
-    dists = apsp_b(instance)
-    for beta in range(instance.budget + 1):
-        if args.beta is not None and beta != args.beta:
-            continue
-        for u in range(instance.n):
-            if args.source is not None and u != args.source:
-                continue
+    _check_flag("--source", args.source, instance.n)
+    _check_flag("--beta", args.beta, instance.budget + 1)
+    sources = range(instance.n) if args.source is None else (args.source,)
+    betas = range(instance.budget + 1) if args.beta is None else (args.beta,)
+    dists = apsp_b(instance, sources)
+    for beta in betas:
+        for u in sources:
             for v in range(instance.n):
                 print(f"{beta} {u} {v} {render_dist(dists.get(beta, u, v))}")
     return 0
@@ -179,6 +176,7 @@ def _cmd_apsp(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
+    _check_flag("--first", args.first, instance.n)
     clusters = greedy_centers(instance, args.first)
     print("centers " + " ".join(str(c) for c in clusters.centers))
     for v in range(instance.n):
@@ -324,14 +322,16 @@ def _bench_scale(args: argparse.Namespace) -> int:
     timings: list[tuple[int, float]] = []
     for budget in budgets:
         instance = gen_random(args.n, 0.15, 5, 3, budget, args.seed)
-        start = time.perf_counter()
-        stages = fpt_solve(instance).timings
-        elapsed = time.perf_counter() - start
+        runs = []
+        for _ in range(SCALE_REPEATS):
+            start = time.perf_counter()
+            stages = fpt_solve(instance).timings
+            runs.append((time.perf_counter() - start, stages["table"], stages["reconstruct"]))
+        elapsed, table, reconstruct = (statistics.median(column) for column in zip(*runs))
         timings.append((budget, elapsed))
         print(
             f"n={args.n} budget={budget} seconds={elapsed:.3f} "
-            f"table={stages.get('table', 0.0):.3f} "
-            f"reconstruct={stages.get('reconstruct', 0.0):.3f}"
+            f"table={table:.3f} reconstruct={reconstruct:.3f}"
         )
     for (b1, t1), (b2, t2) in zip(timings, timings[1:]):
         growth = t2 / t1 if t1 > 0 else float("inf")
@@ -413,7 +413,7 @@ def run(argv: Sequence[str]) -> int:
     args = parser.parse_args(list(argv))
     try:
         return args.func(args)
-    except (FormatError, InstanceError) as exc:
+    except (FormatError, InstanceError, FlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OracleLimitError, ReductionError) as exc:

@@ -159,11 +159,12 @@ def solve_height_table(
     sums run in uint64, so two INF64 terms cannot wrap. No entry needs a
     clamp: the term for v = u and j1 = 0 is merged[j, u] itself (the
     distance table has a zero diagonal), which is finite below 2**62 or
-    INF64, so a minimum at or above 2**62 is exactly INF64.
+    INF64, so a minimum at or above 2**62 is exactly INF64. ``dists`` must
+    hold every vertex's row in vertex order, as :func:`apsp_b` fills by default.
     """
     ensure_valid(instance)
     n, budget = instance.n, instance.budget
-    if dists.n != n or dists.budget != budget:
+    if dists.n != n or dists.budget != budget or tuple(dists.sources) != tuple(range(n)):
         raise ValueError("distance table does not match the instance")
     others = tuple(centers.centers[1:])
     m = len(others)
@@ -242,14 +243,11 @@ def reconstruct_tree(
     edges: list[TreeEdge] = []
     sources: dict[int, PathSource] = {}
 
-    def witness_path(src: int, dst: int, beta: int):
-        if src not in sources:
-            sources[src] = PathSource(instance, src)
-        return sources[src].path_to(dst, beta)
-
     def graft(anchor: int, src: int, dst: int, beta: int) -> int:
         """Attach the witness path src->dst below tree node ``anchor``."""
-        witness = witness_path(src, dst, beta)
+        if src not in sources:  # one view per source keeps its graph-path trees
+            sources[src] = PathSource(dists, src)
+        witness = sources[src].path_to(dst, beta)
         current = anchor
         for a, b in zip(witness.vertices, witness.vertices[1:]):
             node_vertices.append(b)
@@ -316,28 +314,13 @@ def fpt_solve(instance: WeightedInstance, first_center: int = 0) -> FptOutcome:
     The distinct non-edges of that tree are the answer. Runtime grows with
     3**budget, so this is practical for small budgets only.
 
-    Degenerate cases return no insertions: budget 0 or a single vertex. If
-    some center is unreachable within budget the outcome is flagged
-    ``infeasible_height`` and carries whatever diameter the bare graph has.
+    With a single center (budget 0 or a single vertex) the tree is empty
+    and nothing is inserted. If some center is unreachable within budget
+    the outcome is flagged ``infeasible_height`` and carries whatever
+    diameter the bare graph has.
     """
     ensure_valid(instance)
     timings: dict[str, float] = {}
-    if instance.budget == 0 or instance.n == 1:
-        start = time.perf_counter()
-        centers = greedy_centers(instance, first_center)
-        timings["clustering"] = time.perf_counter() - start
-        start = time.perf_counter()
-        augmentation = augment(instance, ())
-        timings["diameter"] = time.perf_counter() - start
-        return FptOutcome(
-            augmentation=augmentation,
-            tree_height=0,
-            cluster_radius=centers.radius,
-            centers=centers.centers,
-            infeasible_height=False,
-            timings=timings,
-        )
-
     start = time.perf_counter()
     dists = apsp_b(instance)
     timings["bounded_paths"] = time.perf_counter() - start

@@ -15,7 +15,7 @@ cheaper center-based strategies than the budget-exponential solver:
 
 from __future__ import annotations
 
-from .budget_paths import NoPathError, PathSource
+from .budget_paths import NoPathError, PathSource, apsp_b
 from .clustering import greedy_centers
 from .core import (
     Augmentation,
@@ -41,15 +41,17 @@ def ensure_unit_cost(instance: WeightedInstance) -> None:
 def pairwise_centers(instance: WeightedInstance, first_center: int = 0) -> Augmentation:
     """Insert the non-edges of a cheapest k-bounded path between every center pair.
 
-    Unreachable center pairs contribute nothing. Each center's row of the
-    bounded-cost table is computed once and serves all of its pairs.
+    Unreachable center pairs contribute nothing. One bounded-cost table
+    holds the rows of every center but the last, and each row serves all of
+    that center's pairs.
     """
     ensure_unit_cost(instance)
     centers = greedy_centers(instance, first_center).centers
+    dists = apsp_b(instance, centers[:-1])
     added: set[Pair] = set()
     k = instance.budget
     for i, ci in enumerate(centers[:-1]):
-        source = PathSource(instance, ci)
+        source = PathSource(dists, ci)
         for cj in centers[i + 1 :]:
             try:
                 witness = source.path_to(cj, k)
@@ -67,15 +69,14 @@ def star_centers(instance: WeightedInstance, first_center: int = 0) -> Augmentat
     """
     ensure_unit_cost(instance)
     centers = greedy_centers(instance, first_center).centers
+    source = PathSource(apsp_b(instance, centers[:1]), centers[0])
     added: set[Pair] = set()
-    if centers:
-        source = PathSource(instance, centers[0])
-        for cj in centers[1:]:
-            try:
-                witness = source.path_to(cj, instance.budget)
-            except NoPathError:
-                continue
-            added.update(witness.used_non_edges)
+    for cj in centers[1:]:
+        try:
+            witness = source.path_to(cj, instance.budget)
+        except NoPathError:
+            continue
+        added.update(witness.used_non_edges)
     return augment(instance, added)
 
 

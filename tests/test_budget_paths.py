@@ -9,11 +9,16 @@ import pytest
 from diamaug import (
     INF,
     NoPathError,
+    PathSource,
     apsp_b,
+    budget_paths,
+    fpt_solve,
+    pairwise_centers,
     path_oracle,
     reconstruct_path,
     sssp,
     sssp_b,
+    star_centers,
 )
 from diamaug.core import INF64
 from helpers import (
@@ -22,6 +27,7 @@ from helpers import (
     build_layered_digraph,
     complete_graph,
     p4,
+    path_graph,
     seeded_corpus,
 )
 
@@ -244,3 +250,73 @@ def test_witness_roundtrip(instance):
                     assert a != b
                 for pair in witness.used_non_edges:
                     assert pair not in instance.edges
+
+
+@pytest.mark.parametrize("instance", seeded_corpus(8, seed=37, n_range=(2, 6)) + EDGE_CASES)
+def test_source_rows_match_full_table(instance):
+    full = apsp_b(instance)
+    n = instance.n
+    for sources in [(n // 2,), tuple(dict.fromkeys((n - 1, 0, n // 2)))]:  # one, unsorted
+        part = apsp_b(instance, sources)
+        assert part.table.dtype == full.table.dtype
+        assert part.table.shape == (instance.budget + 1, len(sources), n)
+        for i, s in enumerate(sources):
+            assert part.table[:, i].tobytes() == full.table[:, s].tobytes()
+            for beta in range(instance.budget + 1):
+                for v in range(n):
+                    if full.get(beta, s, v) != INF:
+                        assert reconstruct_path(part, beta, s, v) == reconstruct_path(
+                            full, beta, s, v
+                        )
+
+
+@pytest.mark.parametrize("source", [-1, 4])
+def test_apsp_rejects_out_of_range_source(source):
+    with pytest.raises(ValueError):
+        apsp_b(p4(), (source,))
+
+
+def test_vertex_outside_the_rows_raises():
+    part = apsp_b(p4(), (2, 1))
+    for v in (0, 3, -1):
+        with pytest.raises(ValueError):
+            PathSource(part, v)
+        with pytest.raises(ValueError):
+            part.get(0, v, 0)
+        with pytest.raises(ValueError):
+            reconstruct_path(part, 0, v, 1)
+    full = apsp_b(p4())
+    with pytest.raises(ValueError):
+        full.get(0, -1, 0)  # not numpy's last row
+    with pytest.raises(ValueError):
+        PathSource(full, 4)
+
+
+@pytest.mark.parametrize("target", [-1, 4])
+def test_path_to_rejects_out_of_range_target(target):
+    source = PathSource(apsp_b(p4()), 0)
+    for beta in (0, 1):
+        with pytest.raises(ValueError):
+            source.path_to(target, beta)
+
+
+def test_one_engine_build_per_solve(monkeypatch):
+    calls = []
+    engine_inputs = budget_paths._engine_inputs
+
+    def counted(instance):
+        calls.append(instance)
+        return engine_inputs(instance)
+
+    monkeypatch.setattr(budget_paths, "_engine_inputs", counted)
+    instance = path_graph(9, budget=2)
+    for solve in (fpt_solve, pairwise_centers, star_centers):
+        calls.clear()
+        solve(instance)
+        assert len(calls) == 1, solve.__name__
+    dists = apsp_b(instance)
+    calls.clear()
+    for beta in range(instance.budget + 1):
+        for v in range(instance.n):
+            reconstruct_path(dists, beta, 0, v)
+    assert calls == []

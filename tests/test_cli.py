@@ -100,6 +100,24 @@ def test_apsp_rows(p4_file, capsys):
     assert lines == ["1 0 0 0", "1 0 1 1", "1 0 2 1", "1 0 3 1"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--first", "9"],
+        ["cluster", "--first", "-1"],
+        ["apsp", "--source", "9"],
+        ["apsp", "--beta", "2"],
+        ["apsp", "--beta", "-1"],
+    ],
+    ids=["solve-first", "cluster-first", "apsp-source", "apsp-beta-high", "apsp-beta-low"],
+)
+def test_out_of_range_flag_is_an_input_error(p4_file, capsys, argv):
+    assert run([argv[0], "--input", p4_file, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {argv[1]} {argv[2]} ")
+
+
 def test_cluster_output(p4_file, capsys):
     assert run(["cluster", "--input", p4_file]) == 0
     out = capsys.readouterr().out

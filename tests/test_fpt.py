@@ -8,6 +8,7 @@ from diamaug import (
     INF,
     InfeasibleEntryError,
     apsp_b,
+    diameter,
     exact_optimum,
     fpt_solve,
     greedy_centers,
@@ -282,6 +283,27 @@ def test_fpt_budget_zero_short_circuit():
     assert outcome.augmentation.added == frozenset()
     assert outcome.augmentation.diameter == 3
     assert outcome.tree_height == 0
+
+
+@pytest.mark.parametrize("instance", EDGE_CASES[:2])  # n = 1, budget 0
+def test_fpt_degenerate_inputs_insert_nothing(instance):
+    outcome = fpt_solve(instance)
+    clusters = greedy_centers(instance)
+    assert outcome.augmentation.added == frozenset()
+    assert outcome.augmentation.total_cost == 0
+    assert outcome.augmentation.diameter == diameter(instance)
+    assert outcome.tree_height == 0
+    assert outcome.cluster_radius == clusters.radius
+    assert outcome.centers == clusters.centers == (0,)
+    assert not outcome.infeasible_height
+
+
+def test_height_table_rejects_partial_distance_table():
+    instance = p4(budget=2)
+    centers = greedy_centers(instance)
+    for sources in [(0, 1, 2), (0,), (3, 2, 1, 0)]:
+        with pytest.raises(ValueError):
+            solve_height_table(instance, centers, apsp_b(instance, sources))
 
 
 def test_fpt_infeasible_budget_is_flagged():
