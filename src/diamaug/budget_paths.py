@@ -9,9 +9,9 @@ non-edge gives
 
     D_beta = min(D_{beta-1}, min_{c <= beta} (D_{beta-c} ⊗ W_c) ⊗ D₀),
 
-so the table for every budget 0..B follows from D₀ and the W_c alone. Row
-s of D_beta depends only on row s of the smaller budgets, so :func:`apsp_b`
-builds D₀ and the W_c once and fills the rows of the sources asked for;
+so the table for every budget 0..B follows from D₀ (``instance.metric``) and
+the W_c alone. Row s of D_beta depends only on row s of the smaller budgets,
+so :func:`apsp_b` builds the W_c once and fills the rows of the sources asked for;
 a :class:`PathSource` is a view of one of those rows. Products loop over the
 middle index, which keeps temporaries at rows × n; entries are uint64 while
 they are summed, so two "unreachable" sentinels (2**62 each) add up without
@@ -71,26 +71,20 @@ def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         np.minimum(out, a[:, k, None] + b[None, k, :], out=out)
 
 
-def _engine_inputs(instance: WeightedInstance) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """D₀ and the nonempty W_c (c <= budget) as uint64 matrices, INF64 for unreachable."""
+def _engine_inputs(instance: WeightedInstance) -> dict[int, np.ndarray]:
+    """The nonempty W_c (c <= budget) as uint64 matrices, INF64 for unreachable."""
     n, budget = instance.n, instance.budget
     weight = _pair_matrix(instance.weight, n, INF64).astype(np.uint64)
     cost = _pair_matrix(instance.cost, n, budget + 1)
-    graph = np.full((n, n), INF64, dtype=np.uint64)
     if instance.edges:
         u, v = np.array(list(instance.edges), dtype=np.intp).T
-        graph[u, v] = graph[v, u] = weight[u, v]
         cost[u, v] = cost[v, u] = budget + 1  # existing edges are never inserted
-    np.fill_diagonal(graph, 0)
     np.fill_diagonal(cost, budget + 1)
-    for k in range(n):  # Floyd–Warshall closure into the graph metric
-        np.minimum(graph, graph[:, k, None] + graph[None, k, :], out=graph)
-    jumps = {
+    return {
         int(c): np.where(cost == c, weight, np.uint64(INF64))
         for c in np.unique(cost)
         if c <= budget
     }
-    return graph, jumps
 
 
 def _table_rows(
@@ -109,19 +103,24 @@ def _table_rows(
     return table
 
 
+def _check_entry(instance: WeightedInstance, beta: int, v: int) -> None:
+    """ValueError unless 0 <= beta <= budget and 0 <= v < n: numpy would wrap negatives."""
+    if not (0 <= beta <= instance.budget and 0 <= v < instance.n):
+        raise ValueError(f"entry ({beta}, {v}) out of range for B={instance.budget}, n={instance.n}")
+
+
 @dataclass(frozen=True, eq=False)
 class BoundedCostDistances:
     """Rows ``table[beta][i][v]`` of the bounded-cost table for ``sources[i]``.
 
     ``table`` is int64 with INF64 for unreachable entries; with every vertex
-    a source, ``sources`` is ``range(n)`` and row i is vertex i. ``graph``
-    (D₀) and ``jumps`` (W_c) are kept for witness walks by :class:`PathSource`.
+    a source, ``sources`` is ``range(n)`` and row i is vertex i. ``jumps``
+    (W_c) are kept for witness walks by :class:`PathSource`.
     """
 
     instance: WeightedInstance
     sources: Sequence[int]
     table: np.ndarray
-    graph: np.ndarray
     jumps: dict[int, np.ndarray]
 
     @property
@@ -139,6 +138,7 @@ class BoundedCostDistances:
         return self.sources.index(u)
 
     def get(self, beta: int, u: int, v: int) -> Dist:
+        _check_entry(self.instance, beta, v)
         return to_dist(int(self.table[beta, self.row(u), v]))
 
 
@@ -151,9 +151,9 @@ def apsp_b(
     rows = range(n) if sources is None else tuple(sources)
     if not all(0 <= s < n for s in rows):
         raise ValueError(f"sources {list(rows)} out of range for n={n}")
-    graph, jumps = _engine_inputs(instance)
-    table = _table_rows(graph, jumps, instance.budget, np.array(rows, dtype=np.intp))
-    return BoundedCostDistances(instance, rows, table.view(np.int64), graph, jumps)
+    jumps = _engine_inputs(instance)
+    table = _table_rows(instance.metric, jumps, instance.budget, np.array(rows, dtype=np.intp))
+    return BoundedCostDistances(instance, rows, table.view(np.int64), jumps)
 
 
 @dataclass(frozen=True)
@@ -183,17 +183,18 @@ class PathSource:
         self.table = dists.table[:, dists.row(source)]
         self.instance = dists.instance
         self.source = source
-        self._graph, self._jumps = dists.graph, dists.jumps
+        self._graph, self._jumps = dists.instance.metric, dists.jumps
         self._row = self.table.view(np.uint64)
         self._trees: dict[int, list[int]] = {}
 
     def get(self, beta: int, v: int) -> Dist:
+        _check_entry(self.instance, beta, v)
         return to_dist(int(self.table[beta, v]))
 
     def _graph_path(self, a: int, b: int) -> list[int]:
         """Vertices of a shortest a-b path over existing edges."""
         if a not in self._trees:
-            self._trees[a] = _dijkstra(self.instance.n, self.instance.adjacency, a)[1]
+            self._trees[a] = _dijkstra(self.instance, a)[1]
         pred = self._trees[a]
         path = [b]
         while path[-1] != a:
@@ -220,10 +221,7 @@ class PathSource:
         Raises NoPathError when the entry is unreachable.
         """
         instance = self.instance
-        if not (0 <= beta <= instance.budget):
-            raise ValueError(f"beta {beta} out of range for budget {instance.budget}")
-        if not (0 <= v < instance.n):  # a negative index would walk a wrapped row forever
-            raise ValueError(f"target {v} out of range for n={instance.n}")
+        _check_entry(instance, beta, v)  # a negative v would walk a wrapped row forever
         if self._row[beta, v] >= INF64:
             raise NoPathError(f"no path: source {self.source}, target {v}, budget {beta}")
         tails: list[list[int]] = []  # graph paths y -> v, each after a jump x -> y

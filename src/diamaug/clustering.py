@@ -1,7 +1,7 @@
 """Greedy farthest-first selection of cluster centers.
 
 Picks budget+1 centers: an arbitrary first one, then repeatedly the vertex
-farthest (in the bare graph metric) from everything selected so far. The
+farthest (in the bare graph metric D₀) from everything selected so far. The
 resulting covering radius never exceeds the optimal achievable diameter,
 which is what makes the centers a safe skeleton for the solvers built on
 top.
@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Dist, WeightedInstance, ensure_valid, sssp
+import numpy as np
+
+from .core import Dist, WeightedInstance, to_dist
 
 
 @dataclass(frozen=True)
@@ -42,45 +44,36 @@ class ClusterCenters:
 def greedy_centers(instance: WeightedInstance, first_center: int = 0) -> ClusterCenters:
     """Farthest-first traversal from ``first_center``.
 
-    Each round runs one single-source search from the newly selected center
-    and keeps the per-vertex best distance, so selection is O(budget) such
-    searches. Ties for the farthest vertex go to the smallest vertex id; a
-    vertex unreachable from every selected center counts as farthest. When
-    n <= budget + 1 every vertex becomes a center and the radius is 0.
+    Each round reads the new center's row of D₀ and keeps the per-vertex
+    best distance. Ties for the farthest vertex go to the smallest vertex
+    id; a vertex unreachable from every selected center counts as farthest;
+    assignment ties keep the earlier center. When n <= budget + 1 every
+    vertex becomes a center and the radius is 0.
     """
-    ensure_valid(instance)
+    metric = instance.metric.view(np.int64)  # validates; entries <= INF64 < 2**63
     n = instance.n
     if not (0 <= first_center < n):
         raise ValueError(f"first center {first_center} out of range for n={n}")
     count = min(instance.budget + 1, n)
 
     centers = [first_center]
-    best: list[Dist] = list(sssp(instance, first_center))
-    assignment = [0] * n
-    selected = {first_center}
+    best = metric[first_center].copy()
+    assignment = np.zeros(n, dtype=np.intp)
+    unselected = np.ones(n, dtype=bool)
+    unselected[first_center] = False
 
     while len(centers) < count:
-        farthest = -1
-        farthest_dist: Dist = -1
-        for v in range(n):
-            if v in selected:
-                continue
-            if best[v] > farthest_dist:
-                farthest = v
-                farthest_dist = best[v]
+        farthest = int(np.argmax(np.where(unselected, best, -1)))  # first maximum
         centers.append(farthest)
-        selected.add(farthest)
-        idx = len(centers) - 1
-        dist = sssp(instance, farthest)
-        for v in range(n):
-            if dist[v] < best[v]:
-                best[v] = dist[v]
-                assignment[v] = idx
+        unselected[farthest] = False
+        closer = metric[farthest] < best
+        best[closer] = metric[farthest][closer]
+        assignment[closer] = len(centers) - 1
 
-    radius: Dist = max(best) if best else 0
+    distances = tuple(to_dist(d) for d in best.tolist())
     return ClusterCenters(
         centers=tuple(centers),
-        assignment=tuple(assignment),
-        center_distances=tuple(best),
-        radius=radius,
+        assignment=tuple(assignment.tolist()),
+        center_distances=distances,
+        radius=max(distances),
     )

@@ -1,4 +1,4 @@
-"""Instance model and exact shortest-path primitives.
+"""Instance model, validation and the graph metric.
 
 An instance is an undirected graph on vertices ``0..n-1`` with nonnegative
 integer edge weights. Every vertex pair additionally carries a weight (the
@@ -8,7 +8,8 @@ instance budget, trying to shrink the diameter of the augmented graph.
 
 All arithmetic is integer-only; unreachable distances are represented by
 ``math.inf``, which absorbs addition and compares greater than every finite
-value.
+value. :func:`graph_metric` is the one all-pairs shortest-path routine. An
+instance caches its validation and its metric D₀, which :func:`diameter` never reads.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 INF = math.inf
 
@@ -98,6 +101,8 @@ class WeightedInstance:
         cost: insertion cost of every pair; consulted only on non-edges and
             required to be a positive integer there.
         budget: total insertion budget.
+
+    The cached properties assume the instance, overrides included, never changes.
     """
 
     n: int
@@ -115,6 +120,18 @@ class WeightedInstance:
             lists[u].append((v, w))
             lists[v].append((u, w))
         return tuple(tuple(sorted(entries)) for entries in lists)
+
+    @cached_property
+    def problems(self) -> tuple[str, ...]:
+        """:func:`validate`'s findings, computed once for :func:`ensure_valid`."""
+        return tuple(validate(self))
+
+    @cached_property
+    def metric(self) -> np.ndarray:
+        """D₀: :func:`graph_metric` of the bare instance, computed once, read-only."""
+        metric = graph_metric(self)
+        metric.flags.writeable = False
+        return metric
 
     def is_edge(self, u: int, v: int) -> bool:
         return ordered_pair(u, v) in self.edges
@@ -193,24 +210,19 @@ def validate(instance: WeightedInstance) -> list[str]:
 
 
 def ensure_valid(instance: WeightedInstance) -> None:
-    """Raise InstanceError if the instance violates any invariant."""
-    problems = validate(instance)
-    if problems:
-        raise InstanceError("; ".join(problems))
+    """Raise InstanceError if the instance violates any invariant (cached per instance)."""
+    if instance.problems:
+        raise InstanceError("; ".join(instance.problems))
 
 
-def _dijkstra(
-    n: int,
-    adjacency: Iterable[Iterable[tuple[int, int]]],
-    source: int,
-) -> tuple[list[Dist], list[int]]:
-    """Nonnegative-weight single-source shortest paths.
+def _dijkstra(instance: WeightedInstance, source: int) -> tuple[list[Dist], list[int]]:
+    """Nonnegative-weight single-source shortest paths over the instance edges.
 
     Returns (distances, predecessors). Ties between equal-length paths are
     resolved toward the smallest predecessor vertex id, so reconstruction is
     deterministic. Predecessor -1 means source or unreachable.
     """
-    adj = adjacency if isinstance(adjacency, (list, tuple)) else list(adjacency)
+    n, adj = instance.n, instance.adjacency
     dist: list[Dist] = [INF] * n
     pred = [-1] * n
     dist[source] = 0
@@ -234,16 +246,26 @@ def _dijkstra(
     return dist, pred
 
 
-def _augmented_adjacency(
-    instance: WeightedInstance, added: Iterable[Pair]
-) -> list[list[tuple[int, int]]]:
-    adj: list[list[tuple[int, int]]] = [list(entries) for entries in instance.adjacency]
-    for pair in added:
-        u, v = ordered_pair(*pair)
-        w = instance.weight.get(u, v)
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    return adj
+def graph_metric(instance: WeightedInstance, added: Iterable[Pair] = ()) -> np.ndarray:
+    """All-pairs distances over the edges plus ``added``, by Floyd–Warshall.
+
+    n×n uint64, INF64 for unreachable pairs. Validating first keeps finite
+    distances under the headroom bound, so two entries add up exactly.
+    Raises InstanceError for an added pair outside [0, n).
+    """
+    ensure_valid(instance)
+    n = instance.n
+    pairs = [ordered_pair(*pair) for pair in added]
+    if any(not (0 <= u < v < n) for u, v in pairs):
+        raise InstanceError(f"added pairs {pairs} out of range for n={n}")
+    pairs += instance.edges
+    metric = np.full((n, n), INF64, dtype=np.uint64)
+    u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    metric[u, v] = metric[v, u] = [instance.weight.get(*pair) for pair in pairs]
+    np.fill_diagonal(metric, 0)
+    for k in range(n):
+        np.minimum(metric, metric[:, k, None] + metric[None, k, :], out=metric)
+    return metric
 
 
 def sssp(
@@ -251,41 +273,29 @@ def sssp(
 ) -> list[Dist]:
     """Distances from ``source`` using the instance edges plus ``added`` pairs.
 
-    Unreachable vertices get ``INF``. With the default empty ``added`` this
-    is the plain graph metric.
+    Row ``source`` of the cached D₀ when ``added`` is empty, else of a fresh
+    :func:`graph_metric`; unreachable vertices get ``INF``.
     """
     if not (0 <= source < instance.n):
         raise ValueError(f"source {source} out of range for n={instance.n}")
-    added = tuple(added)
-    if added:
-        adj = _augmented_adjacency(instance, added)
-    else:
-        adj = instance.adjacency  # type: ignore[assignment]
-    dist, _ = _dijkstra(instance.n, adj, source)
-    return dist
+    metric = graph_metric(instance, added) if added else instance.metric
+    return [to_dist(d) for d in metric[source].tolist()]
 
 
 def diameter(instance: WeightedInstance, added: Iterable[Pair] = ()) -> Dist:
-    """Largest distance between any two vertices; 0 for a single vertex."""
-    added = tuple(added)
-    adj = _augmented_adjacency(instance, added) if added else instance.adjacency
-    worst: Dist = 0
-    for source in range(instance.n):
-        dist, _ = _dijkstra(instance.n, adj, source)
-        for d in dist:
-            if d > worst:
-                worst = d
-    return worst
+    """Largest distance, from a fresh :func:`graph_metric`; 0 for a single vertex."""
+    return to_dist(int(graph_metric(instance, added).max()))
 
 
 def augment(instance: WeightedInstance, added: Iterable[Pair]) -> Augmentation:
     """Bundle a set of inserted non-edges with its cost and achieved diameter.
 
-    Raises InstanceError if some pair is already an edge of the instance.
+    Raises InstanceError if some pair is already an edge or lies outside [0, n).
     """
     pairs = frozenset(ordered_pair(*pair) for pair in added)
     for pair in pairs:
         if pair in instance.edges:
             raise InstanceError(f"pair {pair} is already an edge")
+    reached = diameter(instance, pairs)  # range-checks pairs before costing them
     total = sum(instance.cost.get(*pair) for pair in pairs)
-    return Augmentation(added=pairs, total_cost=total, diameter=diameter(instance, pairs))
+    return Augmentation(added=pairs, total_cost=total, diameter=reached)

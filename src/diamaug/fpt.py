@@ -319,7 +319,6 @@ def fpt_solve(instance: WeightedInstance, first_center: int = 0) -> FptOutcome:
     the outcome is flagged ``infeasible_height`` and carries whatever
     diameter the bare graph has.
     """
-    ensure_valid(instance)
     timings: dict[str, float] = {}
     start = time.perf_counter()
     dists = apsp_b(instance)

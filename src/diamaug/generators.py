@@ -44,7 +44,7 @@ from .core import (
     PairTable,
     WeightedInstance,
     ordered_pair,
-    sssp,
+    to_dist,
 )
 
 
@@ -194,10 +194,9 @@ def _build_reduction(sc: SetCoverInstance, copies: int) -> tuple[WeightedInstanc
 def _check_reduction(instance: WeightedInstance, layout: ReductionLayout) -> None:
     """Verify the construction's distance profile; raise on any mismatch."""
     elements = set(layout.element_vertices())
-    worst = 0
-    for u in range(instance.n):
-        dist = sssp(instance, u)
-        worst = max(worst, max(dist))
+    metric = [[to_dist(d) for d in row] for row in instance.metric.tolist()]
+    worst = max(map(max, metric))
+    for u, dist in enumerate(metric):
         if u == layout.a:
             for v in range(instance.n):
                 if v == layout.a:

@@ -1,8 +1,9 @@
 """Brute-force exact solvers used as ground truth in property tests.
 
 Everything here realizes a definition directly -- subset enumeration over
-candidate insertions, exhaustive simple-path search -- and deliberately
-shares no code path with the approximation solvers it validates. Hard size
+candidate insertions, exhaustive simple-path search. ``exact_optimum`` and
+``path_oracle`` share no code path with the solvers they validate, but
+``span_height_profile`` measures heights with ``core.sssp``. Hard size
 guards refuse oversized inputs instead of silently truncating.
 """
 

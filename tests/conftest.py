@@ -1,0 +1,6 @@
+"""Suite-wide settings: Hypothesis draws the same examples on every run."""
+
+from hypothesis import settings
+
+settings.register_profile("derandomized", derandomize=True, deadline=None, database=None)
+settings.load_profile("derandomized")

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
-from diamaug import PairTable, WeightedInstance, ensure_valid, gen_random
+from diamaug import ClusterCenters, PairTable, WeightedInstance, ensure_valid, gen_random
+from diamaug.core import Dist, _dijkstra, ordered_pair
 
 
 def build(
@@ -161,3 +162,43 @@ def build_layered_digraph(instance: WeightedInstance) -> LayeredDigraph:
             arcs.append(((v, i), (v, i + 1), 0))
     arcs.sort(key=lambda arc: (arc[0], arc[1]))
     return LayeredDigraph(n=n, budget=budget, nodes=nodes, arcs=tuple(arcs))
+
+
+def dijkstra_rows(instance: WeightedInstance, added=()) -> list[list[Dist]]:
+    """Graph metric rows by one Dijkstra per source over the edges plus ``added``.
+
+    The reference for ``graph_metric``'s consumers: it shares only the
+    instance model with them, not the Floyd–Warshall.
+    """
+    augmented = replace(instance, edges=instance.edges | {ordered_pair(*p) for p in added})
+    return [_dijkstra(augmented, s)[0] for s in range(instance.n)]
+
+
+def reference_centers(instance: WeightedInstance, first_center: int) -> ClusterCenters:
+    """Farthest-first traversal as a loop over Dijkstra rows.
+
+    The reference for ``greedy_centers``: ties for farthest go to the
+    smallest id, a vertex no center reaches counts as farthest, and
+    assignment ties keep the earlier center.
+    """
+    n = instance.n
+    rows = dijkstra_rows(instance)
+    centers = [first_center]
+    best = list(rows[first_center])
+    assignment = [0] * n
+    while len(centers) < min(instance.budget + 1, n):
+        farthest, farthest_dist = -1, -1
+        for v in range(n):
+            if v not in centers and best[v] > farthest_dist:
+                farthest, farthest_dist = v, best[v]
+        centers.append(farthest)
+        for v in range(n):
+            if rows[farthest][v] < best[v]:
+                best[v] = rows[farthest][v]
+                assignment[v] = len(centers) - 1
+    return ClusterCenters(
+        centers=tuple(centers),
+        assignment=tuple(assignment),
+        center_distances=tuple(best),
+        radius=max(best),
+    )

@@ -292,6 +292,15 @@ def test_vertex_outside_the_rows_raises():
         PathSource(full, 4)
 
 
+@pytest.mark.parametrize("beta, v", [(1, -1), (1, 4), (-1, 3), (2, 3)])
+def test_get_rejects_out_of_range_entries(beta, v):
+    # numpy would read (1, 0, -1) as column 3 and (-1, 0, 3) as row B
+    with pytest.raises(ValueError):
+        apsp_b(p4()).get(beta, 0, v)
+    with pytest.raises(ValueError):
+        sssp_b(p4(), 0).get(beta, v)
+
+
 @pytest.mark.parametrize("target", [-1, 4])
 def test_path_to_rejects_out_of_range_target(target):
     source = PathSource(apsp_b(p4()), 0)

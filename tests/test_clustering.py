@@ -5,7 +5,15 @@ from __future__ import annotations
 import pytest
 
 from diamaug import INF, exact_optimum, greedy_centers
-from helpers import build, complete_graph, p4, path_graph, seeded_corpus
+from helpers import (
+    EDGE_CASES,
+    build,
+    complete_graph,
+    p4,
+    path_graph,
+    reference_centers,
+    seeded_corpus,
+)
 
 
 def test_p4_budget_one():
@@ -94,3 +102,12 @@ def test_radius_never_exceeds_exact_optimum(instance):
 def test_determinism():
     instance = seeded_corpus(1, seed=44)[0]
     assert greedy_centers(instance, 0) == greedy_centers(instance, 0)
+
+
+@pytest.mark.parametrize(
+    "instance", EDGE_CASES + seeded_corpus(30, seed=45, n_range=(1, 9), budget_range=(0, 5))
+)
+def test_centers_match_farthest_first_reference(instance):
+    n = instance.n
+    for first in sorted({0, n - 1, n // 2}):
+        assert greedy_centers(instance, first) == reference_centers(instance, first)

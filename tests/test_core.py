@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from diamaug import (
@@ -10,12 +11,27 @@ from diamaug import (
     PairTable,
     WeightedInstance,
     augment,
+    cluster_spanning_mst,
+    core,
     diameter,
+    fpt_solve,
+    pairwise_centers,
     path_oracle,
     sssp,
+    star_centers,
     validate,
 )
-from helpers import build, complete_graph, p4, seeded_corpus
+from diamaug.core import graph_metric
+from diamaug.oracle import _base_matrix
+from helpers import (
+    EDGE_CASES,
+    build,
+    complete_graph,
+    dijkstra_rows,
+    p4,
+    path_graph,
+    seeded_corpus,
+)
 
 
 def test_p4_fixture_is_valid():
@@ -115,3 +131,61 @@ def test_sssp_matches_path_enumeration(instance):
 
 def test_complete_graph_has_no_non_edges():
     assert complete_graph(4).non_edges() == []
+
+
+METRIC_CORPUS = EDGE_CASES + seeded_corpus(40, seed=14, n_range=(1, 9))
+
+
+@pytest.mark.parametrize("instance", METRIC_CORPUS)
+def test_graph_metric_matches_base_matrix(instance):
+    metric = graph_metric(instance)
+    assert metric.dtype == np.uint64
+    assert np.array_equal(metric.view(np.int64), _base_matrix(instance))
+    assert np.array_equal(instance.metric, metric)
+
+
+@pytest.mark.parametrize("instance", METRIC_CORPUS)
+def test_diameter_and_sssp_match_dijkstra_reference(instance):
+    non_edges = instance.non_edges()
+    for added in ((), non_edges[:1], non_edges[:3], non_edges):
+        rows = dijkstra_rows(instance, added)
+        assert diameter(instance, added) == max(map(max, rows))
+        for s in range(instance.n):
+            assert sssp(instance, s, added) == rows[s]
+
+
+def test_metric_is_cached_and_read_only():
+    instance = p4()
+    assert instance.metric is instance.metric
+    with pytest.raises(ValueError):
+        instance.metric[0, 3] = 1
+    assert diameter(instance) == 3
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (0, 7), (3, 4)])
+def test_augment_rejects_out_of_range_pairs(pair):
+    with pytest.raises(InstanceError, match="out of range"):
+        augment(p4(), [pair])
+    with pytest.raises(InstanceError, match="out of range"):
+        diameter(p4(), [pair])
+
+
+@pytest.mark.parametrize(
+    "solve", [fpt_solve, pairwise_centers, star_centers, cluster_spanning_mst]
+)
+def test_one_metric_and_one_validation_per_solve(monkeypatch, solve):
+    counts = {"graph_metric": 0, "validate": 0}
+
+    def counted(name):
+        original = getattr(core, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(core, name, counted(name))
+    solve(path_graph(9, budget=2))  # fresh instance: nothing cached yet
+    assert counts == {"graph_metric": 2, "validate": 1}  # D₀, then augment's check
