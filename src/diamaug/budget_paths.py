@@ -10,7 +10,8 @@ non-edge gives
     D_beta = min(D_{beta-1}, min_{c <= beta} (D_{beta-c} ⊗ W_c) ⊗ D₀),
 
 so the table for every budget 0..B follows from D₀ (``instance.metric``) and
-the W_c alone. Row s of D_beta depends only on row s of the smaller budgets,
+the W_c alone, which are cut from the instance's dense pair view (costs
+clipped to B+1). Row s of D_beta depends only on row s of the smaller budgets,
 so :func:`apsp_b` builds the W_c once and fills the rows of the sources asked for;
 a :class:`PathSource` is a view of one of those rows. Products loop over the
 middle index, which keeps temporaries at rows × n; entries are uint64 while
@@ -36,7 +37,6 @@ from .core import (
     INF64,
     Dist,
     Pair,
-    PairTable,
     WeightedInstance,
     _dijkstra,
     ensure_valid,
@@ -49,22 +49,6 @@ class NoPathError(LookupError):
     """Requested a path witness for an unreachable table entry."""
 
 
-def _pair_matrix(table: PairTable, n: int, cap: int) -> np.ndarray:
-    """``table`` as a symmetric n×n int64 matrix, every value clipped to ``cap``."""
-    fill = cap if table.default is None else min(table.default, cap)
-    out = np.full((n, n), fill, dtype=np.int64)
-    if table.overrides:
-        u, v = np.array(list(table.overrides), dtype=np.intp).T
-        values = np.fromiter(
-            (min(value, cap) for value in table.overrides.values()),
-            dtype=np.int64,
-            count=len(table.overrides),
-        )
-        out[u, v] = values
-        out[v, u] = values
-    return out
-
-
 def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """``out = min(out, a ⊗ b)`` over uint64 entries no larger than the sentinel."""
     for k in range(a.shape[1]):
@@ -73,12 +57,10 @@ def _min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 
 def _engine_inputs(instance: WeightedInstance) -> dict[int, np.ndarray]:
     """The nonempty W_c (c <= budget) as uint64 matrices, INF64 for unreachable."""
-    n, budget = instance.n, instance.budget
-    weight = _pair_matrix(instance.weight, n, INF64).astype(np.uint64)
-    cost = _pair_matrix(instance.cost, n, budget + 1)
-    if instance.edges:
-        u, v = np.array(list(instance.edges), dtype=np.intp).T
-        cost[u, v] = cost[v, u] = budget + 1  # existing edges are never inserted
+    budget, dense = instance.budget, instance.dense
+    weight = dense.weight.astype(np.uint64)  # a valid instance's weights lie in [0, INF64)
+    cost = np.minimum(dense.cost, budget + 1)
+    cost[dense.edge] = budget + 1  # existing edges are never inserted
     np.fill_diagonal(cost, budget + 1)
     return {
         int(c): np.where(cost == c, weight, np.uint64(INF64))

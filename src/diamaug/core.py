@@ -10,6 +10,14 @@ All arithmetic is integer-only; unreachable distances are represented by
 ``math.inf``, which absorbs addition and compares greater than every finite
 value. :func:`graph_metric` is the one all-pairs shortest-path routine. An
 instance caches its validation and its metric D₀, which :func:`diameter` never reads.
+
+Every scan over all vertex pairs reads one cached dense view of the instance,
+:class:`DensePairs`: weight and cost as symmetric n×n int64 matrices, an edge
+mask, and masks of the pairs each table lists. Matrix entries saturate at
+±INF64 (2**62). Every weight of a valid instance lies below that bound, so
+weights are exact; costs are unbounded, so a cost of 2**70 reads as INF64 in
+the view. A value that is printed or summed is read from the
+:class:`PairTable`, never from the view.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -65,11 +74,15 @@ class PairTable:
     Stored as a default value plus per-pair overrides; pairs not listed in
     ``overrides`` take ``default``. A table with ``default=None`` is partial
     and only valid if the overrides cover every pair (checked by
-    :func:`validate`).
+    :func:`validate`). ``overrides`` is a read-only view of a private copy,
+    so caches built from a table cannot go stale.
     """
 
     default: int | None
     overrides: Mapping[Pair, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "overrides", MappingProxyType(dict(self.overrides)))
 
     def get(self, u: int, v: int) -> int:
         value = self.overrides.get(ordered_pair(u, v), self.default)
@@ -77,16 +90,79 @@ class PairTable:
             raise KeyError(f"pair ({u}, {v}) has no value and no default")
         return value
 
-    def covers(self, n: int) -> bool:
-        if self.default is not None:
-            return True
-        return all(pair in self.overrides for pair in all_pairs(n))
-
     def max_value(self) -> int:
         values = list(self.overrides.values())
         if self.default is not None:
             values.append(self.default)
         return max(values, default=0)
+
+
+def _saturated(values: Iterable[int]) -> np.ndarray:
+    """Python ints of any size as int64, each clipped to [-INF64, INF64]."""
+    return np.array(values, dtype=object).clip(-INF64, INF64).astype(np.int64)
+
+
+def _pair_columns(
+    items: Iterable[tuple[Pair, int]], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and saturated int64 values of the items keyed by a pair in [0, n).
+
+    Keys that are not normalized pairs of distinct vertices in range are
+    skipped: ``get`` never reads them, and :func:`validate` reports them.
+    """
+    kept = [(u, v, value) for (u, v), value in items if 0 <= u < v < n]
+    rows, cols, values = zip(*kept) if kept else ((), (), ())
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), _saturated(values)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _dense_table(table: PairTable, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``table`` as a symmetric n×n int64 matrix, and the mask of the pairs it lists.
+
+    Entries take the saturated default, 0 when the table is partial.
+    """
+    rows, cols, values = _pair_columns(table.overrides.items(), n)
+    fill = 0 if table.default is None else _saturated([table.default])[0]
+    matrix = np.full((n, n), fill, dtype=np.int64)
+    listed = np.zeros((n, n), dtype=bool)
+    matrix[rows, cols] = matrix[cols, rows] = values
+    listed[rows, cols] = listed[cols, rows] = True
+    return _read_only(matrix), _read_only(listed)
+
+
+@dataclass(frozen=True, eq=False)
+class DensePairs:
+    """Every vertex pair of an instance as read-only n×n numpy arrays.
+
+    ``weight`` and ``cost`` are symmetric int64 matrices whose entries
+    saturate at ±INF64: a valid instance's weights are exact, but a cost may
+    exceed the bound, so values that are printed or summed come from the
+    ``PairTable``. ``weight_listed`` and ``cost_listed`` mark the pairs each
+    table's overrides name; an unlisted pair of a partial table holds 0.
+    ``edge`` marks the edges. Keys outside [0, n) or not normalized are
+    skipped, as ``get`` skips them. The diagonal holds no pair: every mask is
+    False there.
+    """
+
+    weight: np.ndarray
+    cost: np.ndarray
+    weight_listed: np.ndarray
+    cost_listed: np.ndarray
+    edge: np.ndarray
+
+    @classmethod
+    def of(cls, instance: WeightedInstance) -> DensePairs:
+        n = max(instance.n, 0)
+        weight, weight_listed = _dense_table(instance.weight, n)
+        cost, cost_listed = _dense_table(instance.cost, n)
+        rows, cols, _ = _pair_columns(((pair, 0) for pair in instance.edges), n)
+        edge = np.zeros((n, n), dtype=bool)
+        edge[rows, cols] = edge[cols, rows] = True
+        return cls(weight, cost, weight_listed, cost_listed, _read_only(edge))
 
 
 @dataclass(frozen=True)
@@ -102,7 +178,10 @@ class WeightedInstance:
             required to be a positive integer there.
         budget: total insertion budget.
 
-    The cached properties assume the instance, overrides included, never changes.
+    The cached properties assume the instance never changes; the tables'
+    overrides are read-only. ``dense`` is the one n×n view of the pairs
+    (see :class:`DensePairs`); it is built on first use, by validation or
+    by any other scan over all pairs.
     """
 
     n: int
@@ -112,14 +191,18 @@ class WeightedInstance:
     budget: int
 
     @cached_property
+    def dense(self) -> DensePairs:
+        """The weight, cost and edge matrices, built once, read-only."""
+        return DensePairs.of(self)
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-vertex tuple of (neighbor, weight) pairs, neighbors ascending."""
-        lists: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for u, v in sorted(self.edges):
-            w = self.weight.get(u, v)
-            lists[u].append((v, w))
-            lists[v].append((u, w))
-        return tuple(tuple(sorted(entries)) for entries in lists)
+        weight = self.dense.weight
+        return tuple(
+            tuple(zip(neighbors.tolist(), weight[u, neighbors].tolist()))
+            for u, neighbors in enumerate(map(np.flatnonzero, self.dense.edge))
+        )
 
     @cached_property
     def problems(self) -> tuple[str, ...]:
@@ -138,7 +221,8 @@ class WeightedInstance:
 
     def non_edges(self) -> list[Pair]:
         """All insertable pairs, lexicographically sorted."""
-        return [pair for pair in all_pairs(self.n) if pair not in self.edges]
+        rows, cols = np.nonzero(np.triu(~self.dense.edge, 1))
+        return list(zip(rows.tolist(), cols.tolist()))
 
 
 @dataclass(frozen=True)
@@ -175,13 +259,11 @@ def validate(instance: WeightedInstance) -> list[str]:
             if not (0 <= u < v < n):
                 problems.append(f"{name} override {pair} is out of range")
 
-    if not instance.weight.covers(n):
+    dense = instance.dense
+    weight_total = instance.weight.default is not None or not np.triu(~dense.weight_listed, 1).any()
+    if not weight_total:
         problems.append("weight not total: no default and some pairs unlisted")
-    if instance.cost.default is None and any(
-        pair not in instance.cost.overrides
-        for pair in all_pairs(n)
-        if pair not in instance.edges
-    ):
+    if instance.cost.default is None and np.triu(~(dense.cost_listed | dense.edge), 1).any():
         # Costs are only consulted on non-edges, so edges need no cost entry.
         problems.append("cost not total: no default and some non-edges unlisted")
 
@@ -191,17 +273,12 @@ def validate(instance: WeightedInstance) -> list[str]:
         if value < 0:
             problems.append(f"weight of {pair} must be >= 0, got {value}")
 
-    for pair in all_pairs(n):
-        if pair in instance.edges:
-            continue
-        try:
-            cost = instance.cost.get(*pair)
-        except KeyError:
-            continue
-        if cost < 1:
-            problems.append(f"cost of non-edge {pair} must be >= 1, got {cost}")
+    costed = dense.cost_listed if instance.cost.default is None else True
+    below_one = np.triu(costed & ~dense.edge & (dense.cost < 1), 1)
+    for pair in zip(*(index.tolist() for index in np.nonzero(below_one))):
+        problems.append(f"cost of non-edge {pair} must be >= 1, got {instance.cost.get(*pair)}")
 
-    if instance.weight.covers(n) and n * instance.weight.max_value() >= INF64:
+    if weight_total and n * instance.weight.max_value() >= INF64:
         problems.append(
             f"overflow headroom exceeded: n * max_weight = {n * instance.weight.max_value()} "
             f"must stay below {INF64}"
@@ -258,10 +335,10 @@ def graph_metric(instance: WeightedInstance, added: Iterable[Pair] = ()) -> np.n
     pairs = [ordered_pair(*pair) for pair in added]
     if any(not (0 <= u < v < n) for u, v in pairs):
         raise InstanceError(f"added pairs {pairs} out of range for n={n}")
-    pairs += instance.edges
-    metric = np.full((n, n), INF64, dtype=np.uint64)
+    dense = instance.dense
+    metric = np.where(dense.edge, dense.weight, INF64).astype(np.uint64)
     u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    metric[u, v] = metric[v, u] = [instance.weight.get(*pair) for pair in pairs]
+    metric[u, v] = metric[v, u] = dense.weight[u, v]
     np.fill_diagonal(metric, 0)
     for k in range(n):
         np.minimum(metric, metric[:, k, None] + metric[None, k, :], out=metric)

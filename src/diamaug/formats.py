@@ -19,6 +19,8 @@ Solution format: one ``add <u> <v>`` line per inserted pair (sorted), then
 
 from __future__ import annotations
 
+import numpy as np
+
 from .core import (
     INF,
     Augmentation,
@@ -26,7 +28,6 @@ from .core import (
     Pair,
     PairTable,
     WeightedInstance,
-    all_pairs,
     ordered_pair,
 )
 
@@ -145,7 +146,10 @@ def serialize_instance(instance: WeightedInstance) -> str:
 
     Parsing the result reproduces the instance, and equal instances
     serialize to identical bytes, so the output doubles as a digest input
-    and as golden-file material.
+    and as golden-file material. Only a non-edge that one of the tables
+    lists can differ from the defaults, so only those are compared (every
+    non-edge when there are no defaults); printed values come from the
+    tables, exact at any size.
     """
     lines = [f"n {instance.n}", f"B {instance.budget}"]
     dw, dc = instance.weight.default, instance.cost.default
@@ -155,9 +159,9 @@ def serialize_instance(instance: WeightedInstance) -> str:
         lines.append(f"default_nonedge weight {dw} cost {dc}")
     for u, v in sorted(instance.edges):
         lines.append(f"edge {u} {v} {instance.weight.get(u, v)}")
-    for u, v in all_pairs(instance.n):
-        if (u, v) in instance.edges:
-            continue
+    dense = instance.dense
+    listed = ~dense.edge if dw is None else (dense.weight_listed | dense.cost_listed) & ~dense.edge
+    for u, v in zip(*(index.tolist() for index in np.nonzero(np.triu(listed, 1)))):
         w = instance.weight.get(u, v)
         c = instance.cost.get(u, v)
         if w != dw or c != dc:

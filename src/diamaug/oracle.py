@@ -1,10 +1,10 @@
 """Brute-force exact solvers used as ground truth in property tests.
 
 Everything here realizes a definition directly -- subset enumeration over
-candidate insertions, exhaustive simple-path search. ``exact_optimum`` and
-``path_oracle`` share no code path with the solvers they validate, but
-``span_height_profile`` measures heights with ``core.sssp``. Hard size
-guards refuse oversized inputs instead of silently truncating.
+candidate insertions, exhaustive simple-path search -- and shares no code
+path with the solvers it validates: distances come from this module's own
+Floyd–Warshall, updated one inserted edge at a time. Hard size guards refuse
+oversized inputs instead of silently truncating.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .core import (
     WeightedInstance,
     all_pairs,
     ensure_valid,
-    sssp,
     to_dist,
 )
 
@@ -184,6 +183,8 @@ def span_height_profile(
     is its independent check. Guards to at most 3 targets.
     """
     ensure_valid(instance)
+    if not (0 <= root < instance.n):
+        raise ValueError(f"source {root} out of range for n={instance.n}")
     targets = tuple(targets)
     if len(targets) > 3:
         raise OracleLimitError(f"span-height oracle is limited to 3 targets, got {len(targets)}")
@@ -196,15 +197,14 @@ def span_height_profile(
     heights: list[Dist] = [INF] * (budget + 1)
     explored = 0
 
-    def visit(start: int, cost_used: int, chosen: list[Pair]) -> None:
+    def visit(d: np.ndarray, start: int, cost_used: int) -> None:
         nonlocal explored
         explored += 1
         if explored > max_nodes:
             raise OracleLimitError(
                 f"instance too large: enumeration exceeded {max_nodes} candidate sets"
             )
-        dist = sssp(instance, root, chosen)
-        h = max((dist[t] for t in targets), default=0)
+        h = max((to_dist(int(d[root, t])) for t in targets), default=0)
         for j in range(cost_used, budget + 1):
             if h < heights[j]:
                 heights[j] = h
@@ -212,11 +212,10 @@ def span_height_profile(
             c = costs[idx]
             if cost_used + c > budget:
                 continue
-            chosen.append(non_edges[idx])
-            visit(idx + 1, cost_used + c, chosen)
-            chosen.pop()
+            u, v = non_edges[idx]
+            visit(_with_edge(d, u, v, instance.weight.get(u, v)), idx + 1, cost_used + c)
 
-    visit(0, 0, [])
+    visit(_base_matrix(instance), 0, 0)
     return heights
 
 

@@ -15,6 +15,8 @@ cheaper center-based strategies than the budget-exponential solver:
 
 from __future__ import annotations
 
+import numpy as np
+
 from .budget_paths import NoPathError, PathSource, apsp_b
 from .clustering import greedy_centers
 from .core import (
@@ -28,14 +30,19 @@ from .core import (
 
 
 def ensure_unit_cost(instance: WeightedInstance) -> None:
-    """Raise InstanceError unless every non-edge has insertion cost 1."""
+    """Raise InstanceError unless every non-edge has insertion cost 1.
+
+    The error names the lexicographically first offending non-edge.
+    """
     ensure_valid(instance)
-    for u, v in instance.non_edges():
-        cost = instance.cost.get(u, v)
-        if cost != 1:
-            raise InstanceError(
-                f"unit-cost solver requires cost 1 on non-edges, ({u}, {v}) costs {cost}"
-            )
+    dense = instance.dense
+    offending = np.triu(~dense.edge & (dense.cost != 1), 1)
+    if offending.any():
+        u, v = divmod(int(np.argmax(offending)), instance.n)  # first in row-major order
+        raise InstanceError(
+            f"unit-cost solver requires cost 1 on non-edges, ({u}, {v}) costs "
+            f"{instance.cost.get(u, v)}"
+        )
 
 
 def pairwise_centers(instance: WeightedInstance, first_center: int = 0) -> Augmentation:
@@ -80,6 +87,33 @@ def star_centers(instance: WeightedInstance, first_center: int = 0) -> Augmentat
     return augment(instance, added)
 
 
+def _lightest_connectors(
+    instance: WeightedInstance, members: list[tuple[int, ...]]
+) -> dict[tuple[int, int], tuple[int, bool, int, int]]:
+    """Smallest (weight, non-edge, u, v) with u in cluster i and v in cluster j.
+
+    One entry per pair i < j of non-empty clusters, each found by a stable
+    lexsort over the members[i] × members[j] block: members ascend, so ties
+    in (weight, non-edge) keep the smallest (u, v).
+    """
+    dense = instance.dense
+    occupied = [i for i, vs in enumerate(members) if vs]
+    connectors = {}
+    for a_pos, i in enumerate(occupied):
+        for j in occupied[a_pos + 1 :]:
+            block = np.ix_(members[i], members[j])
+            weight, non_edge = dense.weight[block].ravel(), ~dense.edge[block].ravel()
+            first = int(np.lexsort((non_edge, weight))[0])
+            a, b = divmod(first, len(members[j]))
+            connectors[(i, j)] = (
+                int(weight[first]),
+                bool(non_edge[first]),
+                members[i][a],
+                members[j][b],
+            )
+    return connectors
+
+
 def cluster_spanning_mst(instance: WeightedInstance, first_center: int = 0) -> Augmentation:
     """Join the clusters along a minimum spanning tree of lightest connectors.
 
@@ -95,23 +129,7 @@ def cluster_spanning_mst(instance: WeightedInstance, first_center: int = 0) -> A
     clusters = greedy_centers(instance, first_center)
     members = [clusters.members(i) for i in range(len(clusters.centers))]
     occupied = [i for i, vs in enumerate(members) if vs]
-
-    connectors: dict[tuple[int, int], tuple[int, bool, int, int]] = {}
-    for a_pos, i in enumerate(occupied):
-        for j in occupied[a_pos + 1 :]:
-            best: tuple[int, bool, int, int] | None = None
-            for u in members[i]:
-                for v in members[j]:
-                    candidate = (
-                        instance.weight.get(u, v),
-                        not instance.is_edge(u, v),
-                        u,
-                        v,
-                    )
-                    if best is None or candidate < best:
-                        best = candidate
-            assert best is not None
-            connectors[(i, j)] = best
+    connectors = _lightest_connectors(instance, members)
 
     # Kruskal over the cluster graph; candidate order fixes all ties.
     ranked = sorted(

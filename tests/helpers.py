@@ -6,8 +6,16 @@ import random
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from diamaug import ClusterCenters, PairTable, WeightedInstance, ensure_valid, gen_random
-from diamaug.core import Dist, _dijkstra, ordered_pair
+from diamaug import (
+    ClusterCenters,
+    InstanceError,
+    PairTable,
+    WeightedInstance,
+    ensure_unit_cost,
+    ensure_valid,
+    gen_random,
+)
+from diamaug.core import INF64, Dist, _dijkstra, all_pairs, ordered_pair
 
 
 def build(
@@ -117,6 +125,48 @@ EDGE_CASES = [
 ]
 
 
+def _raw(n: int, edges, weight: PairTable, cost: PairTable, budget: int = 1) -> WeightedInstance:
+    return WeightedInstance(n=n, edges=frozenset(edges), weight=weight, cost=cost, budget=budget)
+
+
+_FULL_3 = PairTable(None, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
+
+# Instances that validation rejects, plus two partial or oversized ones it
+# accepts: negative weights, costs below 1, keys out of range or not
+# normalized, partial tables that miss a pair, and values beyond int64.
+INVALID_CASES = [
+    build(0, set()),
+    build(-2, set()),
+    build(3, {(0, 1)}, budget=-1),
+    build(4, {(0, 1)}, default_weight=-1),
+    build(4, {(0, 1), (1, 2)}, weight_overrides={(0, 1): -2, (0, 3): -5}),
+    build(4, {(0, 1)}, default_cost=0),
+    build(4, {(0, 1)}, cost_overrides={(0, 2): 0, (1, 3): -3, (0, 1): 0}),
+    build(
+        4,
+        {(0, 1)},
+        weight_overrides={(0, 9): 1, (-1, 2): 1, (2, 1): 7, (3, 3): 1},
+        cost_overrides={(3, 0): 5, (4, 5): 0},
+    ),
+    build(4, {(0, 1), (2, 1), (0, 7), (-1, 3)}),
+    _raw(3, {(0, 1)}, PairTable(None, {(0, 1): 1, (0, 2): 1}), PairTable(1)),
+    _raw(4, {(0, 1)}, PairTable(1), PairTable(None, {(0, 2): 1, (0, 3): 0})),
+    _raw(3, {(0, 1)}, _FULL_3, PairTable(None, {(0, 2): 1, (1, 2): 1})),
+    _raw(3, {(0, 1)}, _FULL_3, PairTable(2)),
+    build(4, {(0, 1)}, weight_overrides={(0, 2): 2**70}),
+    build(4, {(0, 1)}, default_weight=2**70),
+    build(
+        4,
+        {(0, 1)},
+        weight_overrides={(0, 2): -(2**70)},
+        cost_overrides={(0, 3): -(2**70), (1, 2): 2**70},
+    ),
+    build(4, {(0, 1)}, default_cost=-(2**70)),
+    build(4, {(0, 1)}, default_cost=2**70, cost_overrides={(0, 2): 2**71}),
+    build(4, {(0, 1)}, default_weight=2**62, default_cost=2**62, cost_overrides={(0, 2): 2**63}),
+]
+
+
 LayeredNode = tuple[int, int]  # (vertex, layer)
 
 
@@ -202,3 +252,132 @@ def reference_centers(instance: WeightedInstance, first_center: int) -> ClusterC
         center_distances=tuple(best),
         radius=max(best),
     )
+
+
+# Pair-by-pair loops over ``PairTable.get``: the differential references for
+# the dense pair view's consumers (validation, canonical text, the unit-cost
+# check and the MST connectors).
+
+
+def _covers(table: PairTable, n: int) -> bool:
+    return table.default is not None or all(pair in table.overrides for pair in all_pairs(n))
+
+
+def reference_validate(instance: WeightedInstance) -> list[str]:
+    """``validate`` as one ``get`` per vertex pair; same messages, same order."""
+    problems: list[str] = []
+    n = instance.n
+    if n < 1:
+        problems.append(f"vertex count must be >= 1, got {n}")
+        return problems
+    if instance.budget < 0:
+        problems.append(f"budget must be >= 0, got {instance.budget}")
+
+    for pair in instance.edges:
+        u, v = pair
+        if not (0 <= u < v < n):
+            problems.append(f"edge {pair} is not a normalized pair of distinct vertices in [0, {n})")
+
+    for table, name in ((instance.weight, "weight"), (instance.cost, "cost")):
+        for pair, value in table.overrides.items():
+            u, v = pair
+            if not (0 <= u < v < n):
+                problems.append(f"{name} override {pair} is out of range")
+
+    if not _covers(instance.weight, n):
+        problems.append("weight not total: no default and some pairs unlisted")
+    if instance.cost.default is None and any(
+        pair not in instance.cost.overrides
+        for pair in all_pairs(n)
+        if pair not in instance.edges
+    ):
+        problems.append("cost not total: no default and some non-edges unlisted")
+
+    if instance.weight.default is not None and instance.weight.default < 0:
+        problems.append(f"default weight must be >= 0, got {instance.weight.default}")
+    for pair, value in instance.weight.overrides.items():
+        if value < 0:
+            problems.append(f"weight of {pair} must be >= 0, got {value}")
+
+    for pair in all_pairs(n):
+        if pair in instance.edges:
+            continue
+        try:
+            cost = instance.cost.get(*pair)
+        except KeyError:
+            continue
+        if cost < 1:
+            problems.append(f"cost of non-edge {pair} must be >= 1, got {cost}")
+
+    if _covers(instance.weight, n) and n * instance.weight.max_value() >= INF64:
+        problems.append(
+            f"overflow headroom exceeded: n * max_weight = {n * instance.weight.max_value()} "
+            f"must stay below {INF64}"
+        )
+    return problems
+
+
+def reference_serialize_instance(instance: WeightedInstance) -> str:
+    """``serialize_instance`` as one ``get`` per vertex pair."""
+    lines = [f"n {instance.n}", f"B {instance.budget}"]
+    dw, dc = instance.weight.default, instance.cost.default
+    if dw is not None or dc is not None:
+        if dw is None or dc is None:
+            raise ValueError("cannot serialize: only one of the default weight/cost is set")
+        lines.append(f"default_nonedge weight {dw} cost {dc}")
+    for u, v in sorted(instance.edges):
+        lines.append(f"edge {u} {v} {instance.weight.get(u, v)}")
+    for u, v in all_pairs(instance.n):
+        if (u, v) in instance.edges:
+            continue
+        w = instance.weight.get(u, v)
+        c = instance.cost.get(u, v)
+        if w != dw or c != dc:
+            lines.append(f"nonedge {u} {v} {w} {c}")
+    return "\n".join(lines) + "\n"
+
+
+def outcome(call, *args):
+    """A call's result, or the type and text of what it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:  # compared, not handled: both sides must fail alike
+        return type(exc), str(exc)
+
+
+def unit_cost_error(instance: WeightedInstance) -> str | None:
+    """The message ``ensure_unit_cost`` raises, or None when it accepts."""
+    try:
+        ensure_unit_cost(instance)
+    except InstanceError as exc:
+        return str(exc)
+    return None
+
+
+def reference_unit_cost_error(instance: WeightedInstance) -> str | None:
+    """The message ``ensure_unit_cost`` raises, from a lexicographic non-edge scan."""
+    try:
+        ensure_valid(instance)
+    except InstanceError as exc:
+        return str(exc)
+    for u, v in instance.non_edges():
+        cost = instance.cost.get(u, v)
+        if cost != 1:
+            return f"unit-cost solver requires cost 1 on non-edges, ({u}, {v}) costs {cost}"
+    return None
+
+
+def reference_connectors(
+    instance: WeightedInstance, members: list[tuple[int, ...]]
+) -> dict[tuple[int, int], tuple[int, bool, int, int]]:
+    """Lightest (weight, non-edge, u, v) connector of every pair of non-empty clusters."""
+    occupied = [i for i, vs in enumerate(members) if vs]
+    connectors = {}
+    for a_pos, i in enumerate(occupied):
+        for j in occupied[a_pos + 1 :]:
+            connectors[(i, j)] = min(
+                (instance.weight.get(u, v), not instance.is_edge(u, v), u, v)
+                for u in members[i]
+                for v in members[j]
+            )
+    return connectors

@@ -13,9 +13,13 @@ from diamaug import (
     parse_solution,
     serialize_instance,
     serialize_solution,
+    fpt_solve,
+    gen_random,
     validate,
 )
-from helpers import p4, seeded_corpus
+from diamaug.core import all_pairs
+from diamaug.report import instance_digest
+from helpers import p4, path_graph, seeded_corpus
 
 P4_TEXT = """\
 # tiny path fixture
@@ -115,3 +119,66 @@ def test_solution_parse_errors():
         parse_solution("add 0\ncost 0\ndiameter 1\n")
     with pytest.raises(FormatError):
         parse_solution("add 0 1\ndiameter 1\n")
+
+
+PARTIAL_TEXT = """\
+n 4
+B 2
+edge 0 1 2
+edge 2 3 1
+nonedge 0 2 3 1
+nonedge 0 3 1 2
+nonedge 1 2 4 1
+nonedge 1 3 2 3
+"""
+
+BEYOND_INT64_TEXT = """\
+n 4
+B 2
+default_nonedge weight 1 cost 1
+edge 0 1 1
+edge 1 2 1
+edge 2 3 1
+nonedge 0 3 1 1180591620717411303424
+"""
+
+_HEADROOM_5 = (2**62 - 1) // 5
+
+GOLDEN = {
+    "p4": (p4(), "c2942670640f8a37"),
+    "random": (gen_random(40, 0.2, 5, 3, 3, seed=5), "afcacb85d2250f06"),
+    "partial": (parse_instance(PARTIAL_TEXT), "eddf26ea1ce4939d"),
+    "headroom": (
+        path_graph(5, budget=2, default_weight=_HEADROOM_5, edge_weight=_HEADROOM_5),
+        "e0e4e7e4ace87519",
+    ),
+    "beyond-int64": (parse_instance(BEYOND_INT64_TEXT), "750460b3cac45751"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_digest_and_roundtrip(name):
+    instance, digest = GOLDEN[name]
+    assert instance_digest(instance) == digest
+    text = serialize_instance(instance)
+    back = parse_instance(text)
+    assert serialize_instance(back) == text
+    assert (back.n, back.budget, back.edges) == (instance.n, instance.budget, instance.edges)
+    for u, v in all_pairs(instance.n):
+        assert back.weight.get(u, v) == instance.weight.get(u, v)
+        if (u, v) not in instance.edges:
+            assert back.cost.get(u, v) == instance.cost.get(u, v)
+
+
+def test_golden_canonical_texts():
+    assert serialize_instance(GOLDEN["partial"][0]) == PARTIAL_TEXT
+    assert serialize_instance(GOLDEN["beyond-int64"][0]) == BEYOND_INT64_TEXT
+
+
+def test_cost_beyond_int64_is_valid_and_solvable():
+    instance = GOLDEN["beyond-int64"][0]
+    assert instance.cost.get(0, 3) == 2**70
+    assert validate(instance) == []
+    outcome = fpt_solve(instance)
+    assert (0, 3) not in outcome.augmentation.added
+    assert outcome.augmentation.total_cost <= instance.budget

@@ -1,7 +1,9 @@
-"""Property tests for the one graph metric and its consumers.
+"""Property tests for the one graph metric, the dense pair view and their consumers.
 
 Instances have n from 1 to 8, zero weights, disconnected graphs, costs above
-the budget and weights at the headroom bound ⌊(2⁶²−1)/n⌋.
+the budget and weights at the headroom bound ⌊(2⁶²−1)/n⌋. Raw instances
+add what validation rejects: negative values, costs below 1, values beyond
+int64, keys out of range or not normalized, and partial tables.
 """
 
 from __future__ import annotations
@@ -12,10 +14,28 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diamaug import diameter, greedy_centers
+from diamaug import (
+    PairTable,
+    WeightedInstance,
+    diameter,
+    greedy_centers,
+    serialize_instance,
+    validate,
+)
 from diamaug.core import graph_metric
 from diamaug.oracle import _base_matrix
-from helpers import build, dijkstra_rows, reference_centers
+from diamaug.unit_cost import _lightest_connectors
+from helpers import (
+    build,
+    dijkstra_rows,
+    outcome,
+    reference_centers,
+    reference_connectors,
+    reference_serialize_instance,
+    reference_unit_cost_error,
+    reference_validate,
+    unit_cost_error,
+)
 
 
 @st.composite
@@ -36,6 +56,36 @@ def instances(draw):
         weight_overrides={pair: draw(weights) for pair in draw(subsets)},
         cost_overrides={pair: draw(costs) for pair in draw(subsets)},
     )
+
+
+@st.composite
+def raw_instances(draw):
+    n = draw(st.integers(-1, 6))
+    vertices = st.integers(-1, max(n, 0))
+    pairs = st.tuples(vertices, vertices)
+    values = st.sampled_from((-(2**70), -1, 0, 1, 2, 2**62, 2**63, 2**70))
+
+    def table():
+        return PairTable(
+            draw(st.none() | values), draw(st.dictionaries(pairs, values, max_size=8))
+        )
+
+    edges = draw(st.frozensets(pairs, max_size=6))
+    return WeightedInstance(n, edges, table(), table(), draw(st.integers(-1, 3)))
+
+
+@given(instances() | raw_instances())
+def test_pair_scans_equal_references(instance):
+    assert validate(instance) == reference_validate(instance)
+    assert outcome(serialize_instance, instance) == outcome(reference_serialize_instance, instance)
+    assert unit_cost_error(instance) == reference_unit_cost_error(instance)
+
+
+@given(instances())
+def test_connectors_equal_reference(instance):
+    clusters = greedy_centers(instance)
+    members = [clusters.members(i) for i in range(len(clusters.centers))]
+    assert _lightest_connectors(instance, members) == reference_connectors(instance, members)
 
 
 @given(instances())
