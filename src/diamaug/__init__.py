@@ -1,8 +1,8 @@
 """Budgeted graph diameter reduction by edge insertion.
 
 Solvers insert non-edges of bounded total cost into a weighted graph to
-shrink its diameter, with proven cost/quality guarantees; brute-force
-oracles, instance generators, and a CLI round out the toolkit.
+shrink its diameter, with proven cost/quality guarantees; an exhaustive
+exact optimum, instance generators, and a CLI round out the toolkit.
 """
 
 from .budget_paths import (
@@ -11,8 +11,6 @@ from .budget_paths import (
     PathSource,
     PathWitness,
     apsp_b,
-    reconstruct_path,
-    sssp_b,
 )
 from .clustering import ClusterCenters, greedy_centers
 from .core import (
@@ -26,7 +24,6 @@ from .core import (
     augment,
     diameter,
     ensure_valid,
-    sssp,
     validate,
 )
 from .formats import (
@@ -53,16 +50,7 @@ from .generators import (
     reduce_setcover,
     reduce_setcover_multicopy,
 )
-from .oracle import (
-    ExactResult,
-    OracleLimitError,
-    diameter2_feasible,
-    exact_optimum,
-    has_cover,
-    path_oracle,
-    span_height_oracle,
-    span_height_profile,
-)
+from .oracle import ExactResult, OracleLimitError, exact_optimum
 from .report import RunReport, instance_digest
 from .unit_cost import (
     cluster_spanning_mst,
@@ -101,30 +89,22 @@ __all__ = [
     "augment",
     "cluster_spanning_mst",
     "diameter",
-    "diameter2_feasible",
     "ensure_unit_cost",
     "ensure_valid",
     "exact_optimum",
     "fpt_solve",
     "gen_random",
     "greedy_centers",
-    "has_cover",
     "instance_digest",
     "parse_instance",
     "parse_solution",
-    "path_oracle",
     "pairwise_centers",
-    "reconstruct_path",
     "reconstruct_tree",
     "reduce_setcover",
     "reduce_setcover_multicopy",
     "serialize_instance",
     "serialize_solution",
     "solve_height_table",
-    "span_height_oracle",
-    "span_height_profile",
-    "sssp",
-    "sssp_b",
     "star_centers",
     "validate",
 ]

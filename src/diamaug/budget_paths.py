@@ -225,15 +225,3 @@ class PathSource:
             weight=weight,
             cost=cost,
         )
-
-
-def sssp_b(instance: WeightedInstance, source: int) -> PathSource:
-    """Bounded-cost distances from one source, for every budget 0..B."""
-    return PathSource(apsp_b(instance, (source,)), source)
-
-
-def reconstruct_path(
-    dists: BoundedCostDistances, beta: int, u: int, v: int
-) -> PathWitness:
-    """Witness path for a finite entry of ``dists``; ``u`` must be one of its sources."""
-    return PathSource(dists, u).path_to(v, beta)

@@ -49,7 +49,14 @@ from .generators import (
 from .oracle import OracleLimitError
 from .report import RunReport, instance_digest, render_dist
 
-APPROX_BOUNDS = {"fpt": 4, "pairs": 3, "star": 4}  # mst bound depends on the budget
+# README's Guarantees table: per algorithm, the cost spent and the diameter
+# ratio to the optimum that it guarantees, as functions of the budget k.
+GUARANTEES = {
+    "fpt": (lambda k: k, lambda k: 4),
+    "pairs": (lambda k: k * (k + 1) ** 2, lambda k: 3),
+    "star": (lambda k: k * k, lambda k: 4),
+    "mst": (lambda k: k, lambda k: 3 * k + 2),
+}
 # Scale-suite runs per budget; the median drops a first run's one-off costs.
 SCALE_REPEATS = 3
 
@@ -280,10 +287,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             algos += ["pairs", "star", "mst"]
         for algo in algos:
             augmentation, _ = _solve_one(instance, algo, first_center=0)
-            bound = APPROX_BOUNDS.get(algo, 3 * instance.budget + 2)
-            ok = augmentation.diameter <= bound * d_opt
-            if augmentation.total_cost > _cost_bound(algo, instance.budget):
-                ok = False
+            cost_bound, ratio_bound = GUARANTEES[algo]
+            bound = ratio_bound(instance.budget)
+            ok = (
+                augmentation.diameter <= bound * d_opt
+                and augmentation.total_cost <= cost_bound(instance.budget)
+            )
             if not ok:
                 violations += 1
             ratio = (
@@ -301,16 +310,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(row)
     print(f"bench: {len(rows)} rows, {violations} violations")
     return 1 if violations else 0
-
-
-def _cost_bound(algo: str, budget: int) -> int:
-    if algo == "fpt":
-        return budget
-    if algo == "pairs":
-        return budget * (budget + 1) ** 2
-    if algo == "star":
-        return budget * budget
-    return budget  # mst
 
 
 def _parse_budgets(raw: str) -> list[int]:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -58,13 +58,6 @@ def ordered_pair(u: int, v: int) -> Pair:
     if u == v:
         raise ValueError(f"pair must have distinct endpoints, got ({u}, {v})")
     return (u, v) if u < v else (v, u)
-
-
-def all_pairs(n: int) -> Iterator[Pair]:
-    """All unordered vertex pairs of an n-vertex instance, lexicographic."""
-    for u in range(n):
-        for v in range(u + 1, n):
-            yield (u, v)
 
 
 @dataclass(frozen=True)
@@ -343,20 +336,6 @@ def graph_metric(instance: WeightedInstance, added: Iterable[Pair] = ()) -> np.n
     for k in range(n):
         np.minimum(metric, metric[:, k, None] + metric[None, k, :], out=metric)
     return metric
-
-
-def sssp(
-    instance: WeightedInstance, source: int, added: Iterable[Pair] = ()
-) -> list[Dist]:
-    """Distances from ``source`` using the instance edges plus ``added`` pairs.
-
-    Row ``source`` of the cached D₀ when ``added`` is empty, else of a fresh
-    :func:`graph_metric`; unreachable vertices get ``INF``.
-    """
-    if not (0 <= source < instance.n):
-        raise ValueError(f"source {source} out of range for n={instance.n}")
-    metric = graph_metric(instance, added) if added else instance.metric
-    return [to_dist(d) for d in metric[source].tolist()]
 
 
 def diameter(instance: WeightedInstance, added: Iterable[Pair] = ()) -> Dist:

@@ -53,7 +53,6 @@ from .core import (
     Pair,
     WeightedInstance,
     augment,
-    ensure_valid,
     to_dist,
 )
 
@@ -147,12 +146,8 @@ class HeightTable:
         return SplitChoice(via=v, subset_mask=smask, budgets=(j1, j2, j - j1 - j2))
 
 
-def solve_height_table(
-    instance: WeightedInstance,
-    centers: ClusterCenters,
-    dists: BoundedCostDistances,
-) -> HeightTable:
-    """Fill the height table over subsets of the non-root centers.
+def solve_height_table(centers: ClusterCenters, dists: BoundedCostDistances) -> HeightTable:
+    """Fill the height table over subsets of the non-root centers of ``dists.instance``.
 
     Masks run in ascending order, so every proper submask is done before
     the mask itself. Each mask takes a merge step, then a move step. Move
@@ -162,10 +157,9 @@ def solve_height_table(
     INF64, so a minimum at or above 2**62 is exactly INF64. ``dists`` must
     hold every vertex's row in vertex order, as :func:`apsp_b` fills by default.
     """
-    ensure_valid(instance)
-    n, budget = instance.n, instance.budget
-    if dists.n != n or dists.budget != budget or tuple(dists.sources) != tuple(range(n)):
-        raise ValueError("distance table does not match the instance")
+    n, budget = dists.n, dists.budget
+    if tuple(dists.sources) != tuple(range(n)):
+        raise ValueError("distance table must hold every vertex's row in vertex order")
     others = tuple(centers.centers[1:])
     m = len(others)
     d = dists.table.view(np.uint64)  # (budget+1, n, n)
@@ -222,14 +216,7 @@ class CenterTree:
     new_edges: frozenset[Pair]
 
 
-def reconstruct_tree(
-    table: HeightTable,
-    instance: WeightedInstance,
-    dists: BoundedCostDistances,
-    u: int,
-    mask: int,
-    j: int,
-) -> CenterTree:
+def reconstruct_tree(table: HeightTable, u: int, mask: int, j: int) -> CenterTree:
     """Expand the table's choices into a concrete tree for a finite entry.
 
     Leaf rules expand into bounded-path witnesses, branch rules into a
@@ -239,6 +226,7 @@ def reconstruct_tree(
     if table.height(u, mask, j) == INF:
         raise InfeasibleEntryError(f"entry (vertex {u}, mask {mask:#x}, budget {j}) is unreachable")
 
+    dists, instance = table.dists, table.dists.instance
     node_vertices: list[int] = [u]
     edges: list[TreeEdge] = []
     sources: dict[int, PathSource] = {}
@@ -329,7 +317,7 @@ def fpt_solve(instance: WeightedInstance, first_center: int = 0) -> FptOutcome:
     timings["clustering"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    table = solve_height_table(instance, centers, dists)
+    table = solve_height_table(centers, dists)
     timings["table"] = time.perf_counter() - start
 
     root = centers.centers[0]
@@ -342,7 +330,7 @@ def fpt_solve(instance: WeightedInstance, first_center: int = 0) -> FptOutcome:
     else:
         infeasible = False
         if full:
-            tree = reconstruct_tree(table, instance, dists, root, full, instance.budget)
+            tree = reconstruct_tree(table, root, full, instance.budget)
             added = tree.new_edges
         else:
             added = frozenset()

@@ -45,46 +45,36 @@ def ensure_unit_cost(instance: WeightedInstance) -> None:
         )
 
 
-def pairwise_centers(instance: WeightedInstance, first_center: int = 0) -> Augmentation:
-    """Insert the non-edges of a cheapest k-bounded path between every center pair.
+def _join_centers(instance: WeightedInstance, first_center: int, rows: int) -> Augmentation:
+    """Join each of the first ``rows`` centers to every later center by a k-bounded path.
 
-    Unreachable center pairs contribute nothing. One bounded-cost table
-    holds the rows of every center but the last, and each row serves all of
-    that center's pairs.
+    ``rows`` is a slice stop over the centers, so -1 means all but the last.
+    One bounded-cost table holds those centers' rows, and each row serves
+    all of that center's pairs. Unreachable center pairs contribute nothing.
     """
     ensure_unit_cost(instance)
     centers = greedy_centers(instance, first_center).centers
-    dists = apsp_b(instance, centers[:-1])
+    dists = apsp_b(instance, centers[:rows])
     added: set[Pair] = set()
-    k = instance.budget
-    for i, ci in enumerate(centers[:-1]):
+    for i, ci in enumerate(centers[:rows]):
         source = PathSource(dists, ci)
         for cj in centers[i + 1 :]:
             try:
-                witness = source.path_to(cj, k)
+                witness = source.path_to(cj, instance.budget)
             except NoPathError:
                 continue
             added.update(witness.used_non_edges)
     return augment(instance, added)
 
 
-def star_centers(instance: WeightedInstance, first_center: int = 0) -> Augmentation:
-    """Insert the non-edges of cheapest k-bounded paths from the first center.
+def pairwise_centers(instance: WeightedInstance, first_center: int = 0) -> Augmentation:
+    """Insert the non-edges of a cheapest k-bounded path between every center pair."""
+    return _join_centers(instance, first_center, rows=-1)
 
-    The first center's row of the bounded-cost table, computed once, serves
-    every other center.
-    """
-    ensure_unit_cost(instance)
-    centers = greedy_centers(instance, first_center).centers
-    source = PathSource(apsp_b(instance, centers[:1]), centers[0])
-    added: set[Pair] = set()
-    for cj in centers[1:]:
-        try:
-            witness = source.path_to(cj, instance.budget)
-        except NoPathError:
-            continue
-        added.update(witness.used_non_edges)
-    return augment(instance, added)
+
+def star_centers(instance: WeightedInstance, first_center: int = 0) -> Augmentation:
+    """Insert the non-edges of cheapest k-bounded paths from the first center."""
+    return _join_centers(instance, first_center, rows=1)
 
 
 def _lightest_connectors(

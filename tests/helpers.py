@@ -5,17 +5,29 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import Iterable, Iterator
 
 from diamaug import (
+    BoundedCostDistances,
     ClusterCenters,
     InstanceError,
     PairTable,
+    PathSource,
+    PathWitness,
     WeightedInstance,
+    apsp_b,
     ensure_unit_cost,
     ensure_valid,
     gen_random,
 )
-from diamaug.core import INF64, Dist, _dijkstra, all_pairs, ordered_pair
+from diamaug.core import INF64, Dist, Pair, _dijkstra, graph_metric, ordered_pair, to_dist
+
+
+def all_pairs(n: int) -> Iterator[Pair]:
+    """All unordered vertex pairs of an n-vertex instance, lexicographic."""
+    for u in range(n):
+        for v in range(u + 1, n):
+            yield (u, v)
 
 
 def build(
@@ -222,6 +234,32 @@ def dijkstra_rows(instance: WeightedInstance, added=()) -> list[list[Dist]]:
     """
     augmented = replace(instance, edges=instance.edges | {ordered_pair(*p) for p in added})
     return [_dijkstra(augmented, s)[0] for s in range(instance.n)]
+
+
+# One-row shorthands over the package's engines, for tests that check a
+# single source or a single witness.
+
+
+def sssp(instance: WeightedInstance, source: int, added: Iterable[Pair] = ()) -> list[Dist]:
+    """Distances from ``source`` using the instance edges plus ``added`` pairs.
+
+    Row ``source`` of the cached D₀ when ``added`` is empty, else of a fresh
+    ``graph_metric``; unreachable vertices get ``INF``.
+    """
+    if not (0 <= source < instance.n):
+        raise ValueError(f"source {source} out of range for n={instance.n}")
+    metric = graph_metric(instance, added) if added else instance.metric
+    return [to_dist(d) for d in metric[source].tolist()]
+
+
+def sssp_b(instance: WeightedInstance, source: int) -> PathSource:
+    """Bounded-cost distances from one source, for every budget 0..B."""
+    return PathSource(apsp_b(instance, (source,)), source)
+
+
+def reconstruct_path(dists: BoundedCostDistances, beta: int, u: int, v: int) -> PathWitness:
+    """Witness path for a finite entry of ``dists``; ``u`` must be one of its sources."""
+    return PathSource(dists, u).path_to(v, beta)
 
 
 def reference_centers(instance: WeightedInstance, first_center: int) -> ClusterCenters:

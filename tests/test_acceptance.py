@@ -24,23 +24,19 @@ from diamaug import (
     INF,
     apsp_b,
     diameter,
-    diameter2_feasible,
     exact_optimum,
     fpt_solve,
     gen_random,
     greedy_centers,
-    has_cover,
-    path_oracle,
     reduce_setcover,
     serialize_instance,
     solve_height_table,
-    span_height_profile,
-    sssp,
 )
 from diamaug.cli import run
 from diamaug.generators import ReductionError, SetCoverInstance
 from diamaug.unit_cost import cluster_spanning_mst, pairwise_centers, star_centers
-from helpers import connected_unit_instances, seeded_corpus
+from helpers import connected_unit_instances, seeded_corpus, sssp
+from oracles import diameter2_feasible, has_cover, path_oracle, span_height_profile
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -134,7 +130,7 @@ def test_criterion_3_height_table_equals_enumeration():
         if not others:
             continue
         assert len(others) <= 3
-        table = solve_height_table(instance, centers, dists)
+        table = solve_height_table(centers, dists)
         profile = span_height_profile(instance, others, centers.centers[0], instance.budget)
         for j in range(instance.budget + 1):
             entries += 1

@@ -14,10 +14,6 @@ from diamaug import (
     budget_paths,
     fpt_solve,
     pairwise_centers,
-    path_oracle,
-    reconstruct_path,
-    sssp,
-    sssp_b,
     star_centers,
 )
 from diamaug.core import INF64
@@ -28,8 +24,12 @@ from helpers import (
     complete_graph,
     p4,
     path_graph,
+    reconstruct_path,
     seeded_corpus,
+    sssp,
+    sssp_b,
 )
+from oracles import path_oracle
 
 
 def test_layered_p4_counts():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -212,3 +214,26 @@ def test_bench_scale_tiny(capsys):
     out = capsys.readouterr().out
     assert "budget=1" in out and "budget=2" in out
     assert "growth" in out
+
+
+def _readme_cli_block() -> list[str]:
+    """Command lines of the sh block under README's "## CLI" heading, comments dropped."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = (line.split("#", 1)[0].strip() for line in block.splitlines())
+    return [line for line in lines if line]
+
+
+def test_readme_cli_block(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_cli_block()
+    assert commands
+    for line in commands:
+        argv = shlex.split(line)
+        if argv[0] == "printf":  # printf '<text>' > <file>
+            assert argv[2] == ">" and len(argv) == 4, line
+            Path(argv[3]).write_text(argv[1].replace("\\n", "\n"), encoding="utf-8")
+            continue
+        assert argv[0] == "diamaug", line
+        assert run(argv[1:]) == 0, f"{line}\n{capsys.readouterr().err}"

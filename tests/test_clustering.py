@@ -13,6 +13,7 @@ from helpers import (
     path_graph,
     reference_centers,
     seeded_corpus,
+    sssp,
 )
 
 
@@ -67,8 +68,6 @@ def test_selection_invariants(instance):
     for v in range(instance.n):
         assert clusters.center_distances[v] <= clusters.radius
     # assignment really is the nearest center, earliest center on ties
-    from diamaug import sssp
-
     rows = {c: sssp(instance, c) for c in clusters.centers}
     for v in range(instance.n):
         best = min(rows[c][v] for c in clusters.centers)
@@ -80,8 +79,6 @@ def test_selection_invariants(instance):
 
 @pytest.mark.parametrize("instance", seeded_corpus(15, seed=42))
 def test_farthest_gaps_never_increase(instance):
-    from diamaug import sssp
-
     clusters = greedy_centers(instance, 0)
     gaps = []
     for i in range(1, len(clusters.centers)):

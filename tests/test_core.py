@@ -16,8 +16,6 @@ from diamaug import (
     diameter,
     fpt_solve,
     pairwise_centers,
-    path_oracle,
-    sssp,
     star_centers,
     validate,
 )
@@ -31,7 +29,9 @@ from helpers import (
     p4,
     path_graph,
     seeded_corpus,
+    sssp,
 )
+from oracles import path_oracle
 
 
 def test_p4_fixture_is_valid():

@@ -17,9 +17,8 @@ from diamaug import (
     gen_random,
     validate,
 )
-from diamaug.core import all_pairs
 from diamaug.report import instance_digest
-from helpers import p4, path_graph, seeded_corpus
+from helpers import all_pairs, p4, path_graph, seeded_corpus
 
 P4_TEXT = """\
 # tiny path fixture

@@ -14,7 +14,6 @@ from diamaug import (
     greedy_centers,
     reconstruct_tree,
     solve_height_table,
-    span_height_profile,
 )
 from diamaug.core import INF64
 from diamaug.fpt import BaseChoice, SplitChoice
@@ -27,6 +26,7 @@ from helpers import (
     seeded_corpus,
     star_graph,
 )
+from oracles import span_height_profile
 
 # The shared edge cases plus n <= B + 1, where every vertex is a center.
 DP_EDGE_CASES = EDGE_CASES + [build(4, {(0, 1), (2, 3)}, budget=4, default_weight=2)]
@@ -35,7 +35,7 @@ DP_EDGE_CASES = EDGE_CASES + [build(4, {(0, 1), (2, 3)}, budget=4, default_weigh
 def _table_for(instance, first=0):
     dists = apsp_b(instance)
     centers = greedy_centers(instance, first)
-    return solve_height_table(instance, centers, dists), centers, dists
+    return solve_height_table(centers, dists), centers, dists
 
 
 def _reference_height(instance, others, dists):
@@ -206,7 +206,7 @@ def test_choice_is_smallest_reaching_tuple(instance):
 def test_reconstruct_p4_branch():
     instance = p4()
     table, centers, dists = _table_for(instance)
-    tree = reconstruct_tree(table, instance, dists, 0, 0b1, 1)
+    tree = reconstruct_tree(table, 0, 0b1, 1)
     assert tree.height == 1
     assert tree.new_edges == frozenset({(0, 3)})
     assert list(tree.node_vertices) == [0, 3]
@@ -215,7 +215,7 @@ def test_reconstruct_p4_branch():
 def test_reconstruct_single_node():
     table, centers, dists = _table_for(p4(budget=2))
     center = table.others[0]
-    tree = reconstruct_tree(table, p4(budget=2), dists, center, 0b1, 2)
+    tree = reconstruct_tree(table, center, 0b1, 2)
     assert tree.height == 0
     assert tree.node_vertices == (center,)
     assert tree.edges == ()
@@ -224,7 +224,7 @@ def test_reconstruct_single_node():
 def test_reconstruct_star_split():
     instance = star_graph(4, budget=2, default_weight=5, edge_weight=1)
     table, centers, dists = _table_for(instance)
-    tree = reconstruct_tree(table, instance, dists, 0, 0b11, 0)
+    tree = reconstruct_tree(table, 0, 0b11, 0)
     assert tree.height == 1
     assert tree.new_edges == frozenset()
     assert sorted(tree.node_vertices) == [0, 1, 2]
@@ -234,7 +234,7 @@ def test_reconstruct_infeasible_entry():
     instance = build(2, set(), budget=1, default_cost=3)
     table, centers, dists = _table_for(instance)
     with pytest.raises(InfeasibleEntryError):
-        reconstruct_tree(table, instance, dists, 0, 0b1, 1)
+        reconstruct_tree(table, 0, 0b1, 1)
 
 
 @pytest.mark.parametrize("instance", seeded_corpus(10, seed=55, n_range=(2, 6)))
@@ -246,7 +246,7 @@ def test_tree_height_equals_table_value(instance):
         for j in range(instance.budget + 1):
             if table.height(root, mask, j) == INF:
                 continue
-            tree = reconstruct_tree(table, instance, dists, root, mask, j)
+            tree = reconstruct_tree(table, root, mask, j)
             assert tree.height == table.height(root, mask, j)
             # every requested center appears among the tree's vertices
             wanted = {table.others[i] for i in range(m) if (mask >> i) & 1}
@@ -303,7 +303,7 @@ def test_height_table_rejects_partial_distance_table():
     centers = greedy_centers(instance)
     for sources in [(0, 1, 2), (0,), (3, 2, 1, 0)]:
         with pytest.raises(ValueError):
-            solve_height_table(instance, centers, apsp_b(instance, sources))
+            solve_height_table(centers, apsp_b(instance, sources))
 
 
 def test_fpt_infeasible_budget_is_flagged():

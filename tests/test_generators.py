@@ -10,16 +10,15 @@ from diamaug import (
     ReductionError,
     SetCoverInstance,
     diameter,
-    diameter2_feasible,
     exact_optimum,
     gen_random,
-    has_cover,
     reduce_setcover,
     reduce_setcover_multicopy,
     serialize_instance,
-    sssp,
     validate,
 )
+from helpers import sssp
+from oracles import diameter2_feasible, has_cover
 
 BASE_SC = SetCoverInstance(
     universe_size=2, sets=(frozenset({0}), frozenset({0, 1})), k=1

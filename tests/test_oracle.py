@@ -9,14 +9,16 @@ from diamaug import (
     InstanceError,
     OracleLimitError,
     diameter,
-    diameter2_feasible,
     exact_optimum,
+)
+from helpers import build, complete_graph, p4, path_graph, seeded_corpus, sssp
+from oracles import (
+    diameter2_feasible,
     has_cover,
     path_oracle,
     span_height_oracle,
     span_height_profile,
 )
-from helpers import build, complete_graph, p4, path_graph, seeded_corpus
 
 
 def test_exact_on_p4():
@@ -127,7 +129,7 @@ def test_incremental_matrices_match_dijkstra(instance):
     from itertools import combinations
 
     from diamaug.oracle import _base_matrix, _with_edge
-    from diamaug import INF as inf, sssp
+    from diamaug import INF as inf
 
     def as_dist(x):
         return inf if x >= 2**62 else int(x)
