@@ -26,8 +26,9 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -90,22 +91,29 @@ class PairTable:
         return max(values, default=0)
 
 
-def _saturated(values: Iterable[int]) -> np.ndarray:
+def _saturated(values: Collection[int]) -> np.ndarray:
     """Python ints of any size as int64, each clipped to [-INF64, INF64]."""
-    return np.array(values, dtype=object).clip(-INF64, INF64).astype(np.int64)
+    try:
+        array = np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:  # some value lies beyond int64: clip the exact ints instead
+        array = np.array(list(values), dtype=object).clip(-INF64, INF64).astype(np.int64)
+    return array.clip(-INF64, INF64)
 
 
-def _pair_columns(
-    items: Iterable[tuple[Pair, int]], n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and saturated int64 values of the items keyed by a pair in [0, n).
+def _pair_index(pairs: Collection[Pair], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns of the normalized pairs of distinct vertices in [0, n).
 
-    Keys that are not normalized pairs of distinct vertices in range are
-    skipped: ``get`` never reads them, and :func:`validate` reports them.
+    The third array marks which of ``pairs``, in iteration order, those are.
+    Other keys are skipped: ``get`` never reads them, and :func:`validate`
+    reports them.
     """
-    kept = [(u, v, value) for (u, v), value in items if 0 <= u < v < n]
-    rows, cols, values = zip(*kept) if kept else ((), (), ())
-    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), _saturated(values)
+    try:
+        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+    except OverflowError:  # a vertex beyond int64 is out of range anyway
+        flat = np.array([-1 if abs(x) > INF64 else x for x in chain.from_iterable(pairs)])
+    rows, cols = flat.reshape(-1, 2).T
+    kept = (0 <= rows) & (rows < cols) & (cols < n)
+    return rows[kept], cols[kept], kept
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -118,7 +126,8 @@ def _dense_table(table: PairTable, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Entries take the saturated default, 0 when the table is partial.
     """
-    rows, cols, values = _pair_columns(table.overrides.items(), n)
+    rows, cols, kept = _pair_index(table.overrides.keys(), n)
+    values = _saturated(table.overrides.values())[kept]
     fill = 0 if table.default is None else _saturated([table.default])[0]
     matrix = np.full((n, n), fill, dtype=np.int64)
     listed = np.zeros((n, n), dtype=bool)
@@ -152,7 +161,7 @@ class DensePairs:
         n = max(instance.n, 0)
         weight, weight_listed = _dense_table(instance.weight, n)
         cost, cost_listed = _dense_table(instance.cost, n)
-        rows, cols, _ = _pair_columns(((pair, 0) for pair in instance.edges), n)
+        rows, cols, _ = _pair_index(instance.edges, n)
         edge = np.zeros((n, n), dtype=bool)
         edge[rows, cols] = edge[cols, rows] = True
         return cls(weight, cost, weight_listed, cost_listed, _read_only(edge))

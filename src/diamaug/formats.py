@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     INF,
+    INF64,
     Augmentation,
     Dist,
     Pair,
@@ -141,6 +142,28 @@ def parse_instance(text: str) -> WeightedInstance:
     )
 
 
+def _edge_lines(instance: WeightedInstance) -> list[str]:
+    """One ``edge`` line per edge, sorted, with the exact weight from the table.
+
+    The edges come from the dense view's mask, which holds them in sorted
+    order when every edge is a normalized pair in range; otherwise they are
+    sorted as given. A weight is read from the table where the view's entry
+    may not be exact: saturated at ±INF64, or a pair a partial table misses.
+    """
+    dense, table = instance.dense, instance.weight
+    rows, cols = np.nonzero(np.triu(dense.edge, 1))
+    if len(rows) != len(instance.edges):
+        return [f"edge {u} {v} {table.get(u, v)}" for u, v in sorted(instance.edges)]
+    weights = dense.weight[rows, cols]
+    exact = np.abs(weights) < INF64
+    if table.default is None:
+        exact &= dense.weight_listed[rows, cols]
+    return [
+        f"edge {u} {v} {w if ok else table.get(u, v)}"
+        for u, v, w, ok in zip(rows.tolist(), cols.tolist(), weights.tolist(), exact.tolist())
+    ]
+
+
 def serialize_instance(instance: WeightedInstance) -> str:
     """Canonical instance text: sorted lines, minimal non-edge overrides.
 
@@ -157,8 +180,7 @@ def serialize_instance(instance: WeightedInstance) -> str:
         if dw is None or dc is None:
             raise ValueError("cannot serialize: only one of the default weight/cost is set")
         lines.append(f"default_nonedge weight {dw} cost {dc}")
-    for u, v in sorted(instance.edges):
-        lines.append(f"edge {u} {v} {instance.weight.get(u, v)}")
+    lines += _edge_lines(instance)
     dense = instance.dense
     listed = ~dense.edge if dw is None else (dense.weight_listed | dense.cost_listed) & ~dense.edge
     for u, v in zip(*(index.tolist() for index in np.nonzero(np.triu(listed, 1)))):

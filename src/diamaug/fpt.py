@@ -252,7 +252,13 @@ def reconstruct_tree(table: HeightTable, u: int, mask: int, j: int) -> CenterTre
             current = child
         return current
 
-    def expand(anchor: int, vertex: int, mask: int, j: int) -> None:
+    # Entries still to expand, as (anchor node, vertex, mask, budget). A
+    # recursive closure would hold itself in a reference cycle and keep the
+    # table alive until the cyclic collector runs. Popping the kept half
+    # before the complement expands depth-first, kept half first.
+    pending = [(0, u, mask, j)]
+    while pending:
+        anchor, vertex, mask, j = pending.pop()
         rule = table.choice(vertex, mask, j)
         if rule is None:
             raise InfeasibleEntryError(
@@ -260,13 +266,11 @@ def reconstruct_tree(table: HeightTable, u: int, mask: int, j: int) -> CenterTre
             )
         if isinstance(rule, BaseChoice):
             graft(anchor, vertex, rule.center, rule.budget)
-            return
+            continue
         j1, j2, j3 = rule.budgets
         via_node = graft(anchor, vertex, rule.via, j1)
-        expand(via_node, rule.via, rule.subset_mask, j2)
-        expand(via_node, rule.via, mask ^ rule.subset_mask, j3)
-
-    expand(0, u, mask, j)
+        pending.append((via_node, rule.via, mask ^ rule.subset_mask, j3))
+        pending.append((via_node, rule.via, rule.subset_mask, j2))
 
     depth = [0] * len(node_vertices)
     for edge in edges:  # edges are appended parent-first, so one pass settles depths

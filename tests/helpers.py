@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from diamaug import (
     BoundedCostDistances,
@@ -20,6 +22,7 @@ from diamaug import (
     ensure_valid,
     gen_random,
 )
+from diamaug.budget_paths import _engine_inputs
 from diamaug.core import INF64, Dist, Pair, _dijkstra, graph_metric, ordered_pair, to_dist
 
 
@@ -118,6 +121,54 @@ def seeded_corpus(
         budget = rng.randint(*budget_range)
         p = rng.choice((0.25, 0.4, 0.6, 0.85))
         out.append(gen_random(n, p, max_weight, max_cost, budget, seed * 100_000 + i))
+    return out
+
+
+def override_corpus(
+    count: int, seed: int, *, n_range: tuple[int, int] = (2, 8)
+) -> list[WeightedInstance]:
+    """Deterministic instances whose non-edges carry listed weights and costs.
+
+    Overrides take zero weights and several cost classes, some above the
+    budget (up to 2**70). Every third instance lists every pair's weight and
+    has no default weight, and every third after that lists every non-edge's
+    cost and has no default cost: partial tables.
+    """
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = rng.randint(*n_range)
+        budget = rng.randint(0, 4)
+        pairs = list(all_pairs(n))
+        edges = {pair for pair in pairs if rng.random() < 0.3}
+        weights = {pair: rng.randint(0, 5) for pair in edges}
+        costs: dict[Pair, int] = {}
+        share = rng.choice((0.1, 0.4, 0.8))
+        cost_values = list(range(1, budget + 3)) + [2**70]
+        for pair in pairs:
+            if pair in edges:
+                continue
+            if rng.random() < share:
+                weights[pair] = rng.choice((0, 1, 2, 7))
+            if rng.random() < share:
+                costs[pair] = rng.choice(cost_values)
+        default_weight: int | None = rng.randint(0, 5)
+        default_cost: int | None = rng.choice(cost_values)
+        if i % 3 == 1:
+            weights = {pair: weights.get(pair, default_weight) for pair in pairs}
+            default_weight = None
+        elif i % 3 == 2:
+            costs = {pair: costs.get(pair, default_cost) for pair in pairs if pair not in edges}
+            default_cost = None
+        out.append(
+            WeightedInstance(
+                n=n,
+                edges=frozenset(edges),
+                weight=PairTable(default=default_weight, overrides=weights),
+                cost=PairTable(default=default_cost, overrides=costs),
+                budget=budget,
+            )
+        )
     return out
 
 
@@ -224,6 +275,32 @@ def build_layered_digraph(instance: WeightedInstance) -> LayeredDigraph:
             arcs.append(((v, i), (v, i + 1), 0))
     arcs.sort(key=lambda arc: (arc[0], arc[1]))
     return LayeredDigraph(n=n, budget=budget, nodes=nodes, arcs=tuple(arcs))
+
+
+def _reference_min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``out = min(out, a ⊗ b)``, one middle index at a time."""
+    for k in range(a.shape[1]):
+        np.minimum(out, a[:, k, None] + b[None, k, :], out=out)
+
+
+def reference_table_rows(instance: WeightedInstance, rows: Sequence[int]) -> np.ndarray:
+    """Rows ``rows`` of the bounded-cost table by dense (min,+) products, uint64.
+
+    The reference for ``apsp_b``'s table: one product D_{beta-c} ⊗ W_c per
+    cost class and one walk product per budget, with no use of the
+    complement structure.
+    """
+    graph, jumps, budget = instance.metric, _engine_inputs(instance), instance.budget
+    table = np.empty((budget + 1, len(rows), instance.n), dtype=np.uint64)
+    table[0] = graph[np.array(rows, dtype=np.intp)]
+    for beta in range(1, budget + 1):
+        last_jump = np.full(table.shape[1:], INF64, dtype=np.uint64)
+        for c, jump in jumps.items():
+            if c <= beta:
+                _reference_min_plus(table[beta - c], jump, last_jump)
+        table[beta] = table[beta - 1]
+        _reference_min_plus(last_jump, graph, table[beta])
+    return table
 
 
 def dijkstra_rows(instance: WeightedInstance, added=()) -> list[list[Dist]]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 
+import numpy as np
 import pytest
 
 from diamaug import (
@@ -22,9 +23,11 @@ from helpers import (
     build,
     build_layered_digraph,
     complete_graph,
+    override_corpus,
     p4,
     path_graph,
     reconstruct_path,
+    reference_table_rows,
     seeded_corpus,
     sssp,
     sssp_b,
@@ -185,6 +188,74 @@ def test_apsp_equals_layered_reference(instance):
                 expected = dist.get((v, beta), INF)
                 assert table[beta, u, v] == (INF64 if expected == INF else expected)
     assert (table >= 0).all()
+
+
+TABLE_CORPUS = (
+    EDGE_CASES
+    + override_corpus(60, seed=38)
+    + seeded_corpus(20, seed=39, max_cost=1)
+    + seeded_corpus(20, seed=40, max_cost=2)
+    + seeded_corpus(20, seed=41, max_cost=3, n_range=(2, 10), budget_range=(0, 4))
+    # larger graphs, where full tables walk only the changing columns
+    + seeded_corpus(6, seed=42, max_cost=3, n_range=(16, 40), budget_range=(2, 4))
+    + override_corpus(6, seed=43, n_range=(16, 30))
+)
+
+
+@pytest.mark.parametrize("instance", TABLE_CORPUS)
+def test_table_equals_dense_reference(instance):
+    # bit for bit against one dense (min,+) product per cost class and budget
+    n = instance.n
+    for rows in (range(n), (n - 1,), tuple(range(n - 1, -1, -2)), ()):
+        table = apsp_b(instance, rows).table
+        assert table.view(np.uint64).tobytes() == reference_table_rows(instance, rows).tobytes()
+
+
+def test_walk_reads_every_searched_column():
+    # Vertex 1 is reached only over the heavy edge 0-2 and then 2-1: the
+    # cheapest 2-bounded path jumps 0 -> x -> 2, and its jump into 2 lies in
+    # 0's exception set, so the walk product must read column 2 of row 0.
+    costly = {(0, 1): 5} | {(1, v): 5 for v in range(3, 8)}
+    instance = build(
+        8, {(0, 2), (1, 2)}, budget=2, cost_overrides=costly, weight_overrides={(0, 2): 10}
+    )
+    for rows in ((0,), range(8)):
+        dists = apsp_b(instance, rows)
+        assert dists.get(2, 0, 1) == 3
+        assert dists.table.view(np.uint64).tobytes() == reference_table_rows(instance, rows).tobytes()
+
+
+@pytest.mark.parametrize("budget, cost", [(3, 1), (3, 2), (3, 3), (2, 3), (4, 5), (0, 1)])
+def test_one_walk_product_per_budget_from_the_cheapest_cost(monkeypatch, budget, cost):
+    products = []
+    min_plus = budget_paths._min_plus
+
+    def counted(a, b, out, columns=None):
+        products.append(a.shape)
+        min_plus(a, b, out, columns)
+
+    monkeypatch.setattr(budget_paths, "_min_plus", counted)
+    instance = path_graph(7, budget=budget, default_cost=cost)
+    for rows in (None, (3,)):
+        products.clear()
+        apsp_b(instance, rows)
+        assert len(products) == max(0, budget - cost + 1)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_min_plus_blocks_match_one_broadcast(sparse):
+    rng = np.random.default_rng(5)
+    shapes = ((1, 300, 300), (3, 7, 120), (64, 64, 64), (200, 5, 200), (0, 4, 4), (9, 12, 30))
+    for rows, inner, n in shapes:
+        a = rng.integers(0, 50, (rows, inner)).astype(np.uint64)
+        b = rng.integers(0, 50, (n if sparse else inner, n)).astype(np.uint64)
+        a[rng.random(a.shape) < 0.3] = INF64
+        b[rng.random(b.shape) < 0.3] = INF64
+        columns = rng.integers(0, n, (rows, inner)) if sparse else None
+        right = b[columns] if sparse else b[None, :, :]
+        out = np.full((rows, n), INF64, dtype=np.uint64)
+        budget_paths._min_plus(a, b, out, columns)
+        assert np.array_equal(out, (a[:, :, None] + right).min(axis=1, initial=INF64))
 
 
 def test_reconstruct_direct_jump():

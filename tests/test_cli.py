@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from diamaug import serialize_instance
-from diamaug.cli import run
+from diamaug.cli import build_parser, run
 from helpers import build, p4
 
 P4_TEXT = serialize_instance(p4())
@@ -213,7 +213,17 @@ def test_bench_scale_tiny(capsys):
     assert run(["bench", "--suite", "scale", "--n", "12", "--budgets", "1,2", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "budget=1" in out and "budget=2" in out
+    assert "bounded_paths=" in out and "table=" in out and "reconstruct=" in out
     assert "growth" in out
+
+
+def test_parser_is_built_once_per_process(p4_file, capsys):
+    parser = build_parser()
+    with pytest.raises(SystemExit):
+        run(["solve", "--input", p4_file, "--algo", "nope"])
+    assert run(["solve", "--input", p4_file]) == 0
+    assert "algorithm fpt" in capsys.readouterr().out
+    assert build_parser() is parser
 
 
 def _readme_cli_block() -> list[str]:

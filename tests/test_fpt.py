@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from diamaug import (
@@ -16,6 +19,7 @@ from diamaug import (
     solve_height_table,
 )
 from diamaug.core import INF64
+from diamaug import fpt
 from diamaug.fpt import BaseChoice, SplitChoice
 from helpers import (
     EDGE_CASES,
@@ -23,6 +27,7 @@ from helpers import (
     complete_graph,
     cycle_graph,
     p4,
+    path_graph,
     seeded_corpus,
     star_graph,
 )
@@ -339,3 +344,24 @@ def test_fpt_determinism():
     second = fpt_solve(instance)
     assert first.augmentation == second.augmentation
     assert first.tree_height == second.tree_height
+
+
+def test_fpt_solve_frees_its_table_without_the_cyclic_collector(monkeypatch):
+    tables = []
+    build_table = fpt.apsp_b
+
+    def recorded(instance):
+        dists = build_table(instance)
+        tables.append(weakref.ref(dists))
+        return dists
+
+    monkeypatch.setattr(fpt, "apsp_b", recorded)
+    instance = path_graph(9, budget=3)
+    gc.collect()
+    gc.disable()
+    try:
+        outcome = fpt_solve(instance)
+        assert outcome.augmentation.added  # a tree was reconstructed
+        assert len(tables) == 1 and tables[0]() is None
+    finally:
+        gc.enable()

@@ -1,13 +1,15 @@
-"""Property tests for the one graph metric, the dense pair view and their consumers.
+"""Property tests for the graph metric, the pair view, the bounded-cost table and their users.
 
 Instances have n from 1 to 8, zero weights, disconnected graphs, costs above
 the budget and weights at the headroom bound ⌊(2⁶²−1)/n⌋. Raw instances
 add what validation rejects: negative values, costs below 1, values beyond
-int64, keys out of range or not normalized, and partial tables.
+int64, keys out of range or not normalized, and partial tables; partial
+valid instances list every pair of a table that has no default.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from diamaug import (
     PairTable,
     WeightedInstance,
+    apsp_b,
     diameter,
     greedy_centers,
     serialize_instance,
@@ -32,6 +35,7 @@ from helpers import (
     reference_centers,
     reference_connectors,
     reference_serialize_instance,
+    reference_table_rows,
     reference_unit_cost_error,
     reference_validate,
     unit_cost_error,
@@ -56,6 +60,20 @@ def instances(draw):
         weight_overrides={pair: draw(weights) for pair in draw(subsets)},
         cost_overrides={pair: draw(costs) for pair in draw(subsets)},
     )
+
+
+@st.composite
+def partial_instances(draw):
+    """``instances()``, each table possibly made partial: every pair listed, no default."""
+    instance = draw(instances())
+    pairs = list(combinations(range(instance.n), 2))
+    if draw(st.booleans()):
+        weights = {pair: instance.weight.get(*pair) for pair in pairs}
+        instance = replace(instance, weight=PairTable(None, weights))
+    if draw(st.booleans()):
+        costs = {pair: instance.cost.get(*pair) for pair in pairs if pair not in instance.edges}
+        instance = replace(instance, cost=PairTable(None, costs))
+    return instance
 
 
 @st.composite
@@ -104,3 +122,11 @@ def test_diameter_equals_dijkstra_reference(instance, data):
 def test_greedy_centers_equal_reference(instance, data):
     first = data.draw(st.integers(0, instance.n - 1))
     assert greedy_centers(instance, first) == reference_centers(instance, first)
+
+
+@given(partial_instances(), st.data())
+def test_bounded_cost_table_equals_dense_reference(instance, data):
+    rows = data.draw(st.lists(st.integers(0, instance.n - 1), unique=True))
+    for sources in (range(instance.n), rows):
+        table = apsp_b(instance, sources).table.view(np.uint64)
+        assert table.tobytes() == reference_table_rows(instance, sources).tobytes()
