@@ -37,10 +37,11 @@ alike. Entries are uint64 while they are summed, and every operand is at
 most INF64 (2**62) before each sum, so two "unreachable" sentinels add up
 without wrapping; X_beta is clipped to INF64 before its walk.
 
-Witness paths are walked back from the table and the dense W_c, which
-:func:`apsp_b` keeps beside it (``jumps``). An entry that equals its D₀
-entry is a graph path, read from a Dijkstra predecessor tree. Otherwise its
-last non-edge is the smallest (c, x, y) with
+Witness paths are walked back from the table and the complement structure
+it was built from (``jumps``). An entry that equals its D₀ entry is a graph
+path, read from a Dijkstra predecessor tree (one per start and table,
+``trees``). Otherwise its last non-edge is the smallest (c, x, y), over the
+default and listed jumps of cost c, with
 D_{beta-c}[s, x] + w(x, y) + D₀[y, v] = D_beta[s, v]; the walk continues
 from (x, beta - c) and ends with a graph path y -> v. The budget drops on
 every jump, so zero-weight ties cannot make the walk cycle.
@@ -48,7 +49,7 @@ every jump, so zero-weight ties cannot make the walk cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -102,40 +103,26 @@ def _min_plus(
             np.minimum(out_rows, sums.min(axis=1) if mid_block > 1 else sums[:, 0], out=out_rows)
 
 
-def _engine_inputs(instance: WeightedInstance) -> dict[int, np.ndarray]:
-    """The nonempty W_c (c <= budget) as uint64 matrices, INF64 for unreachable."""
-    budget, dense = instance.budget, instance.dense
-    weight = dense.weight.astype(np.uint64)  # a valid instance's weights lie in [0, INF64)
-    cost = np.minimum(dense.cost, budget + 1)
-    cost[dense.edge] = budget + 1  # existing edges are never inserted
-    np.fill_diagonal(cost, budget + 1)
-    # every entry is >= 1: validation checks non-edge costs, the rest are B+1
-    present = np.bincount(cost.ravel(), minlength=budget + 2)[: budget + 1]
-    return {
-        c: np.where(cost == c, weight, np.uint64(INF64)) for c in np.flatnonzero(present).tolist()
-    }
-
-
 @dataclass(frozen=True, eq=False)
 class _ComplementJumps:
     """Every W_c (c <= B) as one default jump on a complement plus listed jumps.
 
     A non-edge that neither table lists has the default weight and cost.
     ``excluded[y]`` is y's exception set: y, its neighbours and every pair
-    the tables list, so x-y is a default jump exactly where ``excluded[y, x]``
-    is False. ``cost`` is B+1 when no pair takes the default, and
-    ``candidates`` is one more than the largest exception set of a vertex
-    that has a default jump. ``listed[c]`` holds the listed non-edges x-y of
-    cost c as columns ``(x, weight)`` grouped by their end y: ``ends`` are
-    the distinct y, ``starts`` where each group begins. ``targets`` holds
-    every y that a listed jump of cost <= B ends at.
+    the tables list; it is symmetric, and x-y is a default jump exactly
+    where ``excluded[x, y]`` is False. ``cost`` is B+1 when no pair takes the
+    default, and ``candidates`` is one more than the largest exception set
+    of a vertex that has a default jump. ``listed[c]`` holds the listed
+    non-edges x-y of cost c as entries ``(x, weight, y)`` sorted by y, then
+    x: ``ends`` are the distinct y, ``starts`` where each y's entries begin.
+    ``targets`` holds every y that a listed jump of cost <= B ends at.
     """
 
     weight: np.uint64
     cost: int
     excluded: np.ndarray
     candidates: int
-    listed: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    listed: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     targets: np.ndarray
 
     @classmethod
@@ -157,7 +144,7 @@ class _ComplementJumps:
             y, x = ys[costs == c], xs[costs == c]
             ends, starts = np.unique(y, return_index=True)
             # a valid instance's weights lie in [0, INF64)
-            groups[c] = (x, dense.weight[y, x].astype(np.uint64), ends, starts)
+            groups[c] = (x, dense.weight[y, x].astype(np.uint64), y, ends, starts)
         size = int(open_sizes.max(initial=0)) + 1
         return cls(np.uint64(weight), cost, excluded, size, groups, np.unique(ys[costs <= budget]))
 
@@ -208,7 +195,7 @@ class _ComplementJumps:
             out[pending] = np.minimum(nearest + self.weight, INF64)  # both terms <= INF64
         else:
             out = np.full(table.shape[1:], INF64, dtype=np.uint64)
-        for c, (sources, weights, ends, starts) in self.listed.items():
+        for c, (sources, weights, _, ends, starts) in self.listed.items():
             if c <= beta:
                 sums = np.minimum.reduceat(table[beta - c][:, sources] + weights, starts, axis=1)
                 out[:, ends] = np.minimum(out[:, ends], sums)
@@ -267,14 +254,17 @@ class BoundedCostDistances:
     """Rows ``table[beta][i][v]`` of the bounded-cost table for ``sources[i]``.
 
     ``table`` is int64 with INF64 for unreachable entries; with every vertex
-    a source, ``sources`` is ``range(n)`` and row i is vertex i. ``jumps``
-    (W_c) are kept for witness walks by :class:`PathSource`.
+    a source, ``sources`` is ``range(n)`` and row i is vertex i. ``jumps`` is
+    the complement structure the table was built from, and ``trees`` holds
+    one Dijkstra predecessor tree per start of a graph path; the witness
+    walks of every :class:`PathSource` view read both.
     """
 
     instance: WeightedInstance
     sources: Sequence[int]
     table: np.ndarray
-    jumps: dict[int, np.ndarray]
+    jumps: _ComplementJumps
+    trees: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
     @property
     def budget(self) -> int:
@@ -304,13 +294,8 @@ def apsp_b(
     rows = range(n) if sources is None else tuple(sources)
     if not all(0 <= s < n for s in rows):
         raise ValueError(f"sources {list(rows)} out of range for n={n}")
-    jumps = _engine_inputs(instance)
-    table = _table_rows(
-        instance.metric,
-        _ComplementJumps.of(instance),
-        instance.budget,
-        np.array(rows, dtype=np.intp),
-    )
+    jumps = _ComplementJumps.of(instance)
+    table = _table_rows(instance.metric, jumps, instance.budget, np.array(rows, dtype=np.intp))
     return BoundedCostDistances(instance, rows, table.view(np.int64), jumps)
 
 
@@ -334,16 +319,15 @@ class PathSource:
 
     ``table[beta][v]`` is the cheapest weight of a beta-bounded path from
     ``source`` to ``v`` (int64, INF64 for unreachable). Nothing is computed
-    here; ValueError when ``source`` is not a row of ``dists``.
+    or cached here; ValueError when ``source`` is not a row of ``dists``.
     """
 
     def __init__(self, dists: BoundedCostDistances, source: int):
         self.table = dists.table[:, dists.row(source)]
         self.instance = dists.instance
         self.source = source
-        self._graph, self._jumps = dists.instance.metric, dists.jumps
+        self._graph, self._jumps, self._trees = dists.instance.metric, dists.jumps, dists.trees
         self._row = self.table.view(np.uint64)
-        self._trees: dict[int, list[int]] = {}
 
     def get(self, beta: int, v: int) -> Dist:
         _check_entry(self.instance, beta, v)
@@ -361,15 +345,26 @@ class PathSource:
         return path
 
     def _last_jump(self, beta: int, v: int) -> tuple[int, int, int]:
-        """Smallest (c, x, y) whose jump ends a cheapest beta-bounded path to ``v``."""
-        into_v = self._graph[:, v][None, :]
-        for c in sorted(self._jumps):
+        """Smallest (c, x, y) whose jump ends a cheapest beta-bounded path to ``v``.
+
+        Cost c's jumps are the default ones (when c is the default cost) and
+        the listed ones of cost c; no pair is both.
+        """
+        jumps, n = self._jumps, self.instance.n
+        into_v, target = self._graph[:, v], self._row[beta, v]
+        for c in sorted({jumps.cost, *jumps.listed}):
             if c > beta:
                 break
-            total = self._row[beta - c][:, None] + self._jumps[c] + into_v
-            hits = np.flatnonzero(total == self._row[beta, v])
-            if hits.size:
-                x, y = divmod(int(hits[0]), self.instance.n)
+            before, hits = self._row[beta - c], []
+            if c == jumps.cost:
+                found = np.flatnonzero(before[:, None] + (into_v + jumps.weight) == target)
+                hits += found[~jumps.excluded.ravel()[found]][:1].tolist()
+            if c in jumps.listed:
+                xs, weights, ys, _, _ = jumps.listed[c]
+                match = before[xs] + weights + into_v[ys] == target
+                hits += (xs[match] * n + ys[match]).tolist()
+            if hits:
+                x, y = divmod(min(hits), n)
                 return c, x, y
         raise AssertionError(f"table entry ({beta}, {self.source}, {v}) has no last jump")
 

@@ -2,8 +2,8 @@
 
 Subcommands: solve, exact, check, apsp, cluster, gen, bench. Exit codes:
 0 success, 1 invalid input (malformed file, vertex or budget flag outside
-the instance, failed check, bound violation), 2 guard refusal (oracle too
-large, degenerate reduction).
+the instance, generator flag out of range, failed check, bound violation),
+2 guard refusal (oracle too large, degenerate reduction).
 
 All randomness enters through explicit ``--seed`` flags; repeated runs with
 identical inputs produce byte-identical output. Wall-clock numbers never
@@ -72,12 +72,20 @@ def _load_instance(path: str) -> WeightedInstance:
 
 
 class FlagError(Exception):
-    """A command-line flag names a vertex or budget the instance does not have."""
+    """A flag value the command cannot use: outside the instance, or rejected by gen_random."""
 
 
 def _check_flag(flag: str, value: int | None, limit: int) -> None:
     if value is not None and not 0 <= value < limit:
         raise FlagError(f"{flag} {value} is outside 0..{limit - 1}")
+
+
+def _gen_random(*args: float) -> WeightedInstance:
+    """``gen_random(*args)`` on flag values, its argument checks raised as FlagError."""
+    try:
+        return gen_random(*args)
+    except ValueError as exc:
+        raise FlagError(str(exc)) from None
 
 
 def _solve_one(
@@ -222,14 +230,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         else:
             instance, _ = reduce_setcover_multicopy(sc, args.copies)
     else:
-        instance = gen_random(
-            n=args.n,
-            edge_probability=args.p,
-            max_weight=args.wmax,
-            max_cost=args.cmax,
-            budget=args.budget,
-            seed=args.seed,
-        )
+        instance = _gen_random(args.n, args.p, args.wmax, args.cmax, args.budget, args.seed)
     text = serialize_instance(instance)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -316,14 +317,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _parse_budgets(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok]
+    try:
+        return [int(tok) for tok in raw.split(",") if tok]
+    except ValueError:
+        raise FlagError(f"--budgets {raw} is not a comma-separated list of integers") from None
 
 
 def _bench_scale(args: argparse.Namespace) -> int:
     budgets = _parse_budgets(args.budgets)
     timings: list[tuple[int, float]] = []
     for budget in budgets:
-        instance = gen_random(args.n, 0.15, 5, 3, budget, args.seed)
+        instance = _gen_random(args.n, 0.15, 5, 3, budget, args.seed)
         runs = []
         for _ in range(SCALE_REPEATS):
             start = time.perf_counter()

@@ -229,13 +229,10 @@ def reconstruct_tree(table: HeightTable, u: int, mask: int, j: int) -> CenterTre
     dists, instance = table.dists, table.dists.instance
     node_vertices: list[int] = [u]
     edges: list[TreeEdge] = []
-    sources: dict[int, PathSource] = {}
 
     def graft(anchor: int, src: int, dst: int, beta: int) -> int:
         """Attach the witness path src->dst below tree node ``anchor``."""
-        if src not in sources:  # one view per source keeps its graph-path trees
-            sources[src] = PathSource(dists, src)
-        witness = sources[src].path_to(dst, beta)
+        witness = PathSource(dists, src).path_to(dst, beta)
         current = anchor
         for a, b in zip(witness.vertices, witness.vertices[1:]):
             node_vertices.append(b)
@@ -328,16 +325,11 @@ def fpt_solve(instance: WeightedInstance, first_center: int = 0) -> FptOutcome:
     full = table.full_mask
     start = time.perf_counter()
     height = table.height(root, full, instance.budget) if full else 0
-    if height == INF:
-        infeasible = True
-        added: frozenset[Pair] = frozenset()
-    else:
-        infeasible = False
-        if full:
-            tree = reconstruct_tree(table, root, full, instance.budget)
-            added = tree.new_edges
-        else:
-            added = frozenset()
+    added: frozenset[Pair] = (
+        reconstruct_tree(table, root, full, instance.budget).new_edges
+        if full and height != INF
+        else frozenset()
+    )
     timings["reconstruct"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -348,6 +340,6 @@ def fpt_solve(instance: WeightedInstance, first_center: int = 0) -> FptOutcome:
         tree_height=height,
         cluster_radius=centers.radius,
         centers=centers.centers,
-        infeasible_height=infeasible,
+        infeasible_height=height == INF,
         timings=timings,
     )

@@ -22,7 +22,6 @@ from diamaug import (
     ensure_valid,
     gen_random,
 )
-from diamaug.budget_paths import _engine_inputs
 from diamaug.core import INF64, Dist, Pair, _dijkstra, graph_metric, ordered_pair, to_dist
 
 
@@ -277,6 +276,24 @@ def build_layered_digraph(instance: WeightedInstance) -> LayeredDigraph:
     return LayeredDigraph(n=n, budget=budget, nodes=nodes, arcs=tuple(arcs))
 
 
+def _engine_inputs(instance: WeightedInstance) -> dict[int, np.ndarray]:
+    """The nonempty W_c (c <= budget) as dense uint64 matrices, INF64 for unreachable.
+
+    The reference jump set: ``apsp_b`` reads the same jumps from its
+    complement structure instead.
+    """
+    budget, dense = instance.budget, instance.dense
+    weight = dense.weight.astype(np.uint64)  # a valid instance's weights lie in [0, INF64)
+    cost = np.minimum(dense.cost, budget + 1)
+    cost[dense.edge] = budget + 1  # existing edges are never inserted
+    np.fill_diagonal(cost, budget + 1)
+    # every entry is >= 1: validation checks non-edge costs, the rest are B+1
+    present = np.bincount(cost.ravel(), minlength=budget + 2)[: budget + 1]
+    return {
+        c: np.where(cost == c, weight, np.uint64(INF64)) for c in np.flatnonzero(present).tolist()
+    }
+
+
 def _reference_min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """``out = min(out, a ⊗ b)``, one middle index at a time."""
     for k in range(a.shape[1]):
@@ -301,6 +318,64 @@ def reference_table_rows(instance: WeightedInstance, rows: Sequence[int]) -> np.
         table[beta] = table[beta - 1]
         _reference_min_plus(last_jump, graph, table[beta])
     return table
+
+
+def reference_witnesses(instance: WeightedInstance) -> dict[tuple[int, int, int], PathWitness]:
+    """Witness paths for every finite (beta, source, v) entry, by a Python walk.
+
+    The reference for ``PathSource.path_to`` and its tie-break: an entry
+    that differs from D₀ ends with the first jump x -> y, looping over c,
+    then x, then y ascending over the dense W_c, with
+    D_{beta-c}[s, x] + W_c[x, y] + D₀[y, v] = D_beta[s, v]. The table is
+    ``reference_table_rows``; graph paths follow ``_dijkstra`` trees.
+    """
+    n, budget = instance.n, instance.budget
+    table = reference_table_rows(instance, range(n)).tolist()
+    graph = instance.metric.tolist()
+    jumps = {c: jump.tolist() for c, jump in sorted(_engine_inputs(instance).items())}
+    trees = [_dijkstra(instance, a)[1] for a in range(n)]
+
+    def graph_path(a: int, b: int) -> list[int]:
+        path = [b]
+        while path[-1] != a:
+            path.append(trees[a][path[-1]])
+        return path[::-1]
+
+    def last_jump(s: int, beta: int, v: int) -> tuple[int, int, int]:
+        target = table[beta][s][v]
+        for c, jump in jumps.items():
+            if c > beta:
+                break
+            for x in range(n):
+                for y in range(n):
+                    if table[beta - c][s][x] + jump[x][y] + graph[y][v] == target:
+                        return c, x, y
+        raise AssertionError(f"entry ({beta}, {s}, {v}) has no last jump")
+
+    out = {}
+    for start_beta in range(budget + 1):
+        for s in range(n):
+            for start_v in range(n):
+                if table[start_beta][s][start_v] >= INF64:
+                    continue
+                beta, v = start_beta, start_v
+                tails: list[list[int]] = []
+                used: set[Pair] = set()
+                cost = 0
+                while table[beta][s][v] != graph[s][v]:
+                    c, x, y = last_jump(s, beta, v)
+                    tails.append(graph_path(y, v))
+                    used.add(ordered_pair(x, y))
+                    cost += c
+                    beta, v = beta - c, x
+                vertices = graph_path(s, v)
+                for tail in reversed(tails):
+                    vertices += tail
+                weight = sum(instance.weight.get(a, b) for a, b in zip(vertices, vertices[1:]))
+                out[start_beta, s, start_v] = PathWitness(
+                    tuple(vertices), frozenset(used), weight, cost
+                )
+    return out
 
 
 def dijkstra_rows(instance: WeightedInstance, added=()) -> list[list[Dist]]:

@@ -28,6 +28,7 @@ from helpers import (
     path_graph,
     reconstruct_path,
     reference_table_rows,
+    reference_witnesses,
     seeded_corpus,
     sssp,
     sssp_b,
@@ -323,6 +324,26 @@ def test_witness_roundtrip(instance):
                     assert pair not in instance.edges
 
 
+@pytest.mark.parametrize(
+    "instance",
+    EDGE_CASES
+    + override_corpus(100, seed=9)
+    + [
+        instance
+        for cmax in (1, 2, 3)
+        for instance in seeded_corpus(20, seed=38 + cmax, n_range=(2, 12), max_cost=cmax)
+    ],
+)
+def test_witnesses_follow_the_tie_break(instance):
+    # the last jump of each step is the smallest (c, x, y) over the dense W_c
+    dists = apsp_b(instance)
+    expected = reference_witnesses(instance)
+    for (beta, s, v), witness in expected.items():
+        assert PathSource(dists, s).path_to(v, beta) == witness, (beta, s, v)
+    finite = int((dists.table < INF64).sum())
+    assert len(expected) == finite
+
+
 @pytest.mark.parametrize("instance", seeded_corpus(8, seed=37, n_range=(2, 6)) + EDGE_CASES)
 def test_source_rows_match_full_table(instance):
     full = apsp_b(instance)
@@ -381,22 +402,30 @@ def test_path_to_rejects_out_of_range_target(target):
 
 
 def test_one_engine_build_per_solve(monkeypatch):
-    calls = []
-    engine_inputs = budget_paths._engine_inputs
+    builds, starts = [], []
+    build_jumps, dijkstra = budget_paths._ComplementJumps.of, budget_paths._dijkstra
 
-    def counted(instance):
-        calls.append(instance)
-        return engine_inputs(instance)
+    def counted_build(instance):
+        builds.append(instance)
+        return build_jumps(instance)
 
-    monkeypatch.setattr(budget_paths, "_engine_inputs", counted)
+    def counted_dijkstra(instance, source):
+        starts.append(source)
+        return dijkstra(instance, source)
+
+    monkeypatch.setattr(budget_paths._ComplementJumps, "of", staticmethod(counted_build))
+    monkeypatch.setattr(budget_paths, "_dijkstra", counted_dijkstra)
     instance = path_graph(9, budget=2)
     for solve in (fpt_solve, pairwise_centers, star_centers):
-        calls.clear()
+        builds.clear()
         solve(instance)
-        assert len(calls) == 1, solve.__name__
+        assert len(builds) == 1, solve.__name__
     dists = apsp_b(instance)
-    calls.clear()
+    builds.clear()
+    starts.clear()
     for beta in range(instance.budget + 1):
-        for v in range(instance.n):
-            reconstruct_path(dists, beta, 0, v)
-    assert calls == []
+        for u in range(instance.n):
+            for v in range(instance.n):
+                reconstruct_path(dists, beta, u, v)  # a fresh view per witness
+    assert builds == []
+    assert len(starts) == len(set(starts))  # one graph-path tree per start and table

@@ -120,6 +120,27 @@ def test_out_of_range_flag_is_an_input_error(p4_file, capsys, argv):
     assert captured.err.startswith(f"error: {argv[1]} {argv[2]} ")
 
 
+_GEN = ["gen", "random", "--wmax", "3", "--cmax", "2", "--budget", "1", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_GEN, "--n", "0", "--p", "0.5"],
+        [*_GEN, "--n", "4", "--p", "1.5"],
+        ["bench", "--suite", "scale", "--n", "0", "--budgets", "1"],
+        ["bench", "--suite", "scale", "--n", "6", "--budgets", "4,x"],
+    ],
+    ids=["gen-n", "gen-p", "scale-n", "scale-budgets"],
+)
+def test_bad_generator_flag_is_an_input_error(argv, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_cluster_output(p4_file, capsys):
     assert run(["cluster", "--input", p4_file]) == 0
     out = capsys.readouterr().out
