@@ -39,12 +39,12 @@ without wrapping; X_beta is clipped to INF64 before its walk.
 
 Witness paths are walked back from the table and the complement structure
 it was built from (``jumps``). An entry that equals its D₀ entry is a graph
-path, read from a Dijkstra predecessor tree (one per start and table,
-``trees``). Otherwise its last non-edge is the smallest (c, x, y), over the
-default and listed jumps of cost c, with
-D_{beta-c}[s, x] + w(x, y) + D₀[y, v] = D_beta[s, v]; the walk continues
-from (x, beta - c) and ends with a graph path y -> v. The budget drops on
-every jump, so zero-weight ties cannot make the walk cycle.
+path, read from a shortest-path tree that :func:`_graph_tree` builds from
+D₀'s row of its start (one per start and table, ``trees``). Otherwise its
+last non-edge is the smallest (c, x, y), over the default and listed jumps
+of cost c, with D_{beta-c}[s, x] + w(x, y) + D₀[y, v] = D_beta[s, v]; the
+walk continues from (x, beta - c) and ends with a graph path y -> v. The
+budget drops on every jump, so zero-weight ties cannot make the walk cycle.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .core import (
     Dist,
     Pair,
     WeightedInstance,
-    _dijkstra,
     ensure_valid,
     ordered_pair,
     to_dist,
@@ -249,6 +248,29 @@ def _check_entry(instance: WeightedInstance, beta: int, v: int) -> None:
         raise ValueError(f"entry ({beta}, {v}) out of range for B={instance.budget}, n={instance.n}")
 
 
+def _graph_tree(instance: WeightedInstance, a: int) -> list[int]:
+    """Predecessors on shortest paths from ``a`` over the edges, read from D₀'s row a.
+
+    An edge u-v is tight when D₀[a, u] + w(u, v) = D₀[a, v] < INF64, and hop[x]
+    is the fewest tight edges from a to x. pred[v] is the smallest u with u-v
+    tight and (D₀[a, u], hop[u]) < (D₀[a, v], hop[v]); -1 at a and off its
+    component. On positive weights that is the smallest-predecessor tie-break
+    of Dijkstra's search; the hop term, searched only when a zero-weight tie
+    exists, keeps such ties acyclic.
+    """
+    dense, dist, n = instance.dense, instance.metric[a], instance.n
+    # a valid instance's weights lie in [0, INF64), so the uint64 sums are exact
+    tight = dense.edge & (dist[:, None] + dense.weight.view(np.uint64) == dist) & (dist < INF64)
+    level = tight & (dist[:, None] == dist)  # zero-weight tight edges
+    if level.any():
+        hop, frontier, step = np.full(n, n), np.arange(n) == a, 0
+        while frontier.any():  # breadth-first; every vertex joins one frontier at most
+            hop[frontier] = step
+            frontier, step = tight[frontier].any(axis=0) & (hop == n), step + 1
+        tight &= ~level | (hop[:, None] < hop)
+    return np.where(tight.any(axis=0), tight.argmax(axis=0), -1).tolist()
+
+
 @dataclass(frozen=True, eq=False)
 class BoundedCostDistances:
     """Rows ``table[beta][i][v]`` of the bounded-cost table for ``sources[i]``.
@@ -256,8 +278,8 @@ class BoundedCostDistances:
     ``table`` is int64 with INF64 for unreachable entries; with every vertex
     a source, ``sources`` is ``range(n)`` and row i is vertex i. ``jumps`` is
     the complement structure the table was built from, and ``trees`` holds
-    one Dijkstra predecessor tree per start of a graph path; the witness
-    walks of every :class:`PathSource` view read both.
+    one :func:`_graph_tree` per start of a graph path; the witness walks of
+    every :class:`PathSource` view read both.
     """
 
     instance: WeightedInstance
@@ -336,7 +358,7 @@ class PathSource:
     def _graph_path(self, a: int, b: int) -> list[int]:
         """Vertices of a shortest a-b path over existing edges."""
         if a not in self._trees:
-            self._trees[a] = _dijkstra(self.instance, a)[1]
+            self._trees[a] = _graph_tree(self.instance, a)
         pred = self._trees[a]
         path = [b]
         while path[-1] != a:

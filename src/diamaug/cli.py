@@ -3,7 +3,7 @@
 Subcommands: solve, exact, check, apsp, cluster, gen, bench. Exit codes:
 0 success, 1 invalid input (malformed file, vertex or budget flag outside
 the instance, generator flag out of range, failed check, bound violation),
-2 guard refusal (oracle too large, degenerate reduction).
+2 guard refusal (oracle too large, degenerate or oversized reduction).
 
 All randomness enters through explicit ``--seed`` flags; repeated runs with
 identical inputs produce byte-identical output. Wall-clock numbers never
@@ -325,9 +325,10 @@ def _parse_budgets(raw: str) -> list[int]:
 
 def _bench_scale(args: argparse.Namespace) -> int:
     budgets = _parse_budgets(args.budgets)
+    # every flag is checked before the first row prints
+    instances = [_gen_random(args.n, 0.15, 5, 3, budget, args.seed) for budget in budgets]
     timings: list[tuple[int, float]] = []
-    for budget in budgets:
-        instance = _gen_random(args.n, 0.15, 5, 3, budget, args.seed)
+    for budget, instance in zip(budgets, instances):
         runs = []
         for _ in range(SCALE_REPEATS):
             start = time.perf_counter()

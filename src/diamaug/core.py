@@ -8,8 +8,9 @@ instance budget, trying to shrink the diameter of the augmented graph.
 
 All arithmetic is integer-only; unreachable distances are represented by
 ``math.inf``, which absorbs addition and compares greater than every finite
-value. :func:`graph_metric` is the one all-pairs shortest-path routine. An
-instance caches its validation and its metric D₀, which :func:`diameter` never reads.
+value. :func:`graph_metric` is the package's only shortest-path routine:
+witness paths read their graph segments from its cached result. An instance
+caches its validation and its metric D₀, which :func:`diameter` never reads.
 
 Every scan over all vertex pairs reads one cached dense view of the instance,
 :class:`DensePairs`: weight and cost as symmetric n×n int64 matrices, an edge
@@ -22,7 +23,6 @@ the view. A value that is printed or summed is read from the
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -198,15 +198,6 @@ class WeightedInstance:
         return DensePairs.of(self)
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-vertex tuple of (neighbor, weight) pairs, neighbors ascending."""
-        weight = self.dense.weight
-        return tuple(
-            tuple(zip(neighbors.tolist(), weight[u, neighbors].tolist()))
-            for u, neighbors in enumerate(map(np.flatnonzero, self.dense.edge))
-        )
-
-    @cached_property
     def problems(self) -> tuple[str, ...]:
         """:func:`validate`'s findings, computed once for :func:`ensure_valid`."""
         return tuple(validate(self))
@@ -292,37 +283,6 @@ def ensure_valid(instance: WeightedInstance) -> None:
     """Raise InstanceError if the instance violates any invariant (cached per instance)."""
     if instance.problems:
         raise InstanceError("; ".join(instance.problems))
-
-
-def _dijkstra(instance: WeightedInstance, source: int) -> tuple[list[Dist], list[int]]:
-    """Nonnegative-weight single-source shortest paths over the instance edges.
-
-    Returns (distances, predecessors). Ties between equal-length paths are
-    resolved toward the smallest predecessor vertex id, so reconstruction is
-    deterministic. Predecessor -1 means source or unreachable.
-    """
-    n, adj = instance.n, instance.adjacency
-    dist: list[Dist] = [INF] * n
-    pred = [-1] * n
-    dist[source] = 0
-    done = [False] * n
-    heap: list[tuple[Dist, int]] = [(0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, v))
-            elif nd == dist[v] and not done[v] and v != source and (pred[v] < 0 or u < pred[v]):
-                # settled targets keep their predecessor: chains then follow
-                # settlement order and stay acyclic under zero-weight ties
-                pred[v] = u
-    return dist, pred
 
 
 def graph_metric(instance: WeightedInstance, added: Iterable[Pair] = ()) -> np.ndarray:

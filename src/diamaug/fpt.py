@@ -113,7 +113,14 @@ class HeightTable:
     def full_mask(self) -> int:
         return (1 << len(self.others)) - 1
 
+    def _check_entry(self, u: int, mask: int, j: int) -> None:
+        """ValueError unless (u, mask, j) is an entry: numpy would wrap negatives."""
+        n = self.values.shape[2]
+        if not (0 <= u < n and 1 <= mask <= self.full_mask and 0 <= j <= self.budget):
+            raise ValueError(f"bad table entry: vertex={u}, mask={mask}, j={j}")
+
     def height(self, u: int, mask: int, j: int) -> Dist:
+        self._check_entry(u, mask, j)
         return to_dist(int(self.values[mask, j, u]))
 
     def choice(self, u: int, mask: int, j: int) -> BaseChoice | SplitChoice | None:
@@ -123,8 +130,7 @@ class HeightTable:
         kept budget) tuple that reaches its value, the kept half holding the
         lowest-indexed center.
         """
-        if mask == 0 or not 0 <= j <= self.budget:
-            raise ValueError(f"bad table entry: mask={mask}, j={j}")
+        self._check_entry(u, mask, j)
         target = self.values[mask, j, u]
         if target >= INF64:
             return None

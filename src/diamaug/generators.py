@@ -26,7 +26,8 @@ B = k * copies, some copy covers with at most k sets. Conversely a cover of
 at most k sets, inserted as a-set edges in every copy, spends at most B. With
 m <= 2B a few a-hub edges alone reach every block and the equivalence
 fails, e.g. two singleton sets with k = 1 give one hub adjacent to every
-element vertex.
+element vertex. The m(m-1)/2 hubs grow as (|sets| * k)**2, so a reduction
+over ``MAX_REDUCTION_VERTICES`` is refused before any vertex is laid out.
 
 Random instances draw an edge set and integer weights from a seeded stream
 (`random.Random`, i.e. the Mersenne Twister as shipped with CPython); the
@@ -49,7 +50,13 @@ from .core import (
 
 
 class ReductionError(ValueError):
-    """Degenerate covering instance or failed construction self-check."""
+    """Degenerate covering instance, oversized reduction or failed self-check."""
+
+
+# Largest reduction built: n = 1,082 took about 5 s and 150 MB on one core of
+# a shared 2-core Xeon host, growing as n**3 in time (its self-check's
+# metric) and n**2 in memory (its edge set).
+MAX_REDUCTION_VERTICES = 1_000
 
 
 @dataclass(frozen=True)
@@ -118,6 +125,9 @@ class ReductionLayout:
 def _build_reduction(sc: SetCoverInstance, copies: int) -> tuple[WeightedInstance, ReductionLayout]:
     budget = sc.k * copies
     m = max(len(sc.sets) * sc.k, 2 * budget + 1)
+    n = 2 + copies * len(sc.sets) + copies * m * sc.universe_size + m * (m - 1) // 2
+    if n > MAX_REDUCTION_VERTICES:
+        raise ReductionError(f"reduction would have {n} vertices, over {MAX_REDUCTION_VERTICES}")
 
     a, b = 0, 1
     next_id = 2
@@ -138,7 +148,6 @@ def _build_reduction(sc: SetCoverInstance, copies: int) -> tuple[WeightedInstanc
         for j in range(i + 1, m):
             hubs[(i, j)] = next_id
             next_id += 1
-    n = next_id
 
     edges: set[Pair] = set()
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -22,7 +24,7 @@ from diamaug import (
     ensure_valid,
     gen_random,
 )
-from diamaug.core import INF64, Dist, Pair, _dijkstra, graph_metric, ordered_pair, to_dist
+from diamaug.core import INF, INF64, Dist, Pair, graph_metric, ordered_pair, to_dist
 
 
 def all_pairs(n: int) -> Iterator[Pair]:
@@ -320,6 +322,75 @@ def reference_table_rows(instance: WeightedInstance, rows: Sequence[int]) -> np.
     return table
 
 
+def _dijkstra(instance: WeightedInstance, source: int) -> tuple[list[Dist], list[int]]:
+    """Nonnegative-weight single-source shortest paths over the instance edges.
+
+    Returns (distances, predecessors). Ties between equal-length paths are
+    resolved toward the smallest predecessor vertex id, so reconstruction is
+    deterministic. Predecessor -1 means source or unreachable.
+    """
+    n, adj = instance.n, _adjacency(instance)
+    dist: list[Dist] = [INF] * n
+    pred = [-1] * n
+    dist[source] = 0
+    done = [False] * n
+    heap: list[tuple[Dist, int]] = [(0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, v))
+            elif nd == dist[v] and not done[v] and v != source and (pred[v] < 0 or u < pred[v]):
+                # settled targets keep their predecessor: chains then follow
+                # settlement order and stay acyclic under zero-weight ties
+                pred[v] = u
+    return dist, pred
+
+
+def _adjacency(instance: WeightedInstance) -> list[list[tuple[int, int]]]:
+    """Per-vertex list of (neighbor, weight) pairs, neighbors ascending."""
+    rows, cols = np.nonzero(instance.dense.edge)  # row-major
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(instance.n)]
+    for u, v, w in zip(rows.tolist(), cols.tolist(), instance.dense.weight[rows, cols].tolist()):
+        adj[u].append((v, w))
+    return adj
+
+
+def reference_graph_trees(instance: WeightedInstance) -> list[list[int]]:
+    """Every start's tree under ``budget_paths._graph_tree``'s rule, by a Python loop.
+
+    For start a, pred[v] is the smallest neighbour u with
+    D₀[a, u] + w(u, v) = D₀[a, v] and (D₀[a, u], hop[u]) < (D₀[a, v], hop[v]),
+    where hop[x] is the fewest edges on a shortest a-x path (breadth-first
+    over those tight edges); -1 at a and at the vertices a does not reach.
+    """
+    adj, trees = _adjacency(instance), []
+    for a, dist in enumerate(instance.metric.tolist()):
+        tight = [
+            [u for u, w in adj[v] if dist[v] < INF64 and dist[u] + w == dist[v]]
+            for v in range(instance.n)
+        ]
+        hop = {a: 0}
+        queue = deque([a])
+        while queue:
+            u = queue.popleft()
+            for v, _ in adj[u]:
+                if v not in hop and u in tight[v]:
+                    hop[v] = hop[u] + 1
+                    queue.append(v)
+        trees.append([
+            min((u for u in tight[v] if (dist[u], hop[u]) < (dist[v], hop[v])), default=-1)
+            for v in range(instance.n)
+        ])
+    return trees
+
+
 def reference_witnesses(instance: WeightedInstance) -> dict[tuple[int, int, int], PathWitness]:
     """Witness paths for every finite (beta, source, v) entry, by a Python walk.
 
@@ -327,13 +398,13 @@ def reference_witnesses(instance: WeightedInstance) -> dict[tuple[int, int, int]
     that differs from D₀ ends with the first jump x -> y, looping over c,
     then x, then y ascending over the dense W_c, with
     D_{beta-c}[s, x] + W_c[x, y] + D₀[y, v] = D_beta[s, v]. The table is
-    ``reference_table_rows``; graph paths follow ``_dijkstra`` trees.
+    ``reference_table_rows``; graph paths follow ``reference_graph_trees``.
     """
     n, budget = instance.n, instance.budget
     table = reference_table_rows(instance, range(n)).tolist()
     graph = instance.metric.tolist()
     jumps = {c: jump.tolist() for c, jump in sorted(_engine_inputs(instance).items())}
-    trees = [_dijkstra(instance, a)[1] for a in range(n)]
+    trees = reference_graph_trees(instance)
 
     def graph_path(a: int, b: int) -> list[int]:
         path = [b]

@@ -14,12 +14,14 @@ from diamaug import (
     apsp_b,
     budget_paths,
     fpt_solve,
+    gen_random,
     pairwise_centers,
     star_centers,
 )
 from diamaug.core import INF64
 from helpers import (
     EDGE_CASES,
+    _dijkstra,
     build,
     build_layered_digraph,
     complete_graph,
@@ -27,6 +29,7 @@ from helpers import (
     p4,
     path_graph,
     reconstruct_path,
+    reference_graph_trees,
     reference_table_rows,
     reference_witnesses,
     seeded_corpus,
@@ -403,18 +406,18 @@ def test_path_to_rejects_out_of_range_target(target):
 
 def test_one_engine_build_per_solve(monkeypatch):
     builds, starts = [], []
-    build_jumps, dijkstra = budget_paths._ComplementJumps.of, budget_paths._dijkstra
+    build_jumps, graph_tree = budget_paths._ComplementJumps.of, budget_paths._graph_tree
 
     def counted_build(instance):
         builds.append(instance)
         return build_jumps(instance)
 
-    def counted_dijkstra(instance, source):
+    def counted_tree(instance, source):
         starts.append(source)
-        return dijkstra(instance, source)
+        return graph_tree(instance, source)
 
     monkeypatch.setattr(budget_paths._ComplementJumps, "of", staticmethod(counted_build))
-    monkeypatch.setattr(budget_paths, "_dijkstra", counted_dijkstra)
+    monkeypatch.setattr(budget_paths, "_graph_tree", counted_tree)
     instance = path_graph(9, budget=2)
     for solve in (fpt_solve, pairwise_centers, star_centers):
         builds.clear()
@@ -429,3 +432,53 @@ def test_one_engine_build_per_solve(monkeypatch):
                 reconstruct_path(dists, beta, u, v)  # a fresh view per witness
     assert builds == []
     assert len(starts) == len(set(starts))  # one graph-path tree per start and table
+    assert set(starts) == set(range(instance.n))
+
+
+# gen_random arguments (n, p, wmax, cmax, budget) of each benchmark workload's shape.
+_WORKLOAD_SHAPES = [(64, 0.15, 5, 3, 3), (24, 0.25, 5, 3, 5), (120, 0.10, 5, 1, 3)]
+
+
+def _tree_corpus(name):
+    if name == "edge":
+        return EDGE_CASES
+    if name == "seeded":
+        return seeded_corpus(300, seed=51, n_range=(2, 12))
+    if name == "override":
+        return override_corpus(300, seed=9, n_range=(2, 10))
+    return [gen_random(*_WORKLOAD_SHAPES[i % 3], seed=1_000 + i) for i in range(25)]
+
+
+def _positive_weights(instance):
+    return all(instance.weight.get(*edge) > 0 for edge in instance.edges)
+
+
+@pytest.mark.parametrize("corpus", ["edge", "seeded", "override", "workload"])
+def test_graph_trees_equal_dijkstra_on_positive_weights(corpus):
+    # every tight neighbour is then closer to the start: Dijkstra's tie-break
+    compared = 0
+    for instance in filter(_positive_weights, _tree_corpus(corpus)):
+        for a in range(instance.n):
+            assert budget_paths._graph_tree(instance, a) == _dijkstra(instance, a)[1], a
+            compared += 1
+    assert compared
+
+
+@pytest.mark.parametrize("corpus", ["edge", "seeded", "override", "workload"])
+def test_graph_tree_walks_are_tight_simple_edge_paths(corpus):
+    for instance in _tree_corpus(corpus):
+        metric, weight, n = instance.metric.tolist(), instance.weight, instance.n
+        for a, reference in enumerate(reference_graph_trees(instance)):
+            pred = budget_paths._graph_tree(instance, a)
+            assert pred == reference, a
+            for v, u in enumerate(pred):  # every step is a tight edge
+                if v == a or metric[a][v] >= INF64:
+                    assert u == -1
+                else:
+                    assert instance.is_edge(u, v)
+                    assert metric[a][u] + weight.get(u, v) == metric[a][v]
+            # a walk back that visited a vertex twice would cycle and never reach a
+            walk = np.where(np.array(pred) == -1, np.arange(n), pred)
+            for _ in range(n.bit_length()):
+                walk = walk[walk]
+            assert all(walk[v] == a for v in range(n) if metric[a][v] < INF64)

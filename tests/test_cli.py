@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,22 @@ def test_gen_setcover_flow(tmp_path, capsys):
     assert "d_opt 2" in report
 
 
+def test_gen_setcover_refuses_an_oversized_reduction(tmp_path, capsys):
+    sets = tmp_path / "sets.txt"
+    sets.write_text("0 1\n1 2\n", encoding="utf-8")
+    tracemalloc.start()
+    try:  # about 20,300 vertices: refused before any is laid out
+        code = run(["gen", "setcover", "--sets", str(sets), "--k", "99"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused: reduction would have 20302 vertices")
+    assert peak < 4 * 2**20
+
+
 def test_gen_setcover_copies_guard(tmp_path, capsys):
     sets = tmp_path / "sets.txt"
     sets.write_text("0\n0 1\n", encoding="utf-8")
@@ -238,6 +255,13 @@ def test_bench_scale_tiny(capsys):
     assert "growth" in out
 
 
+def test_bench_scale_checks_every_budget_before_the_first_row(capsys):
+    assert run(["bench", "--suite", "scale", "--n", "5", "--budgets", "1,-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget must be >= 0, got -1\n"
+
+
 def test_parser_is_built_once_per_process(p4_file, capsys):
     parser = build_parser()
     with pytest.raises(SystemExit):
@@ -247,18 +271,17 @@ def test_parser_is_built_once_per_process(p4_file, capsys):
     assert build_parser() is parser
 
 
-def _readme_cli_block() -> list[str]:
-    """Command lines of the sh block under README's "## CLI" heading, comments dropped."""
+def _readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under README's ``## heading``."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## CLI\n", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
-    lines = (line.split("#", 1)[0].strip() for line in block.splitlines())
-    return [line for line in lines if line]
+    section = readme.split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("\n```", 1)[0]
 
 
 def test_readme_cli_block(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    commands = _readme_cli_block()
+    lines = (line.split("#", 1)[0].strip() for line in _readme_block("CLI", "sh").splitlines())
+    commands = [line for line in lines if line]
     assert commands
     for line in commands:
         argv = shlex.split(line)
@@ -268,3 +291,7 @@ def test_readme_cli_block(tmp_path, monkeypatch, capsys):
             continue
         assert argv[0] == "diamaug", line
         assert run(argv[1:]) == 0, f"{line}\n{capsys.readouterr().err}"
+    capsys.readouterr()
+    # the Library snippet reads the files the CLI block wrote
+    exec(compile(_readme_block("Library", "python"), "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3

@@ -242,6 +242,18 @@ def test_reconstruct_infeasible_entry():
         reconstruct_tree(table, 0, 0b1, 1)
 
 
+@pytest.mark.parametrize(
+    "u, mask, j", [(-1, 3, 2), (5, 3, 2), (0, -1, 2), (0, 0, 2), (0, 4, 2), (0, 3, -1), (0, 3, 3)]
+)
+def test_height_table_rejects_out_of_range_entries(u, mask, j):
+    # numpy would read vertex -1 as vertex 4 and mask -1 as the last mask
+    table, _, _ = _table_for(path_graph(5, budget=2))
+    assert table.full_mask == 3
+    for read in (table.height, table.choice, lambda *entry: reconstruct_tree(table, *entry)):
+        with pytest.raises(ValueError):
+            read(u, mask, j)
+
+
 @pytest.mark.parametrize("instance", seeded_corpus(10, seed=55, n_range=(2, 6)))
 def test_tree_height_equals_table_value(instance):
     table, centers, dists = _table_for(instance)
