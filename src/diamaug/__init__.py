@@ -37,6 +37,7 @@ from .fpt import (
     CenterTree,
     FptOutcome,
     HeightTable,
+    HeightTableLimitError,
     InfeasibleEntryError,
     fpt_solve,
     reconstruct_tree,
@@ -72,6 +73,7 @@ __all__ = [
     "FormatError",
     "FptOutcome",
     "HeightTable",
+    "HeightTableLimitError",
     "InfeasibleEntryError",
     "InstanceError",
     "NoPathError",

@@ -160,10 +160,7 @@ class _ComplementJumps:
         """
         n = values.shape[1]
         k = min(self.candidates, n)
-        if k < n:
-            nearest = np.argpartition(values, k - 1, axis=1)[:, :k].T
-        else:
-            nearest = np.broadcast_to(np.arange(n)[:, None], (n, len(values)))
+        nearest = np.argpartition(values, k - 1, axis=1)[:, :k].T
         flat_values, flat_excluded = values.ravel(), self.excluded.ravel()
         out = np.empty(len(owners), dtype=np.uint64)
         step = max(1, _TILE // k)

@@ -37,7 +37,7 @@ from .formats import (
     serialize_instance,
     serialize_solution,
 )
-from .fpt import fpt_solve
+from .fpt import HeightTableLimitError, fpt_solve
 from .budget_paths import apsp_b
 from .clustering import greedy_centers
 from .generators import (
@@ -423,7 +423,7 @@ def run(argv: Sequence[str]) -> int:
     except (FormatError, InstanceError, FlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OracleLimitError, ReductionError) as exc:
+    except (HeightTableLimitError, OracleLimitError, ReductionError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

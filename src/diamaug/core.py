@@ -10,7 +10,7 @@ All arithmetic is integer-only; unreachable distances are represented by
 ``math.inf``, which absorbs addition and compares greater than every finite
 value. :func:`graph_metric` is the package's only shortest-path routine:
 witness paths read their graph segments from its cached result. An instance
-caches its validation and its metric D₀, which :func:`diameter` never reads.
+caches its validation and its metric D₀, which :func:`diameter` extends.
 
 Every scan over all vertex pairs reads one cached dense view of the instance,
 :class:`DensePairs`: weight and cost as symmetric n×n int64 matrices, an edge
@@ -285,31 +285,37 @@ def ensure_valid(instance: WeightedInstance) -> None:
         raise InstanceError("; ".join(instance.problems))
 
 
-def graph_metric(instance: WeightedInstance, added: Iterable[Pair] = ()) -> np.ndarray:
-    """All-pairs distances over the edges plus ``added``, by Floyd–Warshall.
+def graph_metric(instance: WeightedInstance) -> np.ndarray:
+    """All-pairs distances over the edges, by Floyd–Warshall.
 
     n×n uint64, INF64 for unreachable pairs. Validating first keeps finite
     distances under the headroom bound, so two entries add up exactly.
-    Raises InstanceError for an added pair outside [0, n).
     """
     ensure_valid(instance)
-    n = instance.n
-    pairs = [ordered_pair(*pair) for pair in added]
-    if any(not (0 <= u < v < n) for u, v in pairs):
-        raise InstanceError(f"added pairs {pairs} out of range for n={n}")
     dense = instance.dense
     metric = np.where(dense.edge, dense.weight, INF64).astype(np.uint64)
-    u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    metric[u, v] = metric[v, u] = dense.weight[u, v]
     np.fill_diagonal(metric, 0)
-    for k in range(n):
+    for k in range(instance.n):
         np.minimum(metric, metric[:, k, None] + metric[None, k, :], out=metric)
     return metric
 
 
 def diameter(instance: WeightedInstance, added: Iterable[Pair] = ()) -> Dist:
-    """Largest distance, from a fresh :func:`graph_metric`; 0 for a single vertex."""
-    return to_dist(int(graph_metric(instance, added).max()))
+    """Largest distance with ``added`` inserted into D₀; 0 for a single vertex.
+
+    Each pair u–v of weight w takes D = min(D, D[:, u] + w + D[v, :] and its
+    transpose), exact for insertions. Entries stay at most INF64 and w is below
+    it, so no uint64 sum wraps. Raises InstanceError for a pair outside [0, n).
+    """
+    dists = instance.metric.copy()  # validates first
+    pairs = [ordered_pair(*pair) for pair in added]
+    if any(not (0 <= u < v < instance.n) for u, v in pairs):
+        raise InstanceError(f"added pairs {pairs} out of range for n={instance.n}")
+    weight = instance.dense.weight.view(np.uint64)  # a valid instance's weights are >= 0
+    for u, v in pairs:
+        via = dists[:, u, None] + weight[u, v] + dists[None, v, :]  # below 3 * INF64
+        np.minimum(dists, np.minimum(via, via.T), out=dists)
+    return to_dist(int(dists.max()))
 
 
 def augment(instance: WeightedInstance, added: Iterable[Pair]) -> Augmentation:

@@ -57,8 +57,20 @@ from .core import (
 )
 
 
+# Largest height table allocated. Filling one peaks at about three times its
+# size (the merge step copies kept and complement halves), so a table at
+# this limit keeps a solve under 1 GB. Tables near it take minutes to fill
+# anyway: m = 12 non-root centers at n = 24 (10 MB) took 9 s on one core of
+# a shared 2-core Xeon host, and each further center triples the merge work.
+MAX_HEIGHT_TABLE_BYTES = 2**28
+
+
 class InfeasibleEntryError(LookupError):
     """Requested a tree for an unreachable height-table entry."""
+
+
+class HeightTableLimitError(RuntimeError):
+    """A height table would exceed ``MAX_HEIGHT_TABLE_BYTES``."""
 
 
 @dataclass(frozen=True)
@@ -162,6 +174,8 @@ def solve_height_table(centers: ClusterCenters, dists: BoundedCostDistances) -> 
     distance table has a zero diagonal), which is finite below 2**62 or
     INF64, so a minimum at or above 2**62 is exactly INF64. ``dists`` must
     hold every vertex's row in vertex order, as :func:`apsp_b` fills by default.
+    Raises HeightTableLimitError, before allocating, for a table over
+    ``MAX_HEIGHT_TABLE_BYTES``.
     """
     n, budget = dists.n, dists.budget
     if tuple(dists.sources) != tuple(range(n)):
@@ -169,6 +183,12 @@ def solve_height_table(centers: ClusterCenters, dists: BoundedCostDistances) -> 
     others = tuple(centers.centers[1:])
     m = len(others)
     d = dists.table.view(np.uint64)  # (budget+1, n, n)
+    size = (1 << m) * (budget + 1) * n * 8
+    if size > MAX_HEIGHT_TABLE_BYTES:
+        raise HeightTableLimitError(
+            f"height table of {m} non-root centers, budget {budget} and {n} vertices needs "
+            f"{size} bytes, over the limit of {MAX_HEIGHT_TABLE_BYTES}"
+        )
 
     values = np.full(((1 << m), budget + 1, n), INF64, dtype=np.uint64)
     for i, c in enumerate(others):

@@ -40,6 +40,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     Pair,
     PairTable,
@@ -201,27 +203,22 @@ def _build_reduction(sc: SetCoverInstance, copies: int) -> tuple[WeightedInstanc
 
 
 def _check_reduction(instance: WeightedInstance, layout: ReductionLayout) -> None:
-    """Verify the construction's distance profile; raise on any mismatch."""
-    elements = set(layout.element_vertices())
-    metric = [[to_dist(d) for d in row] for row in instance.metric.tolist()]
-    worst = max(map(max, metric))
-    for u, dist in enumerate(metric):
-        if u == layout.a:
-            for v in range(instance.n):
-                if v == layout.a:
-                    continue
-                expected = 3 if v in elements else (1 if v == layout.b else 2)
-                if dist[v] != expected:
-                    raise ReductionError(
-                        f"self-check failed: dist(a, {v}) = {dist[v]}, expected {expected}"
-                    )
-        else:
-            for v in range(u + 1, instance.n):
-                if v != layout.a and dist[v] > 2:
-                    raise ReductionError(
-                        f"self-check failed: dist({u}, {v}) = {dist[v]} > 2"
-                    )
-    if worst != 3:
+    """Verify the distance profile; raise on the first mismatch, a's row first."""
+    metric, a = instance.metric, layout.a
+    expected = np.full(instance.n, 2, dtype=np.uint64)
+    expected[[a, layout.b]] = 0, 1  # D₀'s diagonal is 0
+    expected[list(layout.element_vertices())] = 3
+    if (wrong := metric[a] != expected).any():
+        v = int(wrong.argmax())  # the first mismatch
+        raise ReductionError(
+            f"self-check failed: dist(a, {v}) = {to_dist(metric[a, v])}, expected {expected[v]}"
+        )
+    far = np.triu(metric > 2, 1)
+    far[a, :] = far[:, a] = False
+    if far.any():  # row-major order
+        u, v = divmod(int(far.argmax()), instance.n)
+        raise ReductionError(f"self-check failed: dist({u}, {v}) = {to_dist(metric[u, v])} > 2")
+    if (worst := to_dist(metric.max())) != 3:
         raise ReductionError(f"self-check failed: reduction diameter is {worst}, expected 3")
 
 

@@ -7,7 +7,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from diamaug import (
     ensure_valid,
     gen_random,
 )
-from diamaug.core import INF, INF64, Dist, Pair, graph_metric, ordered_pair, to_dist
+from diamaug.core import INF, INF64, Dist, Pair, ordered_pair, to_dist
 
 
 def all_pairs(n: int) -> Iterator[Pair]:
@@ -452,8 +452,8 @@ def reference_witnesses(instance: WeightedInstance) -> dict[tuple[int, int, int]
 def dijkstra_rows(instance: WeightedInstance, added=()) -> list[list[Dist]]:
     """Graph metric rows by one Dijkstra per source over the edges plus ``added``.
 
-    The reference for ``graph_metric``'s consumers: it shares only the
-    instance model with them, not the Floyd–Warshall.
+    The reference for ``graph_metric``'s consumers and for ``diameter``'s
+    insertions into D₀: it shares only the instance model with them.
     """
     augmented = replace(instance, edges=instance.edges | {ordered_pair(*p) for p in added})
     return [_dijkstra(augmented, s)[0] for s in range(instance.n)]
@@ -463,16 +463,14 @@ def dijkstra_rows(instance: WeightedInstance, added=()) -> list[list[Dist]]:
 # single source or a single witness.
 
 
-def sssp(instance: WeightedInstance, source: int, added: Iterable[Pair] = ()) -> list[Dist]:
-    """Distances from ``source`` using the instance edges plus ``added`` pairs.
+def sssp(instance: WeightedInstance, source: int) -> list[Dist]:
+    """Graph distances from ``source``: row ``source`` of the cached D₀.
 
-    Row ``source`` of the cached D₀ when ``added`` is empty, else of a fresh
-    ``graph_metric``; unreachable vertices get ``INF``.
+    Unreachable vertices get ``INF``.
     """
     if not (0 <= source < instance.n):
         raise ValueError(f"source {source} out of range for n={instance.n}")
-    metric = graph_metric(instance, added) if added else instance.metric
-    return [to_dist(d) for d in metric[source].tolist()]
+    return [to_dist(d) for d in instance.metric[source].tolist()]
 
 
 def sssp_b(instance: WeightedInstance, source: int) -> PathSource:
@@ -483,6 +481,28 @@ def sssp_b(instance: WeightedInstance, source: int) -> PathSource:
 def reconstruct_path(dists: BoundedCostDistances, beta: int, u: int, v: int) -> PathWitness:
     """Witness path for a finite entry of ``dists``; ``u`` must be one of its sources."""
     return PathSource(dists, u).path_to(v, beta)
+
+
+def reference_reduction_problem(instance: WeightedInstance, layout) -> str | None:
+    """The reduction self-check as a loop over Dijkstra rows: its first message, or None.
+
+    The reference for ``generators._check_reduction``: a's row first, then
+    the pairs off a in row-major order, then the diameter.
+    """
+    elements = set(layout.element_vertices())
+    rows = dijkstra_rows(instance)
+    for v in range(instance.n):
+        expected = 3 if v in elements else (1 if v == layout.b else 2)
+        if v != layout.a and rows[layout.a][v] != expected:
+            return f"self-check failed: dist(a, {v}) = {rows[layout.a][v]}, expected {expected}"
+    for u in range(instance.n):
+        for v in range(u + 1, instance.n):
+            if layout.a not in (u, v) and rows[u][v] > 2:
+                return f"self-check failed: dist({u}, {v}) = {rows[u][v]} > 2"
+    worst = max(map(max, rows))
+    if worst != 3:
+        return f"self-check failed: reduction diameter is {worst}, expected 3"
+    return None
 
 
 def reference_centers(instance: WeightedInstance, first_center: int) -> ClusterCenters:

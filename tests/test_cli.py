@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from diamaug import serialize_instance
+from diamaug import gen_random, serialize_instance
 from diamaug.cli import build_parser, run
 from helpers import build, p4
 
@@ -187,6 +187,22 @@ def test_gen_setcover_refuses_an_oversized_reduction(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("refused: reduction would have 20302 vertices")
     assert peak < 4 * 2**20
+
+
+def test_solve_refuses_an_oversized_height_table(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text(serialize_instance(gen_random(50, 0.15, 5, 3, 20, 7)), encoding="utf-8")
+    tracemalloc.start()
+    try:  # an 8.8 GB table: refused before it is allocated
+        code = run(["solve", "--input", str(path), "--algo", "fpt"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused: height table of 20 non-root centers")
+    assert peak < 8 * 2**20
 
 
 def test_gen_setcover_copies_guard(tmp_path, capsys):

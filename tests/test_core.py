@@ -26,6 +26,7 @@ from helpers import (
     build,
     complete_graph,
     dijkstra_rows,
+    override_corpus,
     p4,
     path_graph,
     seeded_corpus,
@@ -144,14 +145,28 @@ def test_graph_metric_matches_base_matrix(instance):
     assert np.array_equal(instance.metric, metric)
 
 
-@pytest.mark.parametrize("instance", METRIC_CORPUS)
+# listed non-edge weights, zeros included, are what an insertion reads
+DIAMETER_CORPUS = METRIC_CORPUS + [
+    instance for instance in override_corpus(40, seed=15) if not validate(instance)
+]
+
+
+@pytest.mark.parametrize("instance", DIAMETER_CORPUS)
 def test_diameter_and_sssp_match_dijkstra_reference(instance):
+    assert [sssp(instance, s) for s in range(instance.n)] == dijkstra_rows(instance)
     non_edges = instance.non_edges()
-    for added in ((), non_edges[:1], non_edges[:3], non_edges):
-        rows = dijkstra_rows(instance, added)
-        assert diameter(instance, added) == max(map(max, rows))
-        for s in range(instance.n):
-            assert sssp(instance, s, added) == rows[s]
+    for added in ((), non_edges[:1], non_edges[:3], non_edges[::2], non_edges):
+        assert diameter(instance, added) == max(map(max, dijkstra_rows(instance, added)))
+
+
+@pytest.mark.parametrize("instance", EDGE_CASES + override_corpus(10, seed=16))
+def test_augment_leaves_the_cached_metric_unchanged(instance):
+    # EDGE_CASES' disconnected headroom instances sum INF64 + w + INF64
+    metric = instance.metric
+    before = metric.copy()
+    augment(instance, instance.non_edges()[:3])
+    assert instance.metric is metric
+    assert np.array_equal(metric, before)
 
 
 def test_metric_is_cached_and_read_only():
@@ -188,4 +203,4 @@ def test_one_metric_and_one_validation_per_solve(monkeypatch, solve):
     for name in counts:
         monkeypatch.setattr(core, name, counted(name))
     solve(path_graph(9, budget=2))  # fresh instance: nothing cached yet
-    assert counts == {"graph_metric": 2, "validate": 1}  # D₀, then augment's check
+    assert counts == {"graph_metric": 1, "validate": 1}  # D₀, which augment's check extends

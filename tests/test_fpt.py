@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 
 import pytest
 
 from diamaug import (
     INF,
+    HeightTableLimitError,
     InfeasibleEntryError,
     apsp_b,
     diameter,
     exact_optimum,
     fpt_solve,
+    gen_random,
     greedy_centers,
     reconstruct_tree,
     solve_height_table,
@@ -377,3 +380,16 @@ def test_fpt_solve_frees_its_table_without_the_cyclic_collector(monkeypatch):
         assert len(tables) == 1 and tables[0]() is None
     finally:
         gc.enable()
+
+
+def test_oversized_height_table_is_refused_before_allocating():
+    # 2**20 masks x 21 budgets x 50 vertices of uint64 would take 8.8 GB
+    instance = gen_random(50, 0.15, 5, 3, 20, 7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(HeightTableLimitError, match="8808038400 bytes, over the limit"):
+            fpt_solve(instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -17,7 +19,8 @@ from diamaug import (
     serialize_instance,
     validate,
 )
-from helpers import sssp
+from diamaug.generators import _check_reduction
+from helpers import build, reference_reduction_problem, sssp
 from oracles import diameter2_feasible, has_cover
 
 BASE_SC = SetCoverInstance(
@@ -85,6 +88,45 @@ def test_distance_profile_from_a():
         assert dist[v] == 2
     for v in elements:
         assert dist[v] == 3
+
+
+def _tampered_reductions():
+    instance, layout = reduce_setcover(BASE_SC)  # a = 0, b = 1, sets 2-3, elements 4-9
+    set_3_edges = {(3, t) for t in layout.element_vertices() if (3, t) in instance.edges}
+    return [
+        (instance, replace(layout, b=2), "dist(a, 1) = 1, expected 2"),
+        (instance, replace(layout, element_blocks=()), "dist(a, 4) = 3, expected 2"),
+        (replace(instance, edges=instance.edges - {(0, 1)}), layout, "dist(a, 1) = inf, expected 1"),
+        (replace(instance, edges=instance.edges - set_3_edges), layout, "dist(2, 5) = 3 > 2"),
+        (
+            build(3, {(0, 1), (1, 2)}),
+            replace(layout, set_blocks=(), element_blocks=(), hubs={}),
+            "reduction diameter is 2, expected 3",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("instance, layout, message", _tampered_reductions())
+def test_self_check_reports_first_mismatch(instance, layout, message):
+    # the first failing entry in row-major order: a's row, then the pairs off a
+    with pytest.raises(ReductionError) as caught:
+        _check_reduction(instance, layout)
+    assert str(caught.value) == f"self-check failed: {message}"
+
+
+def test_self_check_matches_reference_on_dropped_edges():
+    rng = random.Random(17)
+    reductions = [reduce_setcover(BASE_SC), reduce_setcover_multicopy(BASE_SC, copies=2)]
+    for instance, layout in reductions * 40:
+        dropped = set(rng.sample(sorted(instance.edges), rng.randint(1, 12)))
+        tampered = replace(instance, edges=instance.edges - dropped)
+        expected = reference_reduction_problem(tampered, layout)
+        if expected is None:
+            _check_reduction(tampered, layout)
+        else:
+            with pytest.raises(ReductionError) as caught:
+                _check_reduction(tampered, layout)
+            assert str(caught.value) == expected
 
 
 def test_rejects_single_block():
