@@ -33,9 +33,9 @@ unreachable everywhere. Past c₀, X_beta changes only on the exception sets
 and the listed targets, and an unchanged entry adds no walk, so the walk
 product may read only those columns. The product runs over the middle
 index in blocks, so its temporaries stay small for full and few-row tables
-alike. Entries are uint64 while they are summed, and every operand is at
-most INF64 (2**62) before each sum, so two "unreachable" sentinels add up
-without wrapping; X_beta is clipped to INF64 before its walk.
+alike. Tables are uint64, and every operand is at most INF64 (2**62) before
+each sum, so two "unreachable" sentinels add up without wrapping; X_beta is
+clipped to INF64 before its walk.
 
 Witness paths are walked back from the table and the complement structure
 it was built from (``jumps``). An entry that equals its D₀ entry is a graph
@@ -272,8 +272,9 @@ def _graph_tree(instance: WeightedInstance, a: int) -> list[int]:
 class BoundedCostDistances:
     """Rows ``table[beta][i][v]`` of the bounded-cost table for ``sources[i]``.
 
-    ``table`` is int64 with INF64 for unreachable entries; with every vertex
-    a source, ``sources`` is ``range(n)`` and row i is vertex i. ``jumps`` is
+    ``table`` is uint64, as it is computed, with INF64 for unreachable
+    entries; :meth:`get` reads an entry as a ``Dist``. With every vertex a
+    source, ``sources`` is ``range(n)`` and row i is vertex i. ``jumps`` is
     the complement structure the table was built from, and ``trees`` holds
     one :func:`_graph_tree` per start of a graph path; the witness walks of
     every :class:`PathSource` view read both.
@@ -315,30 +316,28 @@ def apsp_b(
         raise ValueError(f"sources {list(rows)} out of range for n={n}")
     jumps = _ComplementJumps.of(instance)
     table = _table_rows(instance.metric, jumps, instance.budget, np.array(rows, dtype=np.intp))
-    return BoundedCostDistances(instance, rows, table.view(np.int64), jumps)
+    return BoundedCostDistances(instance, rows, table, jumps)
 
 
 @dataclass(frozen=True)
 class PathWitness:
     """A concrete path realizing a bounded-cost distance table entry.
 
-    ``cost`` sums the insertion costs along the walk (a repeated non-edge
-    is counted every time, which can only overstate the budget actually
-    needed); ``used_non_edges`` is the set of distinct non-edges crossed.
+    ``vertices`` runs from the source to the target; ``used_non_edges`` is
+    the set of distinct non-edges it crosses.
     """
 
     vertices: tuple[int, ...]
     used_non_edges: frozenset[Pair]
-    weight: int
-    cost: int
 
 
 class PathSource:
     """A view of ``source``'s row of ``dists``, with witness paths.
 
     ``table[beta][v]`` is the cheapest weight of a beta-bounded path from
-    ``source`` to ``v`` (int64, INF64 for unreachable). Nothing is computed
-    or cached here; ValueError when ``source`` is not a row of ``dists``.
+    ``source`` to ``v`` (uint64, INF64 for unreachable; read entries through
+    ``to_dist``). Nothing is computed or cached here; ValueError when
+    ``source`` is not a row of ``dists``.
     """
 
     def __init__(self, dists: BoundedCostDistances, source: int):
@@ -346,11 +345,6 @@ class PathSource:
         self.instance = dists.instance
         self.source = source
         self._graph, self._jumps, self._trees = dists.instance.metric, dists.jumps, dists.trees
-        self._row = self.table.view(np.uint64)
-
-    def get(self, beta: int, v: int) -> Dist:
-        _check_entry(self.instance, beta, v)
-        return to_dist(int(self.table[beta, v]))
 
     def _graph_path(self, a: int, b: int) -> list[int]:
         """Vertices of a shortest a-b path over existing edges."""
@@ -370,11 +364,11 @@ class PathSource:
         the listed ones of cost c; no pair is both.
         """
         jumps, n = self._jumps, self.instance.n
-        into_v, target = self._graph[:, v], self._row[beta, v]
+        into_v, target = self._graph[:, v], self.table[beta, v]
         for c in sorted({jumps.cost, *jumps.listed}):
             if c > beta:
                 break
-            before, hits = self._row[beta - c], []
+            before, hits = self.table[beta - c], []
             if c == jumps.cost:
                 found = np.flatnonzero(before[:, None] + (into_v + jumps.weight) == target)
                 hits += found[~jumps.excluded.ravel()[found]][:1].tolist()
@@ -392,26 +386,17 @@ class PathSource:
 
         Raises NoPathError when the entry is unreachable.
         """
-        instance = self.instance
-        _check_entry(instance, beta, v)  # a negative v would walk a wrapped row forever
-        if self._row[beta, v] >= INF64:
+        _check_entry(self.instance, beta, v)  # a negative v would walk a wrapped row forever
+        if self.table[beta, v] >= INF64:
             raise NoPathError(f"no path: source {self.source}, target {v}, budget {beta}")
         tails: list[list[int]] = []  # graph paths y -> v, each after a jump x -> y
         used: set[Pair] = set()
-        cost = 0
-        while self._row[beta, v] != self._graph[self.source, v]:
+        while self.table[beta, v] != self._graph[self.source, v]:
             c, x, y = self._last_jump(beta, v)
             tails.append(self._graph_path(y, v))
             used.add(ordered_pair(x, y))
-            cost += c
             beta, v = beta - c, x
         vertices = self._graph_path(self.source, v)
         for tail in reversed(tails):
             vertices += tail
-        weight = sum(instance.weight.get(a, b) for a, b in zip(vertices, vertices[1:]))
-        return PathWitness(
-            vertices=tuple(vertices),
-            used_non_edges=frozenset(used),
-            weight=weight,
-            cost=cost,
-        )
+        return PathWitness(vertices=tuple(vertices), used_non_edges=frozenset(used))

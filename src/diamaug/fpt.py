@@ -53,6 +53,7 @@ from .core import (
     Pair,
     WeightedInstance,
     augment,
+    ensure_valid,
     to_dist,
 )
 
@@ -71,6 +72,16 @@ class InfeasibleEntryError(LookupError):
 
 class HeightTableLimitError(RuntimeError):
     """A height table would exceed ``MAX_HEIGHT_TABLE_BYTES``."""
+
+
+def _check_table_size(m: int, budget: int, n: int) -> None:
+    """HeightTableLimitError when the table of ``m`` non-root centers exceeds the limit."""
+    size = (1 << m) * (budget + 1) * n * 8
+    if size > MAX_HEIGHT_TABLE_BYTES:
+        raise HeightTableLimitError(
+            f"height table of {m} non-root centers, budget {budget} and {n} vertices needs "
+            f"{size} bytes, over the limit of {MAX_HEIGHT_TABLE_BYTES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -111,7 +122,8 @@ class HeightTable:
 
     ``others`` lists the non-root centers in selection order; bit i of a
     subset mask stands for ``others[i]``. ``values`` has shape
-    (2**len(others), budget+1, n) with 2**62 marking unreachable entries.
+    (2**len(others), budget+1, n), uint64 with INF64 (2**62) marking
+    unreachable entries.
     Only values are stored: :meth:`choice` recomputes the minimizing rule of
     an entry from ``values`` and the bounded-cost table in ``dists``.
     """
@@ -149,9 +161,8 @@ class HeightTable:
         if mask.bit_count() == 1:
             return BaseChoice(center=self.others[mask.bit_length() - 1], budget=j)
         smasks = _kept_halves(mask)
-        values = self.values.view(np.uint64)
-        kept, comp = values[smasks], values[mask ^ smasks]  # (splits, budget+1, n)
-        path = self.dists.table[:, u].view(np.uint64)  # (budget+1, n)
+        kept, comp = self.values[smasks], self.values[mask ^ smasks]  # (splits, budget+1, n)
+        path = self.dists.table[:, u]  # (budget+1, n)
         candidates = []
         for j1 in range(j + 1):
             left = j - j1  # kept budget j2 = 0..left, complement budget left - j2
@@ -182,13 +193,8 @@ def solve_height_table(centers: ClusterCenters, dists: BoundedCostDistances) -> 
         raise ValueError("distance table must hold every vertex's row in vertex order")
     others = tuple(centers.centers[1:])
     m = len(others)
-    d = dists.table.view(np.uint64)  # (budget+1, n, n)
-    size = (1 << m) * (budget + 1) * n * 8
-    if size > MAX_HEIGHT_TABLE_BYTES:
-        raise HeightTableLimitError(
-            f"height table of {m} non-root centers, budget {budget} and {n} vertices needs "
-            f"{size} bytes, over the limit of {MAX_HEIGHT_TABLE_BYTES}"
-        )
+    _check_table_size(m, budget, n)
+    d = dists.table  # (budget+1, n, n)
 
     values = np.full(((1 << m), budget + 1, n), INF64, dtype=np.uint64)
     for i, c in enumerate(others):
@@ -211,18 +217,7 @@ def solve_height_table(centers: ClusterCenters, dists: BoundedCostDistances) -> 
             sums = d[j1][:, None, :] + merged[None, : budget + 1 - j1, :]  # (u, j - j1, v)
             np.minimum(out[j1:], sums.min(axis=2).T, out=out[j1:])
 
-    return HeightTable(others=others, budget=budget, values=values.view(np.int64), dists=dists)
-
-
-@dataclass(frozen=True)
-class TreeEdge:
-    """One edge of a reconstructed tree; parent/child are tree-node ids."""
-
-    parent: int
-    child: int
-    pair: Pair
-    weight: int
-    is_new_edge: bool
+    return HeightTable(others=others, budget=budget, values=values, dists=dists)
 
 
 @dataclass(frozen=True)
@@ -230,14 +225,12 @@ class CenterTree:
     """A rooted tree realizing a height-table entry.
 
     The same graph vertex may appear as several tree nodes (the table
-    composes walks), so nodes carry ids with ``node_vertices`` mapping each
-    id back to its vertex. ``new_edges`` is the set of distinct non-edges
-    the tree uses.
+    composes walks), so ``node_vertices`` maps each node id to its vertex,
+    node 0 being the root. ``height`` is the largest root-to-node weight and
+    ``new_edges`` the set of distinct non-edges the tree uses.
     """
 
-    root_vertex: int
     node_vertices: tuple[int, ...]
-    edges: tuple[TreeEdge, ...]
     height: Dist
     new_edges: frozenset[Pair]
 
@@ -252,27 +245,20 @@ def reconstruct_tree(table: HeightTable, u: int, mask: int, j: int) -> CenterTre
     if table.height(u, mask, j) == INF:
         raise InfeasibleEntryError(f"entry (vertex {u}, mask {mask:#x}, budget {j}) is unreachable")
 
-    dists, instance = table.dists, table.dists.instance
+    dists, weight = table.dists, table.dists.instance.weight
     node_vertices: list[int] = [u]
-    edges: list[TreeEdge] = []
+    depths: list[int] = [0]
+    new_edges: set[Pair] = set()
 
     def graft(anchor: int, src: int, dst: int, beta: int) -> int:
         """Attach the witness path src->dst below tree node ``anchor``."""
         witness = PathSource(dists, src).path_to(dst, beta)
+        new_edges.update(witness.used_non_edges)
         current = anchor
         for a, b in zip(witness.vertices, witness.vertices[1:]):
             node_vertices.append(b)
-            child = len(node_vertices) - 1
-            edges.append(
-                TreeEdge(
-                    parent=current,
-                    child=child,
-                    pair=(a, b) if a < b else (b, a),
-                    weight=instance.weight.get(a, b),
-                    is_new_edge=not instance.is_edge(a, b),
-                )
-            )
-            current = child
+            depths.append(depths[current] + weight.get(a, b))
+            current = len(node_vertices) - 1
         return current
 
     # Entries still to expand, as (anchor node, vertex, mask, budget). A
@@ -295,17 +281,8 @@ def reconstruct_tree(table: HeightTable, u: int, mask: int, j: int) -> CenterTre
         pending.append((via_node, rule.via, mask ^ rule.subset_mask, j3))
         pending.append((via_node, rule.via, rule.subset_mask, j2))
 
-    depth = [0] * len(node_vertices)
-    for edge in edges:  # edges are appended parent-first, so one pass settles depths
-        depth[edge.child] = depth[edge.parent] + edge.weight
-    height = max(depth, default=0)
-    new_edges = frozenset(e.pair for e in edges if e.is_new_edge)
     return CenterTree(
-        root_vertex=u,
-        node_vertices=tuple(node_vertices),
-        edges=tuple(edges),
-        height=height,
-        new_edges=new_edges,
+        node_vertices=tuple(node_vertices), height=max(depths), new_edges=frozenset(new_edges)
     )
 
 
@@ -316,8 +293,6 @@ class FptOutcome:
     augmentation: Augmentation
     tree_height: Dist
     cluster_radius: Dist
-    centers: tuple[int, ...]
-    infeasible_height: bool
     timings: dict[str, float]
 
 
@@ -331,9 +306,12 @@ def fpt_solve(instance: WeightedInstance, first_center: int = 0) -> FptOutcome:
 
     With a single center (budget 0 or a single vertex) the tree is empty
     and nothing is inserted. If some center is unreachable within budget
-    the outcome is flagged ``infeasible_height`` and carries whatever
-    diameter the bare graph has.
+    the outcome's ``tree_height`` is INF and it carries whatever diameter
+    the bare graph has. Raises HeightTableLimitError for a height table
+    over ``MAX_HEIGHT_TABLE_BYTES`` before building any stage.
     """
+    ensure_valid(instance)
+    _check_table_size(min(instance.budget + 1, instance.n) - 1, instance.budget, instance.n)
     timings: dict[str, float] = {}
     start = time.perf_counter()
     dists = apsp_b(instance)
@@ -365,7 +343,5 @@ def fpt_solve(instance: WeightedInstance, first_center: int = 0) -> FptOutcome:
         augmentation=augmentation,
         tree_height=height,
         cluster_radius=centers.radius,
-        centers=centers.centers,
-        infeasible_height=height == INF,
         timings=timings,
     )

@@ -112,16 +112,10 @@ class ReductionLayout:
     element_blocks: tuple[tuple[tuple[int, ...], ...], ...]
     hubs: dict[Pair, int]
 
-    def set_vertices(self) -> tuple[int, ...]:
-        return tuple(v for block in self.set_blocks for v in block)
-
     def element_vertices(self) -> tuple[int, ...]:
         return tuple(
             v for copy in self.element_blocks for block in copy for v in block
         )
-
-    def hub_vertices(self) -> tuple[int, ...]:
-        return tuple(self.hubs[key] for key in sorted(self.hubs))
 
 
 def _build_reduction(sc: SetCoverInstance, copies: int) -> tuple[WeightedInstance, ReductionLayout]:

@@ -71,12 +71,7 @@ def _with_edge(d: np.ndarray, u: int, v: int, w: int) -> np.ndarray:
     return out
 
 
-def exact_optimum(
-    instance: WeightedInstance,
-    *,
-    max_nonedges: int = DEFAULT_MAX_NONEDGES,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> ExactResult:
+def exact_optimum(instance: WeightedInstance) -> ExactResult:
     """Enumerate every insertion set within budget and keep the best diameter.
 
     The enumeration is a depth-first walk over the lexicographically sorted
@@ -84,14 +79,16 @@ def exact_optimum(
     the lexicographically smallest is returned, so results are stable across
     implementations.
 
-    Raises OracleLimitError when the non-edge count exceeds ``max_nonedges``
-    or the enumeration would visit more than ``max_nodes`` candidate sets.
+    Raises OracleLimitError when the non-edge count exceeds
+    ``DEFAULT_MAX_NONEDGES`` or the enumeration would visit more than
+    ``DEFAULT_MAX_NODES`` candidate sets (both read at call time).
     """
     ensure_valid(instance)
     non_edges = instance.non_edges()
-    if len(non_edges) > max_nonedges:
+    if len(non_edges) > DEFAULT_MAX_NONEDGES:
         raise OracleLimitError(
-            f"instance too large: {len(non_edges)} non-edges exceed the guard ({max_nonedges})"
+            f"instance too large: {len(non_edges)} non-edges exceed the guard "
+            f"({DEFAULT_MAX_NONEDGES})"
         )
     costs = [instance.cost.get(u, v) for (u, v) in non_edges]
 
@@ -101,9 +98,9 @@ def exact_optimum(
     def visit(d: np.ndarray, start: int, budget_left: int, chosen: list[Pair]) -> None:
         nonlocal best_key, explored
         explored += 1
-        if explored > max_nodes:
+        if explored > DEFAULT_MAX_NODES:
             raise OracleLimitError(
-                f"instance too large: enumeration exceeded {max_nodes} candidate sets"
+                f"instance too large: enumeration exceeded {DEFAULT_MAX_NODES} candidate sets"
             )
         key = (to_dist(int(d.max())), tuple(chosen))
         if key < best_key:

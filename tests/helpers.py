@@ -432,20 +432,15 @@ def reference_witnesses(instance: WeightedInstance) -> dict[tuple[int, int, int]
                 beta, v = start_beta, start_v
                 tails: list[list[int]] = []
                 used: set[Pair] = set()
-                cost = 0
                 while table[beta][s][v] != graph[s][v]:
                     c, x, y = last_jump(s, beta, v)
                     tails.append(graph_path(y, v))
                     used.add(ordered_pair(x, y))
-                    cost += c
                     beta, v = beta - c, x
                 vertices = graph_path(s, v)
                 for tail in reversed(tails):
                     vertices += tail
-                weight = sum(instance.weight.get(a, b) for a, b in zip(vertices, vertices[1:]))
-                out[start_beta, s, start_v] = PathWitness(
-                    tuple(vertices), frozenset(used), weight, cost
-                )
+                out[start_beta, s, start_v] = PathWitness(tuple(vertices), frozenset(used))
     return out
 
 
@@ -481,6 +476,28 @@ def sssp_b(instance: WeightedInstance, source: int) -> PathSource:
 def reconstruct_path(dists: BoundedCostDistances, beta: int, u: int, v: int) -> PathWitness:
     """Witness path for a finite entry of ``dists``; ``u`` must be one of its sources."""
     return PathSource(dists, u).path_to(v, beta)
+
+
+def witness_weight_cost(instance: WeightedInstance, witness: PathWitness) -> tuple[int, int]:
+    """Summed hop weights of a witness, and the insertion costs of its non-edge hops.
+
+    A non-edge crossed twice is paid twice, which can only overstate the
+    budget the witness needs.
+    """
+    hops = list(zip(witness.vertices, witness.vertices[1:]))
+    weight = sum(instance.weight.get(a, b) for a, b in hops)
+    cost = sum(instance.cost.get(a, b) for a, b in hops if not instance.is_edge(a, b))
+    return weight, cost
+
+
+def set_vertices(layout) -> tuple[int, ...]:
+    """The set-vertices of a reduction layout, block by block."""
+    return tuple(v for block in layout.set_blocks for v in block)
+
+
+def hub_vertices(layout) -> tuple[int, ...]:
+    """The hub vertices of a reduction layout, in lexicographic order of their key."""
+    return tuple(layout.hubs[key] for key in sorted(layout.hubs))
 
 
 def reference_reduction_problem(instance: WeightedInstance, layout) -> str | None:

@@ -35,6 +35,7 @@ from helpers import (
     seeded_corpus,
     sssp,
     sssp_b,
+    witness_weight_cost,
 )
 from oracles import path_oracle
 
@@ -99,18 +100,19 @@ def test_sssp_b_matches_apsp_rows():
     instance = p4(budget=2)
     dists = apsp_b(instance)
     for u in range(instance.n):
-        row = sssp_b(instance, u)
-        for beta in range(instance.budget + 1):
-            for v in range(instance.n):
-                assert row.get(beta, v) == dists.get(beta, u, v)
+        assert np.array_equal(sssp_b(instance, u).table, dists.table[:, u])
+
+
+def test_tables_are_uint64():
+    instance = p4(budget=2)
+    for rows in (None, (2,)):
+        dists = apsp_b(instance, rows)
+        assert dists.table.dtype == PathSource(dists, 2).table.dtype == np.uint64
 
 
 def test_isolated_source_budget_zero():
     instance = build(3, {(1, 2)}, budget=0)
-    row = sssp_b(instance, 0)
-    assert row.get(0, 0) == 0
-    assert row.get(0, 1) == INF
-    assert row.get(0, 2) == INF
+    assert sssp_b(instance, 0).table[0].tolist() == [0, INF64, INF64]
 
 
 @pytest.mark.parametrize("instance", seeded_corpus(12, seed=32, n_range=(2, 6)))
@@ -212,7 +214,7 @@ def test_table_equals_dense_reference(instance):
     n = instance.n
     for rows in (range(n), (n - 1,), tuple(range(n - 1, -1, -2)), ()):
         table = apsp_b(instance, rows).table
-        assert table.view(np.uint64).tobytes() == reference_table_rows(instance, rows).tobytes()
+        assert table.tobytes() == reference_table_rows(instance, rows).tobytes()
 
 
 def test_walk_reads_every_searched_column():
@@ -226,7 +228,7 @@ def test_walk_reads_every_searched_column():
     for rows in ((0,), range(8)):
         dists = apsp_b(instance, rows)
         assert dists.get(2, 0, 1) == 3
-        assert dists.table.view(np.uint64).tobytes() == reference_table_rows(instance, rows).tobytes()
+        assert dists.table.tobytes() == reference_table_rows(instance, rows).tobytes()
 
 
 @pytest.mark.parametrize("budget, cost", [(3, 1), (3, 2), (3, 3), (2, 3), (4, 5), (0, 1)])
@@ -267,8 +269,7 @@ def test_reconstruct_direct_jump():
     witness = reconstruct_path(dists, 1, 0, 3)
     assert witness.vertices == (0, 3)
     assert witness.used_non_edges == frozenset({(0, 3)})
-    assert witness.weight == 1
-    assert witness.cost == 1
+    assert witness_weight_cost(dists.instance, witness) == (1, 1)
 
 
 def test_reconstruct_pure_graph_path():
@@ -276,15 +277,14 @@ def test_reconstruct_pure_graph_path():
     witness = reconstruct_path(dists, 0, 0, 3)
     assert witness.vertices == (0, 1, 2, 3)
     assert witness.used_non_edges == frozenset()
-    assert witness.weight == 3
-    assert witness.cost == 0
+    assert witness_weight_cost(dists.instance, witness) == (3, 0)
 
 
 def test_reconstruct_trivial_and_missing():
     dists = apsp_b(p4())
     witness = reconstruct_path(dists, 1, 2, 2)
     assert witness.vertices == (2,)
-    assert witness.weight == 0 and witness.cost == 0
+    assert witness_weight_cost(dists.instance, witness) == (0, 0)
     disconnected = build(2, set(), budget=0)
     with pytest.raises(NoPathError):
         reconstruct_path(apsp_b(disconnected), 0, 0, 1)
@@ -303,9 +303,9 @@ def test_witness_reconstruction_with_zero_weight_ties():
     for beta in range(3):
         for u in range(4):
             for v in range(4):
-                witness = reconstruct_path(dists, beta, u, v)
-                assert witness.weight == dists.get(beta, u, v) == 0
-                assert witness.cost <= beta
+                weight, cost = witness_weight_cost(instance, reconstruct_path(dists, beta, u, v))
+                assert weight == dists.get(beta, u, v) == 0
+                assert cost <= beta
 
 
 @pytest.mark.parametrize("instance", seeded_corpus(8, seed=36, n_range=(2, 6)) + EDGE_CASES)
@@ -318,8 +318,9 @@ def test_witness_roundtrip(instance):
                 if expected == INF:
                     continue
                 witness = reconstruct_path(dists, beta, u, v)
-                assert witness.weight == expected
-                assert witness.cost <= beta
+                weight, cost = witness_weight_cost(instance, witness)
+                assert weight == expected
+                assert cost <= beta
                 assert witness.vertices[0] == u and witness.vertices[-1] == v
                 for a, b in zip(witness.vertices, witness.vertices[1:]):
                     assert a != b
@@ -393,7 +394,7 @@ def test_get_rejects_out_of_range_entries(beta, v):
     with pytest.raises(ValueError):
         apsp_b(p4()).get(beta, 0, v)
     with pytest.raises(ValueError):
-        sssp_b(p4(), 0).get(beta, v)
+        sssp_b(p4(), 0).path_to(v, beta)
 
 
 @pytest.mark.parametrize("target", [-1, 4])

@@ -241,10 +241,16 @@ def test_reports_stable_across_hash_seeds(p4_file, tmp_path):
     import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import diamaug
+
+    # the subprocesses import the package under test, installed or not
+    package_root = str(Path(diamaug.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     outputs = []
     for hash_seed in ("1", "27", "random"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         result = subprocess.run(
             [sys.executable, "-m", "diamaug.cli", "solve", "--input", p4_file,
              "--algo", "fpt", "--report", "json"],

@@ -6,12 +6,14 @@ import gc
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 from diamaug import (
     INF,
     HeightTableLimitError,
     InfeasibleEntryError,
+    InstanceError,
     apsp_b,
     diameter,
     exact_optimum,
@@ -226,7 +228,7 @@ def test_reconstruct_single_node():
     tree = reconstruct_tree(table, center, 0b1, 2)
     assert tree.height == 0
     assert tree.node_vertices == (center,)
-    assert tree.edges == ()
+    assert tree.new_edges == frozenset()
 
 
 def test_reconstruct_star_split():
@@ -271,6 +273,7 @@ def test_tree_height_equals_table_value(instance):
             # every requested center appears among the tree's vertices
             wanted = {table.others[i] for i in range(m) if (mask >> i) & 1}
             assert wanted <= set(tree.node_vertices)
+            assert not any(instance.is_edge(u, v) for u, v in tree.new_edges)
             spent = sum(instance.cost.get(u, v) for u, v in tree.new_edges)
             assert spent <= j
 
@@ -314,8 +317,7 @@ def test_fpt_degenerate_inputs_insert_nothing(instance):
     assert outcome.augmentation.diameter == diameter(instance)
     assert outcome.tree_height == 0
     assert outcome.cluster_radius == clusters.radius
-    assert outcome.centers == clusters.centers == (0,)
-    assert not outcome.infeasible_height
+    assert clusters.centers == (0,)
 
 
 def test_height_table_rejects_partial_distance_table():
@@ -329,7 +331,7 @@ def test_height_table_rejects_partial_distance_table():
 def test_fpt_infeasible_budget_is_flagged():
     instance = build(2, set(), budget=1, default_cost=3)
     outcome = fpt_solve(instance)
-    assert outcome.infeasible_height
+    assert outcome.tree_height == INF
     assert outcome.augmentation.added == frozenset()
     assert outcome.augmentation.diameter == INF
 
@@ -393,3 +395,25 @@ def test_oversized_height_table_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_oversized_height_table_is_refused_before_any_stage(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a stage ran before the size check")
+
+    monkeypatch.setattr(fpt, "apsp_b", unreachable)
+    monkeypatch.setattr(fpt, "greedy_centers", unreachable)
+    with pytest.raises(HeightTableLimitError, match="8808038400 bytes, over the limit"):
+        fpt_solve(gen_random(50, 0.15, 5, 3, 20, 7))
+
+
+@pytest.mark.parametrize("instance", [build(3, {(0, 1)}, budget=-1), build(0, set())])
+def test_fpt_validates_before_sizing_the_table(instance):
+    # min(B + 1, n) - 1 is -1 here, and 1 << -1 would raise ValueError
+    with pytest.raises(InstanceError):
+        fpt_solve(instance)
+
+
+def test_height_table_values_are_uint64():
+    table, _, dists = _table_for(path_graph(6, budget=2))
+    assert table.values.dtype == dists.table.dtype == np.uint64

@@ -20,7 +20,8 @@ from diamaug import (
     validate,
 )
 from diamaug.generators import _check_reduction
-from helpers import build, reference_reduction_problem, sssp
+from diamaug import oracle
+from helpers import build, hub_vertices, reference_reduction_problem, set_vertices, sssp
 from oracles import diameter2_feasible, has_cover
 
 BASE_SC = SetCoverInstance(
@@ -82,9 +83,9 @@ def test_distance_profile_from_a():
     dist = sssp(instance, layout.a)
     elements = set(layout.element_vertices())
     assert dist[layout.b] == 1
-    for v in layout.set_vertices():
+    for v in set_vertices(layout):
         assert dist[v] == 2
-    for v in layout.hub_vertices():
+    for v in hub_vertices(layout):
         assert dist[v] == 2
     for v in elements:
         assert dist[v] == 3
@@ -139,11 +140,12 @@ def test_rejects_single_block():
         assert diameter(instance) == 3
 
 
-def test_yes_instance_reaches_diameter_two():
+def test_yes_instance_reaches_diameter_two(monkeypatch):
     instance, _ = reduce_setcover(BASE_SC)
     # 47 non-edges exceed the oracle's default guard; at budget 1 the walk
-    # visits only 48 sets, and max_nodes still bounds it
-    best = exact_optimum(instance, max_nonedges=len(instance.non_edges()))
+    # visits only 48 sets, and the node guard still bounds it
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_NONEDGES", len(instance.non_edges()))
+    best = exact_optimum(instance)
     assert best.best_diameter == 2
     assert diameter2_feasible(instance) is True
 
@@ -186,7 +188,7 @@ def test_multicopy_shape_and_profile():
     dist = sssp(instance, layout.a)
     for v in layout.element_vertices():
         assert dist[v] == 3
-    for v in layout.set_vertices():
+    for v in set_vertices(layout):
         assert dist[v] == 2
 
 

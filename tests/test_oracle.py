@@ -11,6 +11,7 @@ from diamaug import (
     diameter,
     exact_optimum,
 )
+from diamaug import oracle
 from helpers import build, complete_graph, dijkstra_rows, p4, path_graph, seeded_corpus
 from oracles import (
     diameter2_feasible,
@@ -51,12 +52,13 @@ def test_exact_respects_costs():
     assert exact_optimum(p4(budget=2, default_cost=2)).best_diameter == 2
 
 
-def test_exact_guards():
+def test_exact_guards(monkeypatch):
     airy = build(12, set(), budget=1)  # 66 non-edges
     with pytest.raises(OracleLimitError):
         exact_optimum(airy)
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_NODES", 2)
     with pytest.raises(OracleLimitError):
-        exact_optimum(p4(), max_nodes=2)
+        exact_optimum(p4())
 
 
 def test_path_oracle_examples():
