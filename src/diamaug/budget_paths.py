@@ -23,13 +23,13 @@ y itself, its neighbours and the pairs the tables list. Then
 
     X_beta[s, y] = w₀ + min of D_{beta-c₀}[s, x] over x outside y's exception set,
 
-which is w₀ off s's own exception set (x = s, as D[s, s] = 0), and inside it
-lies among the (largest exception set + 1) smallest entries of row s. Where
-s reaches y over edges within w₀, no walk through that jump beats the
-graph's, so w₀ stands in for it and only the rest is searched. The listed
-non-edges of each cost class add a sparse (x, y, w) correction. A
-budget below every jump cost skips its walk product, since X_beta is then
-unreachable everywhere. Past c₀, X_beta changes only on the exception sets
+which is w₀ off s's own exception set (x = s, as D[s, s] = 0); inside it,
+a minimum over row s with y's exception set masked out. Where s reaches y
+over edges within w₀, no walk through that jump beats the graph's, so w₀
+stands in for it and only the rest is searched. The listed non-edges of
+each cost class add a sparse (x, y, w) correction. A budget below every
+jump cost skips its walk product, since X_beta is then unreachable
+everywhere. Past c₀, X_beta changes only on the exception sets
 and the listed targets, and an unchanged entry adds no walk, so the walk
 product may read only those columns. The product runs over the middle
 index in blocks, so its temporaries stay small for full and few-row tables
@@ -110,29 +110,25 @@ class _ComplementJumps:
     ``excluded[y]`` is y's exception set: y, its neighbours and every pair
     the tables list; it is symmetric, and x-y is a default jump exactly
     where ``excluded[x, y]`` is False. ``cost`` is B+1 when no pair takes the
-    default, and ``candidates`` is one more than the largest exception set
-    of a vertex that has a default jump. ``listed[c]`` holds the listed
-    non-edges x-y of cost c as entries ``(x, weight, y)`` sorted by y, then
-    x: ``ends`` are the distinct y, ``starts`` where each y's entries begin.
-    ``targets`` holds every y that a listed jump of cost <= B ends at.
+    default. ``listed[c]`` holds the listed non-edges x-y of cost c as
+    entries ``(x, weight, y)`` sorted by y, then x: ``ends`` are the distinct
+    y, ``starts`` where each y's entries begin. ``targets`` holds every y
+    that a listed jump of cost <= B ends at.
     """
 
     weight: np.uint64
     cost: int
     excluded: np.ndarray
-    candidates: int
     listed: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     targets: np.ndarray
 
     @classmethod
     def of(cls, instance: WeightedInstance) -> _ComplementJumps:
-        budget, dense, n = instance.budget, instance.dense, instance.n
+        budget, dense = instance.budget, instance.dense
         listed = (dense.weight_listed | dense.cost_listed) & ~dense.edge
         excluded = listed | dense.edge
         np.fill_diagonal(excluded, True)
-        sizes = excluded.sum(axis=1)
-        open_sizes = sizes[sizes < n]
-        if open_sizes.size:  # some pair is unlisted, so validation saw both defaults
+        if not excluded.all():  # some pair is unlisted, so validation saw both defaults
             cost, weight = min(instance.cost.default, budget + 1), instance.weight.default
         else:
             cost, weight = budget + 1, 0
@@ -144,51 +140,35 @@ class _ComplementJumps:
             ends, starts = np.unique(y, return_index=True)
             # a valid instance's weights lie in [0, INF64)
             groups[c] = (x, dense.weight[y, x].astype(np.uint64), y, ends, starts)
-        size = int(open_sizes.max(initial=0)) + 1
-        return cls(np.uint64(weight), cost, excluded, size, groups, np.unique(ys[costs <= budget]))
+        return cls(np.uint64(weight), cost, excluded, groups, np.unique(ys[costs <= budget]))
 
     @property
     def cheapest(self) -> int:
         """The smallest cost of any jump; B+1 when there is none."""
         return min([self.cost, *self.listed])
 
-    def _min_outside(self, values: np.ndarray, owners: np.ndarray, sets: np.ndarray) -> np.ndarray:
-        """Per pair p, the smallest ``values[owners[p], x]`` over x outside ``sets[p]``'s set.
-
-        The minimum lies among the ``candidates`` smallest entries of the
-        row, since a set that leaves some x out cannot hold all of them.
-        """
-        n = values.shape[1]
-        k = min(self.candidates, n)
-        nearest = np.argpartition(values, k - 1, axis=1)[:, :k].T
-        flat_values, flat_excluded = values.ravel(), self.excluded.ravel()
-        out = np.empty(len(owners), dtype=np.uint64)
-        step = max(1, _TILE // k)
-        for i in range(0, len(owners), step):
-            owner, vertex = owners[i : i + step], sets[i : i + step]
-            near = nearest[:, owner]  # (k, pairs): flat takes beat 2-d fancy indexing
-            free = np.where(
-                flat_excluded.take(near * n + vertex), INF64, flat_values.take(near + owner * n)
-            )
-            out[i : i + step] = free.min(axis=0)
-        return out
-
     def last_jump(
         self, table: np.ndarray, beta: int, pending: tuple[np.ndarray, np.ndarray]
     ) -> np.ndarray:
         """X_beta = min over c <= beta of D_{beta-c} ⊗ W_c, up to dominated entries.
 
-        ``pending`` lists the (row, y) whose default jump needs a search.
-        Elsewhere X holds the default weight. Off the source's exception set
-        that is the jump's exact weight: it leaves from the source itself,
-        where D[s, s] = 0 is the row minimum. Inside the set it stands in for
-        a jump no lighter than the source's graph distance to y, so its
-        walks add nothing to D_{beta-1}. Entries are at most INF64.
+        ``pending`` lists the (row, y) whose default jump needs a search:
+        the row's minimum of D_{beta-c₀} with y's exception set masked out,
+        taken for at most ``_TILE`` entries at a time. Elsewhere X holds the
+        default weight. Off the source's exception set that is the jump's
+        exact weight: it leaves from the source itself, where D[s, s] = 0 is
+        the row minimum. Inside the set it stands in for a jump no lighter
+        than the source's graph distance to y, so its walks add nothing to
+        D_{beta-1}. Entries are at most INF64.
         """
         if self.cost <= beta:
             out = np.full(table.shape[1:], self.weight, dtype=np.uint64)
-            nearest = self._min_outside(table[beta - self.cost], *pending)
-            out[pending] = np.minimum(nearest + self.weight, INF64)  # both terms <= INF64
+            before, (rows, ys) = table[beta - self.cost], pending
+            step = max(1, _TILE // before.shape[1])
+            for i in range(0, len(rows), step):
+                row, y = rows[i : i + step], ys[i : i + step]
+                nearest = np.where(self.excluded[y], INF64, before[row]).min(axis=1)
+                out[row, y] = np.minimum(nearest + self.weight, INF64)  # both terms <= INF64
         else:
             out = np.full(table.shape[1:], INF64, dtype=np.uint64)
         for c, (sources, weights, _, ends, starts) in self.listed.items():

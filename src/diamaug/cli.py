@@ -141,6 +141,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    """Recheck a solution's pairs, cost, diameter and budget; exit 1 on any problem.
+
+    The solution file does not name its algorithm, so every solution is held to B:
+    ``pairs`` and ``star`` may spend up to k(k+1)² and k², and fail when above B.
+    """
     instance = _load_instance(args.input)
     added, claimed_cost, claimed_diameter = parse_solution(
         Path(args.solution).read_text(encoding="utf-8")

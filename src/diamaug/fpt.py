@@ -240,11 +240,9 @@ def reconstruct_tree(table: HeightTable, u: int, mask: int, j: int) -> CenterTre
 
     Leaf rules expand into bounded-path witnesses, branch rules into a
     witness path grafted onto the two recursively expanded halves. Raises
-    InfeasibleEntryError on unreachable entries.
+    InfeasibleEntryError on an unreachable entry; only the root can be one,
+    as a finite split forces both halves and its path to be finite.
     """
-    if table.height(u, mask, j) == INF:
-        raise InfeasibleEntryError(f"entry (vertex {u}, mask {mask:#x}, budget {j}) is unreachable")
-
     dists, weight = table.dists, table.dists.instance.weight
     node_vertices: list[int] = [u]
     depths: list[int] = [0]

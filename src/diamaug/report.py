@@ -48,6 +48,11 @@ class RunReport:
             return None
         return self.diameter / self.d_opt
 
+    def _optional_dists(self) -> list[tuple[str, str]]:
+        """(key, rendered value) of each optional distance that is set, in report order."""
+        keys = ("tree_height", "cluster_radius", "d_opt")
+        return [(k, render_dist(getattr(self, k))) for k in keys if getattr(self, k) is not None]
+
     def to_text(self, include_timings: bool = False) -> str:
         lines = [f"algorithm {self.algorithm}", f"instance {self.digest}"]
         for key, value in self.parameters.items():
@@ -56,12 +61,7 @@ class RunReport:
             lines.append(f"add {u} {v}")
         lines.append(f"cost {self.total_cost}")
         lines.append(f"diameter {render_dist(self.diameter)}")
-        if self.tree_height is not None:
-            lines.append(f"tree_height {render_dist(self.tree_height)}")
-        if self.cluster_radius is not None:
-            lines.append(f"cluster_radius {render_dist(self.cluster_radius)}")
-        if self.d_opt is not None:
-            lines.append(f"d_opt {render_dist(self.d_opt)}")
+        lines += [f"{key} {value}" for key, value in self._optional_dists()]
         ratio = self.ratio
         if ratio is not None:
             lines.append(f"ratio {ratio:.4f}")
@@ -79,12 +79,7 @@ class RunReport:
             "cost": self.total_cost,
             "diameter": render_dist(self.diameter),
         }
-        if self.tree_height is not None:
-            payload["tree_height"] = render_dist(self.tree_height)
-        if self.cluster_radius is not None:
-            payload["cluster_radius"] = render_dist(self.cluster_radius)
-        if self.d_opt is not None:
-            payload["d_opt"] = render_dist(self.d_opt)
+        payload.update(self._optional_dists())
         ratio = self.ratio
         if ratio is not None:
             payload["ratio"] = round(ratio, 4)

@@ -196,8 +196,21 @@ def test_apsp_equals_layered_reference(instance):
     assert (table >= 0).all()
 
 
+def _exception_set_case(*, left_out: bool):
+    """Vertex 0's exception set leaves out vertex 5 alone, or no vertex; the
+    other non-edges keep the default jump (weight 1, cost 1)."""
+    costs = {(0, 3): 2, (0, 4): 2} | ({} if left_out else {(0, 5): 3})
+    weights = {(0, 3): 9, (0, 6): 7}
+    edges = {(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (5, 6)}
+    return build(7, edges, budget=3, edge_weight=4, weight_overrides=weights, cost_overrides=costs)
+
+
+ONE_LEFT_OUT = _exception_set_case(left_out=True)
+NONE_LEFT_OUT = _exception_set_case(left_out=False)
+
 TABLE_CORPUS = (
-    EDGE_CASES
+    [ONE_LEFT_OUT, NONE_LEFT_OUT]
+    + EDGE_CASES
     + override_corpus(60, seed=38)
     + seeded_corpus(20, seed=39, max_cost=1)
     + seeded_corpus(20, seed=40, max_cost=2)
@@ -215,6 +228,28 @@ def test_table_equals_dense_reference(instance):
     for rows in (range(n), (n - 1,), tuple(range(n - 1, -1, -2)), ()):
         table = apsp_b(instance, rows).table
         assert table.tobytes() == reference_table_rows(instance, rows).tobytes()
+
+
+@pytest.mark.parametrize(
+    "instance, outside, distance", [(ONE_LEFT_OUT, [5], 2), (NONE_LEFT_OUT, [], 5)]
+)
+def test_exception_set_edge_cases(instance, outside, distance):
+    jumps = budget_paths._ComplementJumps.of(instance)
+    assert np.flatnonzero(~jumps.excluded[0]).tolist() == outside
+    assert jumps.cost == 1
+    # with budget 2, 3 reaches 0 over the default jumps 3-5 and 5-0 only when 5 is left out
+    assert apsp_b(instance).get(2, 3, 0) == distance
+
+
+@pytest.mark.parametrize("tile, short_rows", [(48, 24), (64, 32), (200, 100)])
+def test_small_tiles_match_dense_reference(monkeypatch, tile, short_rows):
+    # every tile loop of the jump step and the walk product runs more than once
+    monkeypatch.setattr(budget_paths, "_TILE", tile)
+    monkeypatch.setattr(budget_paths, "_SHORT_ROWS", short_rows)
+    for instance in TABLE_CORPUS[:2] + TABLE_CORPUS[-12:] + TABLE_CORPUS[2:-12:9]:
+        for rows in (range(instance.n), (instance.n - 1,)):
+            table = apsp_b(instance, rows).table
+            assert table.tobytes() == reference_table_rows(instance, rows).tobytes()
 
 
 def test_walk_reads_every_searched_column():

@@ -75,6 +75,18 @@ def test_check_rejects_budget_violation(p4_file, tmp_path, capsys):
     assert "budget exceeded" in capsys.readouterr().out
 
 
+def test_check_fails_pairs_solution_over_budget(tmp_path, capsys):
+    # pairs may spend up to k(k+1)^2, but check holds every solution to B
+    path, solution = tmp_path / "g.txt", tmp_path / "g.sol"
+    path.write_text(serialize_instance(gen_random(5, 0.2, 3, 1, 2, 0)), encoding="utf-8")
+    args = ["--input", str(path)]
+    assert run(["solve", *args, "--algo", "pairs", "--solution", str(solution)]) == 0
+    assert "cost 3" in capsys.readouterr().out
+    assert "cost 3\n" in solution.read_text(encoding="utf-8")
+    assert run(["check", *args, "--solution", str(solution)]) == 1
+    assert "check failed: budget exceeded: cost 3 > budget 2" in capsys.readouterr().out
+
+
 def test_check_rejects_existing_edge(p4_file, tmp_path, capsys):
     solution = tmp_path / "sol.txt"
     solution.write_text("add 0 1\ncost 1\ndiameter 3\n", encoding="utf-8")
