@@ -254,7 +254,8 @@ class BoundedCostDistances:
 
     ``table`` is uint64, as it is computed, with INF64 for unreachable
     entries; :meth:`get` reads an entry as a ``Dist``. With every vertex a
-    source, ``sources`` is ``range(n)`` and row i is vertex i. ``jumps`` is
+    source, ``sources`` is ``range(n)``, row i is vertex i, and each
+    ``table[beta]`` is symmetric, as every path runs both ways. ``jumps`` is
     the complement structure the table was built from, and ``trees`` holds
     one :func:`_graph_tree` per start of a graph path; the witness walks of
     every :class:`PathSource` view read both.

@@ -37,7 +37,7 @@ from .formats import (
     serialize_instance,
     serialize_solution,
 )
-from .fpt import HeightTableLimitError, fpt_solve
+from .fpt import HeightTableLimitError, _check_table_size, fpt_solve
 from .budget_paths import apsp_b
 from .clustering import greedy_centers
 from .generators import (
@@ -330,8 +330,10 @@ def _parse_budgets(raw: str) -> list[int]:
 
 def _bench_scale(args: argparse.Namespace) -> int:
     budgets = _parse_budgets(args.budgets)
-    # every flag is checked before the first row prints
+    # every flag, and fpt_solve's table size check, runs before the first row prints
     instances = [_gen_random(args.n, 0.15, 5, 3, budget, args.seed) for budget in budgets]
+    for budget in budgets:
+        _check_table_size(min(budget + 1, args.n) - 1, budget, args.n)
     timings: list[tuple[int, float]] = []
     for budget, instance in zip(budgets, instances):
         runs = []

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget_paths import BoundedCostDistances, PathSource, apsp_b
+from .budget_paths import BoundedCostDistances, PathSource, _min_plus, apsp_b
 from .clustering import ClusterCenters, greedy_centers
 from .core import (
     INF,
@@ -58,11 +58,11 @@ from .core import (
 )
 
 
-# Largest height table allocated. Filling one peaks at about three times its
-# size (the merge step copies kept and complement halves), so a table at
-# this limit keeps a solve under 1 GB. Tables near it take minutes to fill
-# anyway: m = 12 non-root centers at n = 24 (10 MB) took 9 s on one core of
-# a shared 2-core Xeon host, and each further center triples the merge work.
+# Largest height table allocated. Filling one peaks near 3x its size, as the merge step
+# copies kept and complement halves, plus one 256 KiB (min,+) tile: 2.9 MiB for 0.94 MiB
+# at n = 24, B = 9, and 0.94 MiB for 0.2 MiB at n = 800, B = 3. So this limit keeps a solve
+# under 1 GB. Tables near it take minutes: 12 non-root centers at n = 24 (10 MB) took 9 s
+# on one core of a shared 2-core Xeon host, and each further center triples the merge work.
 MAX_HEIGHT_TABLE_BYTES = 2**28
 
 
@@ -179,12 +179,10 @@ def solve_height_table(centers: ClusterCenters, dists: BoundedCostDistances) -> 
     """Fill the height table over subsets of the non-root centers of ``dists.instance``.
 
     Masks run in ascending order, so every proper submask is done before
-    the mask itself. Each mask takes a merge step, then a move step. Move
-    sums run in uint64, so two INF64 terms cannot wrap. No entry needs a
-    clamp: the term for v = u and j1 = 0 is merged[j, u] itself (the
-    distance table has a zero diagonal), which is finite below 2**62 or
-    INF64, so a minimum at or above 2**62 is exactly INF64. ``dists`` must
-    hold every vertex's row in vertex order, as :func:`apsp_b` fills by default.
+    the mask itself. Each mask takes a merge step, then a move step of one
+    :func:`_min_plus` call per path budget; entries start at INF64, so its
+    operands stay at most INF64, as it asks. ``dists`` must hold every
+    vertex's row in vertex order, as :func:`apsp_b` fills by default.
     Raises HeightTableLimitError, before allocating, for a table over
     ``MAX_HEIGHT_TABLE_BYTES``.
     """
@@ -198,7 +196,7 @@ def solve_height_table(centers: ClusterCenters, dists: BoundedCostDistances) -> 
 
     values = np.full(((1 << m), budget + 1, n), INF64, dtype=np.uint64)
     for i, c in enumerate(others):
-        values[1 << i] = d[:, :, c]
+        values[1 << i] = d[:, c]  # row c: the table is symmetric
 
     merged = np.empty((budget + 1, n), dtype=np.uint64)
     for mask in range(1, 1 << m):
@@ -211,11 +209,10 @@ def solve_height_table(centers: ClusterCenters, dists: BoundedCostDistances) -> 
         for j2 in range(budget + 1):
             larger = np.maximum(kept[:, j2, None], comp[:, : budget + 1 - j2])
             np.minimum(merged[j2:], larger.min(axis=0), out=merged[j2:])
-        # move along a path: out[j, u] = min over j1 and v of d[j1, u, v] + merged[j - j1, v]
-        out = values[mask]
+        # move along a path: values[mask, j, u] = min over j1 and v of
+        # merged[j - j1, v] + d[j1, v, u], which is d[j1, u, v] by symmetry
         for j1 in range(budget + 1):
-            sums = d[j1][:, None, :] + merged[None, : budget + 1 - j1, :]  # (u, j - j1, v)
-            np.minimum(out[j1:], sums.min(axis=2).T, out=out[j1:])
+            _min_plus(merged[: budget + 1 - j1], d[j1], values[mask, j1:])
 
     return HeightTable(others=others, budget=budget, values=values, dists=dists)
 

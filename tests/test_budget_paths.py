@@ -17,6 +17,7 @@ from diamaug import (
     gen_random,
     pairwise_centers,
     star_centers,
+    validate,
 )
 from diamaug.core import INF64
 from helpers import (
@@ -231,6 +232,16 @@ def test_table_equals_dense_reference(instance):
 
 
 @pytest.mark.parametrize(
+    "instance",
+    TABLE_CORPUS + [instance for instance in override_corpus(100, seed=9) if not validate(instance)],
+)
+def test_full_table_is_symmetric(instance):
+    # the height table's move step and base entries read rows in place of columns
+    table = apsp_b(instance).table
+    assert table.tobytes() == table.transpose(0, 2, 1).tobytes()
+
+
+@pytest.mark.parametrize(
     "instance, outside, distance", [(ONE_LEFT_OUT, [5], 2), (NONE_LEFT_OUT, [], 5)]
 )
 def test_exception_set_edge_cases(instance, outside, distance):
@@ -287,6 +298,8 @@ def test_one_walk_product_per_budget_from_the_cheapest_cost(monkeypatch, budget,
 def test_min_plus_blocks_match_one_broadcast(sparse):
     rng = np.random.default_rng(5)
     shapes = ((1, 300, 300), (3, 7, 120), (64, 64, 64), (200, 5, 200), (0, 4, 4), (9, 12, 30))
+    # the height table's move step: at most B+1 rows and a square b
+    shapes += ((6, 24, 24), (4, 64, 64), (1, 50, 50), (5, 200, 200))
     for rows, inner, n in shapes:
         a = rng.integers(0, 50, (rows, inner)).astype(np.uint64)
         b = rng.integers(0, 50, (n if sparse else inner, n)).astype(np.uint64)
@@ -294,9 +307,11 @@ def test_min_plus_blocks_match_one_broadcast(sparse):
         b[rng.random(b.shape) < 0.3] = INF64
         columns = rng.integers(0, n, (rows, inner)) if sparse else None
         right = b[columns] if sparse else b[None, :, :]
-        out = np.full((rows, n), INF64, dtype=np.uint64)
-        budget_paths._min_plus(a, b, out, columns)
-        assert np.array_equal(out, (a[:, :, None] + right).min(axis=1, initial=INF64))
+        # out is a row slice of a 3-D table, as the move step passes it
+        table = np.full((2, rows + 1, n), INF64, dtype=np.uint64)
+        budget_paths._min_plus(a, b, table[1, 1:], columns)
+        assert np.array_equal(table[1, 1:], (a[:, :, None] + right).min(axis=1, initial=INF64))
+        assert (table[0] == INF64).all() and (table[1, 0] == INF64).all()
 
 
 def test_reconstruct_direct_jump():

@@ -296,6 +296,16 @@ def test_bench_scale_checks_every_budget_before_the_first_row(capsys):
     assert captured.err == "error: budget must be >= 0, got -1\n"
 
 
+def test_bench_scale_sizes_every_table_before_the_first_row(capsys):
+    assert run(["bench", "--suite", "scale", "--n", "20", "--budgets", "2,30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "refused: height table of 19 non-root centers, budget 30 and 20 vertices needs "
+        "2600468480 bytes, over the limit of 268435456\n"
+    )
+
+
 def test_parser_is_built_once_per_process(p4_file, capsys):
     parser = build_parser()
     with pytest.raises(SystemExit):

@@ -15,6 +15,7 @@ from diamaug import (
     InfeasibleEntryError,
     InstanceError,
     apsp_b,
+    budget_paths,
     diameter,
     exact_optimum,
     fpt_solve,
@@ -130,6 +131,23 @@ def test_matches_reference_recurrence(instance):
         for j in range(instance.budget + 1):
             for u in range(instance.n):
                 assert table.height(u, mask, j) == reference(u, mask, j)
+
+
+@pytest.mark.parametrize(
+    "instance", DP_EDGE_CASES + seeded_corpus(4, seed=59, n_range=(9, 12), budget_range=(3, 4))
+)
+def test_small_tiles_match_reference_recurrence(monkeypatch, instance):
+    # the row and middle loops of the move step's (min,+) product each run more than once
+    dists, centers = apsp_b(instance), greedy_centers(instance)
+    reference = _reference_height(instance, tuple(centers.centers[1:]), dists)
+    for tile, short_rows in [(48, 24), (64, 32), (200, 100)]:
+        monkeypatch.setattr(budget_paths, "_TILE", tile)
+        monkeypatch.setattr(budget_paths, "_SHORT_ROWS", short_rows)
+        table = solve_height_table(centers, dists)
+        for mask in range(1, table.full_mask + 1):
+            for j in range(instance.budget + 1):
+                for u in range(instance.n):
+                    assert table.height(u, mask, j) == reference(u, mask, j)
 
 
 @pytest.mark.parametrize("seed,budget", [(505, 4), (501, 5)])
@@ -412,6 +430,20 @@ def test_fpt_validates_before_sizing_the_table(instance):
     # min(B + 1, n) - 1 is -1 here, and 1 << -1 would raise ValueError
     with pytest.raises(InstanceError):
         fpt_solve(instance)
+
+
+def test_filling_a_table_keeps_temporaries_to_one_tile():
+    # the move step's (min,+) temporaries stay within one budget_paths._TILE tile (256 KiB),
+    # where one (n, B+1, n) broadcast alone would take 1.53 MiB here
+    instance = gen_random(200, 0.15, 5, 3, 4, 7)
+    dists, centers = apsp_b(instance), greedy_centers(instance)
+    tracemalloc.start()
+    try:
+        solve_height_table(centers, dists)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_height_table_values_are_uint64():
