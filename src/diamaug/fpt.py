@@ -14,16 +14,18 @@ the tree height small. Heights come from a table indexed by
 Inserting the tree's non-edges into the graph spends at most the budget and
 provably brings the diameter within 4x of the best achievable value.
 
-The table H[S, j, u] is filled in two steps per subset S, in ascending
-mask order so that every proper submask comes first (the Dreyfus–Wagner
+The table H[S, j, u] is filled in two steps per subset S, one popcount
+level at a time so that every proper submask comes first (the Dreyfus–Wagner
 send-and-split structure of Steiner-tree dynamic programs):
 
 * merge at v: g[S, j', v] = min over splits S = A ⊎ B and j2 + j3 = j' of
   max(H[A, j2, v], H[B, j3, v]), elementwise over v;
 * move along a path: H[S, j, u] = min over j1 <= j and v of
   D_{j1}[u, v] + g[S, j - j1, v], with D the bounded-cost distance table.
+  Only fresh layers are read: j1 with D_{j1} = D_{j1-1} adds dominated terms.
 
-This costs O(3^m·B²·n + 2^m·B²·n²) for m non-root centers instead of the
+For m non-root centers this costs O(3^m·B²·n) to merge plus, per mask, the
+sum over the fresh layers j1 of (B+1−j1)·n² to move, instead of the
 O(3^m·B³·n²) of minimizing over (split, j1, j2, v) at once, with the same
 values. Splits are only enumerated with A holding the lowest-indexed
 center, which halves the work without changing any value (the two halves
@@ -43,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import budget_paths
 from .budget_paths import BoundedCostDistances, PathSource, _min_plus, apsp_b
 from .clustering import ClusterCenters, greedy_centers
 from .core import (
@@ -58,11 +61,11 @@ from .core import (
 )
 
 
-# Largest height table allocated. Filling one peaks near 3x its size, as the merge step
-# copies kept and complement halves, plus one 256 KiB (min,+) tile: 2.9 MiB for 0.94 MiB
-# at n = 24, B = 9, and 0.94 MiB for 0.2 MiB at n = 800, B = 3. So this limit keeps a solve
-# under 1 GB. Tables near it take minutes: 12 non-root centers at n = 24 (10 MB) took 9 s
-# on one core of a shared 2-core Xeon host, and each further center triples the merge work.
+# Largest height table allocated. Filling one peaks near 2.6x its size under tracemalloc,
+# as the merge step copies kept and complement halves, plus up to two 256 KiB tiles: 2.43 MiB
+# for 0.94 MiB at n = 24, B = 9, and 0.95 MiB for 0.2 MiB at n = 800, B = 3. So this limit
+# keeps a solve under 1 GB. Tables near it take minutes: 12 non-root centers at n = 24 (10 MB)
+# took 2.2 s on a shared 2-core Xeon host, and each further center triples the merge work.
 MAX_HEIGHT_TABLE_BYTES = 2**28
 
 
@@ -104,7 +107,7 @@ class SplitChoice:
     budgets: tuple[int, int, int]
 
 
-def _kept_halves(mask: int) -> np.ndarray:
+def _kept_halves(mask: int) -> list[int]:
     """Kept halves of every split of ``mask``, ascending: each holds its lowest bit."""
     low_bit = mask & -mask
     rest = mask ^ low_bit
@@ -113,7 +116,7 @@ def _kept_halves(mask: int) -> np.ndarray:
     while sub:  # the proper submasks of rest, descending
         sub = (sub - 1) & rest
         halves.append(low_bit | sub)
-    return np.array(halves[::-1])
+    return halves[::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,31 +163,39 @@ class HeightTable:
             return None
         if mask.bit_count() == 1:
             return BaseChoice(center=self.others[mask.bit_length() - 1], budget=j)
-        smasks = _kept_halves(mask)
+        smasks = np.array(_kept_halves(mask))
         kept, comp = self.values[smasks], self.values[mask ^ smasks]  # (splits, budget+1, n)
-        path = self.dists.table[:, u]  # (budget+1, n)
-        candidates = []
-        for j1 in range(j + 1):
-            left = j - j1  # kept budget j2 = 0..left, complement budget left - j2
-            total = path[j1] + np.maximum(kept[:, : left + 1], comp[:, left::-1])
-            hits = np.argwhere((total == target).transpose(2, 0, 1))  # (v, split, j2)
-            if hits.size:
-                v, split, j2 = (int(x) for x in hits[0])
-                candidates.append((v, int(smasks[split]), j1, j2))
-        v, smask, j1, j2 = min(candidates)
-        return SplitChoice(via=v, subset_mask=smask, budgets=(j1, j2, j - j1 - j2))
+        j1s, j2s = np.nonzero(np.add.outer(np.arange(j + 1), np.arange(j + 1)) <= j)  # j1 major
+        path = self.dists.table[j1s, u]  # (pairs, n)
+        step, first = max(1, budget_paths._TILE // path.size), None
+        for start in range(0, len(smasks), step):  # blocks of splits, first hit by (v, split)
+            block = slice(start, start + step)
+            total = path + np.maximum(kept[block, j2s], comp[block, j - j1s - j2s])
+            hits = (total == target).transpose(2, 0, 1)  # (v, split, pair)
+            hit = np.unravel_index(hits.argmax(), hits.shape)
+            if hits[hit] and (first is None or hit[0] < first[0]):
+                first = (hit[0], start + hit[1], hit[2])
+        v, split, pair = (int(x) for x in first)
+        j1, j2 = int(j1s[pair]), int(j2s[pair])
+        return SplitChoice(via=v, subset_mask=int(smasks[split]), budgets=(j1, j2, j - j1 - j2))
 
 
 def solve_height_table(centers: ClusterCenters, dists: BoundedCostDistances) -> HeightTable:
     """Fill the height table over subsets of the non-root centers of ``dists.instance``.
 
-    Masks run in ascending order, so every proper submask is done before
-    the mask itself. Each mask takes a merge step, then a move step of one
-    :func:`_min_plus` call per path budget; entries start at INF64, so its
-    operands stay at most INF64, as it asks. ``dists`` must hold every
-    vertex's row in vertex order, as :func:`apsp_b` fills by default.
-    Raises HeightTableLimitError, before allocating, for a table over
-    ``MAX_HEIGHT_TABLE_BYTES``.
+    Masks run by popcount level, so every proper submask is done before the
+    mask itself and the masks of a level never read each other. A level runs
+    in chunks whose gathered halves take at most ``_TILE`` entries and whose
+    rows at most ``_SHORT_ROWS``: one merge, then one :func:`_min_plus` call
+    per fresh layer over the whole chunk. Entries start at INF64, so its
+    operands stay at most INF64, as it asks.
+
+    Layer j1 is fresh unless D_{j1} = D_{j1-1}. H[A, j, ·] does not increase
+    with j (D_β does not, so neither does the merge, by induction), so then
+    D_{j1} ⊗ g[j - j1] >= D_{j1-1} ⊗ g[j - j1 + 1], a term already taken.
+    ``dists`` must hold every vertex's row in vertex order, as :func:`apsp_b`
+    fills by default. Raises HeightTableLimitError, before allocating, for a
+    table over ``MAX_HEIGHT_TABLE_BYTES``.
     """
     n, budget = dists.n, dists.budget
     if tuple(dists.sources) != tuple(range(n)):
@@ -198,21 +209,29 @@ def solve_height_table(centers: ClusterCenters, dists: BoundedCostDistances) -> 
     for i, c in enumerate(others):
         values[1 << i] = d[:, c]  # row c: the table is symmetric
 
-    merged = np.empty((budget + 1, n), dtype=np.uint64)
-    for mask in range(1, 1 << m):
-        if mask & (mask - 1) == 0:
-            continue
-        # merge at v: merged[j', v] = min over splits and j2 + j3 = j' of the larger half
-        smasks = _kept_halves(mask)
-        kept, comp = values[smasks], values[mask ^ smasks]  # (splits, budget+1, n)
-        merged.fill(INF64)
-        for j2 in range(budget + 1):
-            larger = np.maximum(kept[:, j2, None], comp[:, : budget + 1 - j2])
-            np.minimum(merged[j2:], larger.min(axis=0), out=merged[j2:])
-        # move along a path: values[mask, j, u] = min over j1 and v of
-        # merged[j - j1, v] + d[j1, v, u], which is d[j1, u, v] by symmetry
-        for j1 in range(budget + 1):
-            _min_plus(merged[: budget + 1 - j1], d[j1], values[mask, j1:])
+    fresh = [j1 for j1 in range(budget + 1) if j1 == 0 or not np.array_equal(d[j1], d[j1 - 1])]
+    popcounts = np.array([mask.bit_count() for mask in range(1 << m)])
+    width = (budget + 1) * n
+    for level in range(2, m + 1):
+        masks = np.flatnonzero(popcounts == level)
+        halves = np.array([_kept_halves(mask) for mask in masks.tolist()])  # (masks, splits)
+        chunk = max(1, min(budget_paths._TILE // (2 * halves.shape[1] * width),
+                           budget_paths._SHORT_ROWS // width))
+        for start in range(0, len(masks), chunk):
+            group, smasks = masks[start : start + chunk], halves[start : start + chunk]
+            kept, comp = values[smasks], values[group[:, None] ^ smasks]  # (masks, splits, B+1, n)
+            # merge at v: merged[j', mask, v] = min over splits and j2 + j3 = j' of the larger half
+            merged = np.full((budget + 1, len(group), n), INF64, dtype=np.uint64)
+            for j2 in range(budget + 1):
+                larger = np.maximum(kept[:, :, j2, None], comp[:, :, : budget + 1 - j2]).min(axis=1)
+                np.minimum(merged[j2:], larger.transpose(1, 0, 2), out=merged[j2:])
+            # move along a path: moved[j, mask, u] = min over j1 and v of
+            # merged[j - j1, mask, v] + d[j1, v, u], which is d[j1, u, v] by symmetry
+            moved = np.full_like(merged, INF64)
+            for j1 in fresh:
+                rows = merged[: budget + 1 - j1].reshape(-1, n)
+                _min_plus(rows, d[j1], moved[j1:].reshape(-1, n))
+            values[group] = moved.transpose(1, 0, 2)
 
     return HeightTable(others=others, budget=budget, values=values, dists=dists)
 

@@ -137,10 +137,21 @@ def test_matches_reference_recurrence(instance):
     "instance", DP_EDGE_CASES + seeded_corpus(4, seed=59, n_range=(9, 12), budget_range=(3, 4))
 )
 def test_small_tiles_match_reference_recurrence(monkeypatch, instance):
-    # the row and middle loops of the move step's (min,+) product each run more than once
+    # the row and middle loops of the move step's (min,+) product each run more than once;
+    # at a tile of 4 and a row bound of 2 masks' rows, a chunk of the level of pairs holds
+    # two masks, fewer than the whole level once there are three non-root centers
     dists, centers = apsp_b(instance), greedy_centers(instance)
     reference = _reference_height(instance, tuple(centers.centers[1:]), dists)
-    for tile, short_rows in [(48, 24), (64, 32), (200, 100)]:
+    width = (instance.budget + 1) * instance.n
+    product_rows = []
+    min_plus = fpt._min_plus
+
+    def recorded(a, b, out, columns=None):
+        product_rows.append(len(a))
+        min_plus(a, b, out, columns)
+
+    monkeypatch.setattr(fpt, "_min_plus", recorded)
+    for tile, short_rows in [(48, 24), (64, 32), (200, 100), (4 * width, 2 * width)]:
         monkeypatch.setattr(budget_paths, "_TILE", tile)
         monkeypatch.setattr(budget_paths, "_SHORT_ROWS", short_rows)
         table = solve_height_table(centers, dists)
@@ -148,6 +159,32 @@ def test_small_tiles_match_reference_recurrence(monkeypatch, instance):
             for j in range(instance.budget + 1):
                 for u in range(instance.n):
                     assert table.height(u, mask, j) == reference(u, mask, j)
+    if len(table.others) >= 3:
+        assert 2 * (instance.budget + 1) in product_rows
+
+
+def test_move_step_skips_repeated_distance_layers(monkeypatch):
+    # every insertion costs 2, so D_1 = D_0 and D_3 = D_2: only layers 0 and 2 are multiplied
+    instance = path_graph(7, budget=3, default_cost=2, weight_overrides={(2, 3): 3})
+    dists, centers = apsp_b(instance), greedy_centers(instance)
+    d = dists.table
+    assert np.array_equal(d[1], d[0]) and np.array_equal(d[3], d[2])
+    assert not np.array_equal(d[2], d[1])
+    layers = []
+    min_plus = fpt._min_plus
+
+    def recorded(a, b, out, columns=None):
+        layers.append((b.ctypes.data - d.ctypes.data) // d[0].nbytes)
+        min_plus(a, b, out, columns)
+
+    monkeypatch.setattr(fpt, "_min_plus", recorded)
+    table = solve_height_table(centers, dists)
+    assert layers and set(layers) == {0, 2}
+    reference = _reference_height(instance, table.others, dists)
+    for mask in range(1, table.full_mask + 1):
+        for j in range(instance.budget + 1):
+            for u in range(instance.n):
+                assert table.height(u, mask, j) == reference(u, mask, j)
 
 
 @pytest.mark.parametrize("seed,budget", [(505, 4), (501, 5)])
@@ -175,9 +212,18 @@ def test_root_entries_match_enumeration_oracle(instance):
         assert table.height(centers.centers[0], table.full_mask, j) == profile[j]
 
 
-@pytest.mark.parametrize("instance", seeded_corpus(10, seed=53, n_range=(3, 6)))
+@pytest.mark.parametrize(
+    "instance",
+    seeded_corpus(10, seed=53, n_range=(3, 6))
+    + DP_EDGE_CASES
+    + seeded_corpus(10, seed=60, n_range=(2, 9), budget_range=(4, 5)),
+)
 def test_table_monotonicity(instance):
-    table, _, _ = _table_for(instance)
+    # skipping a repeated distance layer in the move step rests on both tables
+    # not increasing with the budget
+    table, _, dists = _table_for(instance)
+    assert (dists.table[1:] <= dists.table[:-1]).all()
+    assert (table.values[:, 1:] <= table.values[:, :-1]).all()
     m = len(table.others)
     for mask in range(1, 1 << m):
         for u in range(instance.n):
@@ -229,6 +275,22 @@ def test_choice_is_smallest_reaching_tuple(instance):
                 else:
                     expected = _reference_choice(instance, table, dists, u, mask, j)
                 assert table.choice(u, mask, j) == expected
+
+
+@pytest.mark.parametrize(
+    "instance", seeded_corpus(6, seed=61, n_range=(5, 8), budget_range=(3, 4)) + DP_EDGE_CASES
+)
+def test_choice_is_the_same_when_splits_run_one_at_a_time(monkeypatch, instance):
+    table, _, _ = _table_for(instance)
+    entries = [
+        (u, mask, j)
+        for mask in range(1, table.full_mask + 1)
+        for j in range(instance.budget + 1)
+        for u in range(instance.n)
+    ]
+    whole = [table.choice(*entry) for entry in entries]
+    monkeypatch.setattr(budget_paths, "_TILE", 1)
+    assert [table.choice(*entry) for entry in entries] == whole
 
 
 def test_reconstruct_p4_branch():
