@@ -138,8 +138,8 @@ def test_matches_reference_recurrence(instance):
 )
 def test_small_tiles_match_reference_recurrence(monkeypatch, instance):
     # the row and middle loops of the move step's (min,+) product each run more than once;
-    # at a tile of 4 and a row bound of 2 masks' rows, a chunk of the level of pairs holds
-    # two masks, fewer than the whole level once there are three non-root centers
+    # with a tile of four masks' halves and a row bound of two masks' rows, a chunk of the
+    # level of pairs holds two masks, fewer than the whole level from three non-root centers
     dists, centers = apsp_b(instance), greedy_centers(instance)
     reference = _reference_height(instance, tuple(centers.centers[1:]), dists)
     width = (instance.budget + 1) * instance.n
