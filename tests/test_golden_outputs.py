@@ -94,7 +94,7 @@ def test_outputs_match_pinned_digests(tmp_path):
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
-    with tempfile.TemporaryDirectory() as scratch:
-        digests = output_digests(Path(scratch))
+    with tempfile.TemporaryDirectory() as workdir:
+        digests = output_digests(Path(workdir))
     GOLDEN_PATH.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
     print(f"pinned {len(digests)} digests in {GOLDEN_PATH}")
