@@ -322,10 +322,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _parse_budgets(raw: str) -> list[int]:
-    try:
-        return [int(tok) for tok in raw.split(",") if tok]
+    try:  # an empty token is an error, so the list is never empty
+        return [int(tok) for tok in raw.split(",")]
     except ValueError:
-        raise FlagError(f"--budgets {raw} is not a comma-separated list of integers") from None
+        raise FlagError(f"--budgets {raw!r} is not a comma-separated list of integers") from None
 
 
 def _bench_scale(args: argparse.Namespace) -> int:

@@ -5,7 +5,8 @@
 reads each diameter from its own int64 Floyd–Warshall (:func:`_base_matrix`),
 updated one inserted edge at a time (:func:`_with_edge`), not from
 ``core.graph_metric``, so it stays an independent check on the solvers.
-Hard size guards refuse oversized inputs with :class:`OracleLimitError`
+Before any matrix is built it counts the sets it will visit and refuses
+with :class:`OracleLimitError` when the work exceeds :data:`MAX_WORK`,
 instead of silently truncating.
 """
 
@@ -15,18 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    INF,
-    INF64,
-    Dist,
-    Pair,
-    WeightedInstance,
-    ensure_valid,
-    to_dist,
-)
+from .core import INF, INF64, Dist, Pair, WeightedInstance, ensure_valid, to_dist
 
-DEFAULT_MAX_NONEDGES = 28
-DEFAULT_MAX_NODES = 2_000_000
+# Matrix entries exact_optimum may compute: n³ for the base matrix plus n² per
+# visited set. 2²⁷ admits about two million sets at n = 8 and none above n = 511.
+MAX_WORK = 2**27
 
 
 class OracleLimitError(RuntimeError):
@@ -77,31 +71,37 @@ def exact_optimum(instance: WeightedInstance) -> ExactResult:
     The enumeration is a depth-first walk over the lexicographically sorted
     non-edge list, branching only while budget remains. Among optimal sets
     the lexicographically smallest is returned, so results are stable across
-    implementations.
+    implementations. ``explored`` is the number of sets visited: every subset
+    of non-edges whose costs sum to at most the budget, the empty set included.
 
-    Raises OracleLimitError when the non-edge count exceeds
-    ``DEFAULT_MAX_NONEDGES`` or the enumeration would visit more than
-    ``DEFAULT_MAX_NODES`` candidate sets (both read at call time).
+    Raises OracleLimitError before any work when (sets + n)·n² exceeds
+    ``MAX_WORK`` (read at call time). The sets are counted by cost sum, so a
+    huge budget costs nothing, and the count stops once it passes the limit.
     """
     ensure_valid(instance)
+    n = instance.n
     non_edges = instance.non_edges()
-    if len(non_edges) > DEFAULT_MAX_NONEDGES:
-        raise OracleLimitError(
-            f"instance too large: {len(non_edges)} non-edges exceed the guard "
-            f"({DEFAULT_MAX_NONEDGES})"
-        )
     costs = [instance.cost.get(u, v) for (u, v) in non_edges]
+    max_sets = MAX_WORK // (n * n) - n
+    sets_by_cost = {0: 1}
+    explored = 1
+    for c in costs:
+        if explored > max_sets:
+            break
+        for total, count in list(sets_by_cost.items()):
+            if total + c <= instance.budget:
+                sets_by_cost[total + c] = sets_by_cost.get(total + c, 0) + count
+                explored += count
+    if explored > max_sets:
+        raise OracleLimitError(
+            f"instance too large: more than {max(max_sets, 0)} sets within budget at n={n} "
+            f"(the guard admits (sets + n)·n² <= {MAX_WORK})"
+        )
 
     best_key: tuple = (INF, ())
-    explored = 0
 
     def visit(d: np.ndarray, start: int, budget_left: int, chosen: list[Pair]) -> None:
-        nonlocal best_key, explored
-        explored += 1
-        if explored > DEFAULT_MAX_NODES:
-            raise OracleLimitError(
-                f"instance too large: enumeration exceeded {DEFAULT_MAX_NODES} candidate sets"
-            )
+        nonlocal best_key
         key = (to_dist(int(d.max())), tuple(chosen))
         if key < best_key:
             best_key = key

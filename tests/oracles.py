@@ -16,14 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from diamaug.core import INF, Dist, InstanceError, Pair, WeightedInstance, ensure_valid, to_dist
-from diamaug.oracle import (
-    DEFAULT_MAX_NODES,
-    DEFAULT_MAX_NONEDGES,
-    OracleLimitError,
-    _base_matrix,
-    _with_edge,
-)
+from diamaug.oracle import OracleLimitError, _base_matrix, _with_edge
 from helpers import all_pairs
+
+# Default guards of the span-height and feasibility searches.
+MAX_NONEDGES = 28
+MAX_NODES = 2_000_000
 
 
 def path_oracle(instance: WeightedInstance, u: int, v: int, beta: int) -> Dist:
@@ -74,8 +72,8 @@ def span_height_profile(
     root: int,
     budget: int,
     *,
-    max_nonedges: int = DEFAULT_MAX_NONEDGES,
-    max_nodes: int = DEFAULT_MAX_NODES,
+    max_nonedges: int = MAX_NONEDGES,
+    max_nodes: int = MAX_NODES,
 ) -> list[Dist]:
     """For each j in 0..budget, the least achievable spanning height.
 
@@ -135,7 +133,7 @@ def span_height_oracle(
 def diameter2_feasible(
     instance: WeightedInstance,
     *,
-    max_nodes: int = DEFAULT_MAX_NODES,
+    max_nodes: int = MAX_NODES,
 ) -> bool:
     """Decide whether insertions within budget can bring the diameter to <= 2.
 

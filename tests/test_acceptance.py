@@ -251,6 +251,30 @@ def test_criterion_6_reduction_fidelity():
     assert not mismatches, mismatches
 
 
+def test_criterion_6_exact_optimum_decides_covers_at_budget_one():
+    # the same families through the exact oracle instead of the diameter-2 search
+    mismatches = []
+    families = visited = 0
+    for universe_size in (1, 2, 3):
+        for family in _covering_families(universe_size):
+            families += 1
+            instance, _ = reduce_setcover(
+                SetCoverInstance(universe_size=universe_size, sets=family, k=1)
+            )
+            result = exact_optimum(instance)
+            visited += result.explored
+            if (result.best_diameter <= 2) != has_cover(family, universe_size, 1):
+                mismatches.append(sorted(sorted(s) for s in family))
+    _report(
+        6,
+        "exact optimum <= 2 exactly when a cover exists (k = 1)",
+        not mismatches,
+        f"{families} families, {visited} sets visited, {len(mismatches)} mismatches",
+    )
+    assert families == 51
+    assert not mismatches, mismatches
+
+
 def test_criterion_7_scale_smoke():
     timings = {}
     for budget, limit in ((4, 10.0), (5, None), (6, 120.0)):

@@ -104,9 +104,11 @@ def test_malformed_instance_exits_one(tmp_path, capsys):
 
 def test_exact_guard_exits_two(tmp_path, capsys):
     sparse = tmp_path / "sparse.txt"
-    sparse.write_text(serialize_instance(build(12, set(), budget=1)), encoding="utf-8")
+    sparse.write_text(serialize_instance(build(8, {(0, 1)}, budget=27)), encoding="utf-8")
     assert run(["exact", "--input", str(sparse)]) == 2
-    assert "refused" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused: instance too large: more than 2097144 sets")
 
 
 def test_apsp_rows(p4_file, capsys):
@@ -143,8 +145,12 @@ _GEN = ["gen", "random", "--wmax", "3", "--cmax", "2", "--budget", "1", "--seed"
         [*_GEN, "--n", "4", "--p", "1.5"],
         ["bench", "--suite", "scale", "--n", "0", "--budgets", "1"],
         ["bench", "--suite", "scale", "--n", "6", "--budgets", "4,x"],
+        ["bench", "--suite", "scale", "--n", "6", "--budgets", ""],
+        ["bench", "--suite", "scale", "--n", "6", "--budgets", ","],
+        ["bench", "--suite", "scale", "--n", "6", "--budgets", "1,,2"],
     ],
-    ids=["gen-n", "gen-p", "scale-n", "scale-budgets"],
+    ids=["gen-n", "gen-p", "scale-n", "scale-budgets", "scale-no-budgets", "scale-comma-budgets",
+         "scale-empty-budget"],
 )
 def test_bad_generator_flag_is_an_input_error(argv, capsys):
     assert run(argv) == 1
@@ -173,8 +179,7 @@ def test_gen_random_roundtrip(tmp_path, capsys):
 
 
 def test_gen_setcover_flow(tmp_path, capsys):
-    # a single set builds m = 3 element blocks and 19 non-edges, within the
-    # exact oracle's default guard
+    # a single set builds m = 3 element blocks and 19 non-edges: 20 sets at budget 1
     sets = tmp_path / "sets.txt"
     sets.write_text("0\n", encoding="utf-8")
     out = tmp_path / "red.txt"

@@ -20,7 +20,6 @@ from diamaug import (
     validate,
 )
 from diamaug.generators import _check_reduction
-from diamaug import oracle
 from helpers import build, hub_vertices, reference_reduction_problem, set_vertices, sssp
 from oracles import diameter2_feasible, has_cover
 
@@ -140,12 +139,10 @@ def test_rejects_single_block():
         assert diameter(instance) == 3
 
 
-def test_yes_instance_reaches_diameter_two(monkeypatch):
+def test_yes_instance_reaches_diameter_two():
     instance, _ = reduce_setcover(BASE_SC)
-    # 47 non-edges exceed the oracle's default guard; at budget 1 the walk
-    # visits only 48 sets, and the node guard still bounds it
-    monkeypatch.setattr(oracle, "DEFAULT_MAX_NONEDGES", len(instance.non_edges()))
-    best = exact_optimum(instance)
+    best = exact_optimum(instance)  # 47 non-edges, 48 sets within budget 1
+    assert best.explored == 48
     assert best.best_diameter == 2
     assert diameter2_feasible(instance) is True
 

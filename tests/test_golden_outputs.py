@@ -6,7 +6,7 @@ Pinned jobs:
   (instance, algorithm) of each perfbench workload at seed 1;
 * ``bench --suite small --seed 7``;
 * ``apsp`` and ``cluster`` on instance 0 of each workload;
-* ``exact`` on README's ``small.txt``.
+* ``exact`` on README's ``small.txt`` and ``hard.txt``.
 
 A change that alters an output on purpose re-pins the file in the same
 change, with ``python tests/test_golden_outputs.py``, and names the jobs
@@ -81,6 +81,10 @@ def output_digests(workdir: Path) -> dict[str, str]:
     _run(["gen", "random", "--n", "7", "--p", "0.4", "--wmax", "5", "--cmax", "2",
           "--budget", "2", "--seed", "7", "--output", small])
     digests["exact small.txt"] = _sha(_run(["exact", "--input", small]))
+    sets, hard = workdir / "sets.txt", str(workdir / "hard.txt")
+    sets.write_text("0\n0 1\n", encoding="utf-8")
+    _run(["gen", "setcover", "--sets", str(sets), "--k", "1", "--output", hard])
+    digests["exact hard.txt"] = _sha(_run(["exact", "--input", hard]))
     return digests
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from diamaug import (
@@ -12,7 +14,15 @@ from diamaug import (
     exact_optimum,
 )
 from diamaug import oracle
-from helpers import build, complete_graph, dijkstra_rows, p4, path_graph, seeded_corpus
+from helpers import (
+    EDGE_CASES,
+    build,
+    complete_graph,
+    dijkstra_rows,
+    p4,
+    path_graph,
+    seeded_corpus,
+)
 from oracles import (
     diameter2_feasible,
     has_cover,
@@ -52,13 +62,69 @@ def test_exact_respects_costs():
     assert exact_optimum(p4(budget=2, default_cost=2)).best_diameter == 2
 
 
-def test_exact_guards(monkeypatch):
-    airy = build(12, set(), budget=1)  # 66 non-edges
+def test_exact_guards():
+    # every one of the 2**27 subsets of 27 unit-cost non-edges is within budget
     with pytest.raises(OracleLimitError):
-        exact_optimum(airy)
-    monkeypatch.setattr(oracle, "DEFAULT_MAX_NODES", 2)
+        exact_optimum(build(8, {(0, 1)}, budget=27))
+    # 66 non-edges but only 67 sets within budget
+    assert exact_optimum(build(12, set(), budget=1)).explored == 67
+
+
+def _refuse_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the guard let the enumeration start")
+
+    monkeypatch.setattr(oracle, "_base_matrix", refuse)
+    monkeypatch.setattr(oracle, "_with_edge", refuse)
+
+
+def test_exact_refuses_before_any_matrix(monkeypatch):
+    _refuse_work(monkeypatch)
+    with pytest.raises(OracleLimitError):
+        exact_optimum(build(8, {(0, 1)}, budget=27))
+
+
+def test_exact_guard_is_read_at_call_time(monkeypatch):
+    # p4 visits 4 sets: (4 + 4)·4² = 128 matrix entries
+    monkeypatch.setattr(oracle, "MAX_WORK", 128)
+    assert exact_optimum(p4()).explored == 4
+    monkeypatch.setattr(oracle, "MAX_WORK", 127)
+    _refuse_work(monkeypatch)
     with pytest.raises(OracleLimitError):
         exact_optimum(p4())
+
+
+def test_exact_counts_sets_by_cost_not_by_budget():
+    # a budget of 10**18 is never walked value by value
+    start = time.perf_counter()
+    with pytest.raises(OracleLimitError):  # 2**28 unit-cost sets
+        exact_optimum(build(8, set(), budget=10**18))
+    priced_out = build(8, set(), budget=10**18, default_cost=2**70)
+    result = exact_optimum(priced_out)  # no non-edge is affordable: the empty set alone
+    assert time.perf_counter() - start < 0.5
+    assert result.explored == 1 and result.best_added == ()
+
+
+def test_exact_refuses_a_complete_graph_above_the_cubic_bound(monkeypatch):
+    # 513³ > 2**27: the base matrix alone is over the guard, with no non-edge at all
+    _refuse_work(monkeypatch)
+    with pytest.raises(OracleLimitError, match="more than 0 sets"):
+        exact_optimum(complete_graph(513))
+
+
+def test_explored_counts_every_matrix_update(monkeypatch):
+    updates = 0
+    with_edge = oracle._with_edge
+
+    def counted(*args):
+        nonlocal updates
+        updates += 1
+        return with_edge(*args)
+
+    monkeypatch.setattr(oracle, "_with_edge", counted)
+    for instance in EDGE_CASES + seeded_corpus(40, seed=51, budget_range=(0, 4)):
+        updates = 0
+        assert exact_optimum(instance).explored == updates + 1
 
 
 def test_path_oracle_examples():

@@ -1,33 +1,45 @@
-"""Property tests for the graph metric, the pair view, the bounded-cost table and their users.
+"""Property tests for the graph metric, the pair view, the bounded-cost table and the solvers.
 
 Instances have n from 1 to 8, zero weights, disconnected graphs, costs above
 the budget and weights at the headroom bound ⌊(2⁶²−1)/n⌋. Raw instances
 add what validation rejects: negative values, costs below 1, values beyond
 int64, keys out of range or not normalized, and partial tables; partial
-valid instances list every pair of a table that has no default.
+valid instances list every pair of a table that has no default. The solvers
+are held to README's cost and ratio bounds against ``exact_optimum``.
 """
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from diamaug import (
+    INF,
     PairTable,
     WeightedInstance,
     apsp_b,
     diameter,
+    exact_optimum,
+    fpt_solve,
     greedy_centers,
     serialize_instance,
     validate,
 )
+from diamaug.cli import GUARANTEES, run
 from diamaug.core import graph_metric
 from diamaug.oracle import _base_matrix
-from diamaug.unit_cost import _lightest_connectors
+from diamaug.unit_cost import (
+    _lightest_connectors,
+    cluster_spanning_mst,
+    pairwise_centers,
+    star_centers,
+)
 from helpers import (
     build,
     dijkstra_rows,
@@ -60,6 +72,15 @@ def instances(draw):
         weight_overrides={pair: draw(weights) for pair in draw(subsets)},
         cost_overrides={pair: draw(costs) for pair in draw(subsets)},
     )
+
+
+def with_unit_costs(instance: WeightedInstance) -> WeightedInstance:
+    return replace(instance, cost=PairTable(1, {}))
+
+
+def within(value, factor, best) -> bool:
+    """value <= factor·best, with an unreachable optimum bounding nothing."""
+    return best == INF or value <= factor * best
 
 
 @st.composite
@@ -130,3 +151,33 @@ def test_bounded_cost_table_equals_dense_reference(instance, data):
     for sources in (range(instance.n), rows):
         table = apsp_b(instance, sources).table.view(np.uint64)
         assert table.tobytes() == reference_table_rows(instance, sources).tobytes()
+
+
+@given(instances())
+def test_fpt_spends_within_budget_and_stays_within_four_times_optimum(instance):
+    augmentation = fpt_solve(instance).augmentation
+    assert augmentation.total_cost <= instance.budget
+    assert within(augmentation.diameter, 4, exact_optimum(instance).best_diameter)
+
+
+@given(instances().map(with_unit_costs))
+def test_unit_cost_solvers_keep_their_cost_and_ratio_bounds(instance):
+    best = exact_optimum(instance).best_diameter
+    solvers = {"pairs": pairwise_centers, "star": star_centers, "mst": cluster_spanning_mst}
+    for algo, solver in solvers.items():
+        max_cost, factor = (bound(instance.budget) for bound in GUARANTEES[algo])
+        augmentation = solver(instance)
+        assert augmentation.total_cost <= max_cost, algo
+        assert within(augmentation.diameter, factor, best), algo
+
+
+@given(instances(), st.sampled_from(("fpt", "mst")))
+def test_solve_then_check_round_trip(instance, algo):
+    if algo == "mst":
+        instance = with_unit_costs(instance)
+    with tempfile.TemporaryDirectory() as workdir:
+        path, solution = Path(workdir, "g.txt"), Path(workdir, "g.sol")
+        path.write_text(serialize_instance(instance), encoding="utf-8")
+        assert run(["solve", "--input", str(path), "--algo", algo,
+                    "--solution", str(solution)]) == 0
+        assert run(["check", "--input", str(path), "--solution", str(solution)]) == 0
