@@ -5,7 +5,8 @@ Pinned jobs:
 * ``solve --report json`` stdout and the solution file for every 4th job
   (instance, algorithm) of each perfbench workload at seed 1;
 * ``bench --suite small --seed 7``;
-* ``apsp`` and ``cluster`` on instance 0 of each workload;
+* ``apsp``, ``apsp --source 0``, ``apsp --source <n-1> --beta <B>`` and
+  ``cluster`` on instance 0 of each workload;
 * ``exact`` on README's ``small.txt`` and ``hard.txt``.
 
 A change that alters an output on purpose re-pins the file in the same
@@ -55,7 +56,7 @@ def _sha(text: str) -> str:
 
 def output_digests(workdir: Path) -> dict[str, str]:
     """sha256 of every pinned output, keyed by job name."""
-    from diamaug import gen_random, serialize_instance
+    from diamaug import gen_random, parse_instance, serialize_instance
 
     digests = {}
     for workload in _load_workloads().values():
@@ -75,6 +76,14 @@ def output_digests(workdir: Path) -> dict[str, str]:
             digests[f"{name} solution"] = _sha(solution.read_text(encoding="utf-8"))
         first = str(workdir / f"{workload.name}-0.txt")
         digests[f"apsp {workload.name} 0"] = _sha(_run(["apsp", "--input", first]))
+        digests[f"apsp {workload.name} 0 source 0"] = _sha(
+            _run(["apsp", "--input", first, "--source", "0"])
+        )
+        instance = parse_instance(Path(first).read_text(encoding="utf-8"))
+        digests[f"apsp {workload.name} 0 source n-1 beta B"] = _sha(
+            _run(["apsp", "--input", first, "--source", str(instance.n - 1),
+                  "--beta", str(instance.budget)])
+        )
         digests[f"cluster {workload.name} 0"] = _sha(_run(["cluster", "--input", first]))
     digests["bench small 7"] = _sha(_run(["bench", "--suite", "small", "--seed", "7"]))
     small = str(workdir / "small.txt")
