@@ -12,8 +12,8 @@ non-edge gives
 so the table for every budget 0..B follows from D₀ (``instance.metric``) and
 the non-edges alone, which are read from the instance's dense pair view
 (costs clipped to B+1). Row s of D_beta depends only on row s of the smaller
-budgets, so :func:`apsp_b` fills the rows of the sources asked for, and a
-:class:`PathSource` is a view of one of those rows.
+budgets, so :class:`BoundedCostDistances` fills each row when it is first
+asked for, and a :class:`PathSource` is a view of one filled row.
 
 Each budget pays for one jump step (X_beta) and at most one walk product.
 The jump step uses the complement structure of the W_c rather than a dense
@@ -179,9 +179,9 @@ class _ComplementJumps:
 
 
 def _table_rows(
-    graph: np.ndarray, jumps: _ComplementJumps, budget: int, rows: np.ndarray
+    graph: np.ndarray, jumps: _ComplementJumps, rows: np.ndarray, table: np.ndarray
 ) -> np.ndarray:
-    """Rows ``rows`` of D_beta for beta = 0..budget, shape (budget+1, len(rows), n), uint64.
+    """Fill and return ``table``, uint64 (budget+1, len(rows), n), with rows ``rows`` of D_beta.
 
     Each budget takes one jump step and, when some jump costs at most beta,
     one walk product: D_beta = min(D_{beta-1}, X_beta ⊗ D₀). A default jump
@@ -192,8 +192,7 @@ def _table_rows(
     holds its walks. So past c₀, when few enough columns change (the pending
     ones and the listed targets), the walk product reads only those.
     """
-    n = graph.shape[0]
-    table = np.empty((budget + 1, len(rows), n), dtype=np.uint64)
+    budget, n = table.shape[0] - 1, graph.shape[0]
     table[0] = graph[rows]
     searched = jumps.excluded[rows] & (graph[rows] > jumps.weight)
     pending = np.nonzero(searched)
@@ -250,54 +249,56 @@ def _graph_tree(instance: WeightedInstance, a: int) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class BoundedCostDistances:
-    """Rows ``table[beta][i][v]`` of the bounded-cost table for ``sources[i]``.
+    """The bounded-cost table ``table[beta, u, v]``, filled a batch of rows at a time.
 
-    ``table`` is uint64, as it is computed, with INF64 for unreachable
-    entries; :meth:`get` reads an entry as a ``Dist``. With every vertex a
-    source, ``sources`` is ``range(n)``, row i is vertex i, and each
-    ``table[beta]`` is symmetric, as every path runs both ways. ``jumps`` is
-    the complement structure the table was built from, and ``trees`` holds
-    one :func:`_graph_tree` per start of a graph path; the witness walks of
-    every :class:`PathSource` view read both.
+    ``table`` is uint64, shape (B+1, n, n), with INF64 for unreachable
+    entries; row u holds values once ``filled[u]``. :meth:`rows` fills rows,
+    and :meth:`get` and :class:`PathSource` the one row they read. A row's
+    values do not depend on its batch, as every entry is an exact minimum,
+    and a full ``table[beta]`` is symmetric, as every path runs both ways.
+    ``jumps`` is the complement structure rows are built from, and ``trees``
+    holds one :func:`_graph_tree` per start of a graph path; the witness
+    walks of every :class:`PathSource` view read both.
     """
 
     instance: WeightedInstance
-    sources: Sequence[int]
     table: np.ndarray
+    filled: np.ndarray
     jumps: _ComplementJumps
     trees: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
-    @property
-    def budget(self) -> int:
-        return self.table.shape[0] - 1
+    @classmethod
+    def of(cls, instance: WeightedInstance) -> BoundedCostDistances:
+        """An empty table for ``instance``: no row is filled yet."""
+        ensure_valid(instance)
+        table = np.empty((instance.budget + 1, instance.n, instance.n), dtype=np.uint64)
+        return cls(instance, table, np.zeros(instance.n, dtype=bool), _ComplementJumps.of(instance))
 
-    @property
-    def n(self) -> int:
-        return self.table.shape[2]
-
-    def row(self, u: int) -> int:
-        """Index of ``u``'s row in ``table``; ValueError when ``u`` is not a source."""
-        if u not in self.sources:
-            raise ValueError(f"vertex {u} is not a source of this table")
-        return self.sources.index(u)
+    def rows(self, vertices: Sequence[int]) -> BoundedCostDistances:
+        """Fill the rows of ``vertices`` still missing, in one batch; return the table."""
+        graph, n = self.instance.metric, self.instance.n
+        wanted = np.asarray(vertices, dtype=np.intp)
+        if ((wanted < 0) | (wanted >= n)).any():
+            raise ValueError(f"vertices {wanted.tolist()} out of range for n={n}")
+        missing = np.unique(wanted[~self.filled[wanted]])
+        if len(missing) == n:  # in place, so a full fill holds one full-size table
+            _table_rows(graph, self.jumps, missing, self.table)
+        elif len(missing):
+            block = np.empty((len(self.table), len(missing), n), dtype=np.uint64)
+            self.table[:, missing] = _table_rows(graph, self.jumps, missing, block)
+        self.filled[missing] = True
+        return self
 
     def get(self, beta: int, u: int, v: int) -> Dist:
         _check_entry(self.instance, beta, v)
-        return to_dist(int(self.table[beta, self.row(u), v]))
+        if not (0 <= u < self.instance.n and self.filled[u]):  # rows() rejects u outside [0, n)
+            self.rows((u,))
+        return to_dist(int(self.table[beta, u, v]))
 
 
-def apsp_b(
-    instance: WeightedInstance, sources: Sequence[int] | None = None
-) -> BoundedCostDistances:
-    """Bounded-cost distances from ``sources`` (default: every vertex), for budgets 0..B."""
-    ensure_valid(instance)
-    n = instance.n
-    rows = range(n) if sources is None else tuple(sources)
-    if not all(0 <= s < n for s in rows):
-        raise ValueError(f"sources {list(rows)} out of range for n={n}")
-    jumps = _ComplementJumps.of(instance)
-    table = _table_rows(instance.metric, jumps, instance.budget, np.array(rows, dtype=np.intp))
-    return BoundedCostDistances(instance, rows, table, jumps)
+def apsp_b(instance: WeightedInstance) -> BoundedCostDistances:
+    """Bounded-cost distances between every pair of vertices, for budgets 0..B."""
+    return BoundedCostDistances.of(instance).rows(range(instance.n))
 
 
 @dataclass(frozen=True)
@@ -317,21 +318,21 @@ class PathSource:
 
     ``table[beta][v]`` is the cheapest weight of a beta-bounded path from
     ``source`` to ``v`` (uint64, INF64 for unreachable; read entries through
-    ``to_dist``). Nothing is computed or cached here; ValueError when
-    ``source`` is not a row of ``dists``.
+    ``to_dist``). ``dists`` fills the row when it is missing; ValueError when
+    ``source`` is outside [0, n).
     """
 
     def __init__(self, dists: BoundedCostDistances, source: int):
-        self.table = dists.table[:, dists.row(source)]
-        self.instance = dists.instance
-        self.source = source
-        self._graph, self._jumps, self._trees = dists.instance.metric, dists.jumps, dists.trees
+        if not (0 <= source < dists.instance.n and dists.filled[source]):
+            dists.rows((source,))  # ValueError for a source outside [0, n)
+        self.table = dists.table[:, source]
+        self.instance, self.source, self._dists = dists.instance, source, dists
 
     def _graph_path(self, a: int, b: int) -> list[int]:
         """Vertices of a shortest a-b path over existing edges."""
-        if a not in self._trees:
-            self._trees[a] = _graph_tree(self.instance, a)
-        pred = self._trees[a]
+        if a not in self._dists.trees:
+            self._dists.trees[a] = _graph_tree(self.instance, a)
+        pred = self._dists.trees[a]
         path = [b]
         while path[-1] != a:
             path.append(pred[path[-1]])
@@ -344,8 +345,8 @@ class PathSource:
         Cost c's jumps are the default ones (when c is the default cost) and
         the listed ones of cost c; no pair is both.
         """
-        jumps, n = self._jumps, self.instance.n
-        into_v, target = self._graph[:, v], self.table[beta, v]
+        jumps, n = self._dists.jumps, self.instance.n
+        into_v, target = self.instance.metric[:, v], self.table[beta, v]
         for c in sorted({jumps.cost, *jumps.listed}):
             if c > beta:
                 break
@@ -372,7 +373,7 @@ class PathSource:
             raise NoPathError(f"no path: source {self.source}, target {v}, budget {beta}")
         tails: list[list[int]] = []  # graph paths y -> v, each after a jump x -> y
         used: set[Pair] = set()
-        while self.table[beta, v] != self._graph[self.source, v]:
+        while self.table[beta, v] != self.instance.metric[self.source, v]:
             c, x, y = self._last_jump(beta, v)
             tails.append(self._graph_path(y, v))
             used.add(ordered_pair(x, y))

@@ -2,8 +2,8 @@
 
 Subcommands: solve, exact, check, apsp, cluster, gen, bench. Exit codes:
 0 success, 1 invalid input (malformed file, vertex or budget flag outside
-the instance, generator flag out of range, failed check, bound violation),
-2 guard refusal (oracle too large, degenerate or oversized reduction).
+the instance, generator flag out of range, usage error, failed check, bound
+violation), 2 guard refusal (oracle too large, degenerate or oversized reduction).
 
 All randomness enters through explicit ``--seed`` flags; repeated runs with
 identical inputs produce byte-identical output. Wall-clock numbers never
@@ -38,7 +38,7 @@ from .formats import (
     serialize_solution,
 )
 from .fpt import HeightTableLimitError, _check_table_size, fpt_solve
-from .budget_paths import apsp_b
+from .budget_paths import BoundedCostDistances
 from .clustering import greedy_centers
 from .generators import (
     ReductionError,
@@ -189,7 +189,7 @@ def _cmd_apsp(args: argparse.Namespace) -> int:
     _check_flag("--beta", args.beta, instance.budget + 1)
     sources = range(instance.n) if args.source is None else (args.source,)
     betas = range(instance.budget + 1) if args.beta is None else (args.beta,)
-    dists = apsp_b(instance, sources)
+    dists = BoundedCostDistances.of(instance).rows(sources)
     for beta in betas:
         for u in sources:
             for v in range(instance.n):
@@ -424,7 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Sequence[str]) -> int:
     parser = build_parser()
-    args = parser.parse_args(list(argv))
+    try:
+        args = parser.parse_args(list(argv))
+    except SystemExit as exc:  # argparse exits 2 on a usage error, and 2 means a refusal here
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (FormatError, InstanceError, FlagError) as exc:

@@ -193,17 +193,15 @@ def solve_height_table(centers: ClusterCenters, dists: BoundedCostDistances) -> 
     Layer j1 is fresh unless D_{j1} = D_{j1-1}. H[A, j, ·] does not increase
     with j (D_β does not, so neither does the merge, by induction), so then
     D_{j1} ⊗ g[j - j1] >= D_{j1-1} ⊗ g[j - j1 + 1], a term already taken.
-    ``dists`` must hold every vertex's row in vertex order, as :func:`apsp_b`
-    fills by default. Raises HeightTableLimitError, before allocating, for a
-    table over ``MAX_HEIGHT_TABLE_BYTES``.
+    The move step reads every row of ``dists``, which fills the missing ones
+    in one batch. Raises HeightTableLimitError, before filling or allocating
+    anything, for a table over ``MAX_HEIGHT_TABLE_BYTES``.
     """
-    n, budget = dists.n, dists.budget
-    if tuple(dists.sources) != tuple(range(n)):
-        raise ValueError("distance table must hold every vertex's row in vertex order")
+    n, budget = dists.instance.n, dists.instance.budget
     others = tuple(centers.centers[1:])
     m = len(others)
     _check_table_size(m, budget, n)
-    d = dists.table  # (budget+1, n, n)
+    d = dists.rows(range(n)).table  # (budget+1, n, n)
 
     values = np.full(((1 << m), budget + 1, n), INF64, dtype=np.uint64)
     for i, c in enumerate(others):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .budget_paths import NoPathError, PathSource, apsp_b
+from .budget_paths import BoundedCostDistances, NoPathError, PathSource
 from .clustering import greedy_centers
 from .core import (
     Augmentation,
@@ -49,12 +49,12 @@ def _join_centers(instance: WeightedInstance, first_center: int, rows: int) -> A
     """Join each of the first ``rows`` centers to every later center by a k-bounded path.
 
     ``rows`` is a slice stop over the centers, so -1 means all but the last.
-    One bounded-cost table holds those centers' rows, and each row serves
-    all of that center's pairs. Unreachable center pairs contribute nothing.
+    One batch fills those centers' rows of a bounded-cost table, and each
+    row serves all of that center's pairs; unreachable pairs add nothing.
     """
     ensure_unit_cost(instance)
     centers = greedy_centers(instance, first_center).centers
-    dists = apsp_b(instance, centers[:rows])
+    dists = BoundedCostDistances.of(instance).rows(centers[:rows])
     added: set[Pair] = set()
     for i, ci in enumerate(centers[:rows]):
         source = PathSource(dists, ci)

@@ -19,7 +19,6 @@ from diamaug import (
     PathSource,
     PathWitness,
     WeightedInstance,
-    apsp_b,
     ensure_unit_cost,
     ensure_valid,
     gen_random,
@@ -470,11 +469,17 @@ def sssp(instance: WeightedInstance, source: int) -> list[Dist]:
 
 def sssp_b(instance: WeightedInstance, source: int) -> PathSource:
     """Bounded-cost distances from one source, for every budget 0..B."""
-    return PathSource(apsp_b(instance, (source,)), source)
+    return PathSource(BoundedCostDistances.of(instance), source)
+
+
+def batch_rows(instance: WeightedInstance, rows: Sequence[int]) -> np.ndarray:
+    """Rows ``rows`` of a table that fills them in one batch, shape (B+1, len(rows), n)."""
+    table = BoundedCostDistances.of(instance).rows(rows).table
+    return table[:, np.asarray(rows, dtype=np.intp)]
 
 
 def reconstruct_path(dists: BoundedCostDistances, beta: int, u: int, v: int) -> PathWitness:
-    """Witness path for a finite entry of ``dists``; ``u`` must be one of its sources."""
+    """Witness path for a finite entry of ``dists``, which fills row ``u`` when it is missing."""
     return PathSource(dists, u).path_to(v, beta)
 
 

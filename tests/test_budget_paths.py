@@ -9,6 +9,7 @@ import pytest
 
 from diamaug import (
     INF,
+    BoundedCostDistances,
     NoPathError,
     PathSource,
     apsp_b,
@@ -23,6 +24,7 @@ from diamaug.core import INF64
 from helpers import (
     EDGE_CASES,
     _dijkstra,
+    batch_rows,
     build,
     build_layered_digraph,
     complete_graph,
@@ -106,8 +108,7 @@ def test_sssp_b_matches_apsp_rows():
 
 def test_tables_are_uint64():
     instance = p4(budget=2)
-    for rows in (None, (2,)):
-        dists = apsp_b(instance, rows)
+    for dists in (apsp_b(instance), BoundedCostDistances.of(instance).rows((2,))):
         assert dists.table.dtype == PathSource(dists, 2).table.dtype == np.uint64
 
 
@@ -227,7 +228,7 @@ def test_table_equals_dense_reference(instance):
     # bit for bit against one dense (min,+) product per cost class and budget
     n = instance.n
     for rows in (range(n), (n - 1,), tuple(range(n - 1, -1, -2)), ()):
-        table = apsp_b(instance, rows).table
+        table = batch_rows(instance, rows)
         assert table.tobytes() == reference_table_rows(instance, rows).tobytes()
 
 
@@ -259,7 +260,7 @@ def test_small_tiles_match_dense_reference(monkeypatch, tile, short_rows):
     monkeypatch.setattr(budget_paths, "_SHORT_ROWS", short_rows)
     for instance in TABLE_CORPUS[:2] + TABLE_CORPUS[-12:] + TABLE_CORPUS[2:-12:9]:
         for rows in (range(instance.n), (instance.n - 1,)):
-            table = apsp_b(instance, rows).table
+            table = batch_rows(instance, rows)
             assert table.tobytes() == reference_table_rows(instance, rows).tobytes()
 
 
@@ -272,9 +273,8 @@ def test_walk_reads_every_searched_column():
         8, {(0, 2), (1, 2)}, budget=2, cost_overrides=costly, weight_overrides={(0, 2): 10}
     )
     for rows in ((0,), range(8)):
-        dists = apsp_b(instance, rows)
-        assert dists.get(2, 0, 1) == 3
-        assert dists.table.tobytes() == reference_table_rows(instance, rows).tobytes()
+        assert BoundedCostDistances.of(instance).rows(rows).get(2, 0, 1) == 3
+        assert batch_rows(instance, rows).tobytes() == reference_table_rows(instance, rows).tobytes()
 
 
 @pytest.mark.parametrize("budget, cost", [(3, 1), (3, 2), (3, 3), (2, 3), (4, 5), (0, 1)])
@@ -288,9 +288,9 @@ def test_one_walk_product_per_budget_from_the_cheapest_cost(monkeypatch, budget,
 
     monkeypatch.setattr(budget_paths, "_min_plus", counted)
     instance = path_graph(7, budget=budget, default_cost=cost)
-    for rows in (None, (3,)):
+    for rows in (range(7), (3,)):
         products.clear()
-        apsp_b(instance, rows)
+        BoundedCostDistances.of(instance).rows(rows)
         assert len(products) == max(0, budget - cost + 1)
 
 
@@ -400,42 +400,82 @@ def test_witnesses_follow_the_tie_break(instance):
 
 @pytest.mark.parametrize("instance", seeded_corpus(8, seed=37, n_range=(2, 6)) + EDGE_CASES)
 def test_source_rows_match_full_table(instance):
+    # rows filled in batches (one row, an unsorted set, then all) equal apsp_b's
     full = apsp_b(instance)
     n = instance.n
-    for sources in [(n // 2,), tuple(dict.fromkeys((n - 1, 0, n // 2)))]:  # one, unsorted
-        part = apsp_b(instance, sources)
-        assert part.table.dtype == full.table.dtype
-        assert part.table.shape == (instance.budget + 1, len(sources), n)
-        for i, s in enumerate(sources):
-            assert part.table[:, i].tobytes() == full.table[:, s].tobytes()
-            for beta in range(instance.budget + 1):
-                for v in range(n):
-                    if full.get(beta, s, v) != INF:
-                        assert reconstruct_path(part, beta, s, v) == reconstruct_path(
-                            full, beta, s, v
-                        )
+    part = BoundedCostDistances.of(instance)
+    done: list[int] = []
+    for batch in [(n // 2,), tuple(dict.fromkeys((n - 1, 0, n // 2))), range(n)]:
+        part.rows(batch)
+        done += [s for s in batch if s not in done]
+        assert part.filled.tolist() == [s in done for s in range(n)]
+        assert part.table[:, done].tobytes() == full.table[:, done].tobytes()
+    assert part.table.tobytes() == full.table.tobytes()
+    for s in range(n):
+        for beta in range(instance.budget + 1):
+            for v in range(n):
+                if full.get(beta, s, v) != INF:
+                    assert reconstruct_path(part, beta, s, v) == reconstruct_path(full, beta, s, v)
 
 
 @pytest.mark.parametrize("source", [-1, 4])
 def test_apsp_rejects_out_of_range_source(source):
+    # the whole batch is checked before any row of it is filled
+    dists = BoundedCostDistances.of(p4())
     with pytest.raises(ValueError):
-        apsp_b(p4(), (source,))
+        dists.rows((0, source))
+    assert not dists.filled.any()
 
 
 def test_vertex_outside_the_rows_raises():
-    part = apsp_b(p4(), (2, 1))
-    for v in (0, 3, -1):
-        with pytest.raises(ValueError):
-            PathSource(part, v)
-        with pytest.raises(ValueError):
-            part.get(0, v, 0)
-        with pytest.raises(ValueError):
-            reconstruct_path(part, 0, v, 1)
-    full = apsp_b(p4())
-    with pytest.raises(ValueError):
-        full.get(0, -1, 0)  # not numpy's last row
-    with pytest.raises(ValueError):
-        PathSource(full, 4)
+    # numpy would read row -1 as row n - 1, and row n raises IndexError
+    for dists in (BoundedCostDistances.of(p4()), apsp_b(p4())):
+        for v in (-1, 4):
+            with pytest.raises(ValueError):
+                dists.rows((v,))
+            with pytest.raises(ValueError):
+                dists.get(0, v, 0)
+            with pytest.raises(ValueError):
+                PathSource(dists, v)
+            with pytest.raises(ValueError):
+                reconstruct_path(dists, 0, v, 1)
+
+
+def test_rows_fill_each_missing_row_once(monkeypatch):
+    batches = []
+    table_rows = budget_paths._table_rows
+
+    def recorded(graph, jumps, rows, table):
+        batches.append(rows.tolist())
+        return table_rows(graph, jumps, rows, table)
+
+    monkeypatch.setattr(budget_paths, "_table_rows", recorded)
+    instance = path_graph(6, budget=2)
+    dists = BoundedCostDistances.of(instance)
+    assert dists.rows((4, 1, 4)) is dists
+    dists.rows((1, 4))
+    dists.rows(())
+    assert dists.get(2, 1, 3) == 1 and PathSource(dists, 4).path_to(0, 2).vertices == (4, 0)
+    assert batches == [[1, 4]]
+    dists.get(1, 0, 5)  # a missing row read by get or PathSource fills alone
+    PathSource(dists, 2)
+    dists.rows(range(6))
+    assert batches == [[1, 4], [0], [2], [3, 5]]
+    for beta in range(3):
+        for u in range(6):
+            for v in range(6):
+                dists.get(beta, u, v)
+                PathSource(dists, u)
+    dists.rows(range(6))
+    assert batches == [[1, 4], [0], [2], [3, 5]]
+    # apsp_b fills every row in one batch, and fpt_solve reads no row it has not filled
+    for build_table in (apsp_b, fpt_solve):
+        batches.clear()
+        build_table(instance)
+        assert batches == [list(range(6))], build_table.__name__
+    batches.clear()
+    pairwise_centers(instance)
+    assert len(batches) == 1
 
 
 @pytest.mark.parametrize("beta, v", [(1, -1), (1, 4), (-1, 3), (2, 3)])

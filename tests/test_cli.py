@@ -135,6 +135,30 @@ def test_out_of_range_flag_is_an_input_error(p4_file, capsys, argv):
     assert captured.err.startswith(f"error: {argv[1]} {argv[2]} ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--algo", "bogus"], "argument --algo: invalid choice: 'bogus'"),
+        (["--first", "x"], "argument --first: invalid int value: 'x'"),
+        ([], "the following arguments are required: --input"),
+    ],
+    ids=["unknown-algo", "non-integer-first", "missing-input"],
+)
+def test_usage_error_exits_one(p4_file, capsys, argv, message):
+    # exit 2 is kept for guard refusals, so argparse's own exit 2 becomes 1
+    inputs = ["--input", p4_file] if argv else []
+    assert run(["solve", *inputs, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: diamaug solve ")
+    assert f"diamaug solve: error: {message}" in captured.err
+
+
+def test_help_exits_zero(capsys):
+    assert run(["solve", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: diamaug solve ")
+
+
 _GEN = ["gen", "random", "--wmax", "3", "--cmax", "2", "--budget", "1", "--seed", "1"]
 
 
@@ -313,8 +337,7 @@ def test_bench_scale_sizes_every_table_before_the_first_row(capsys):
 
 def test_parser_is_built_once_per_process(p4_file, capsys):
     parser = build_parser()
-    with pytest.raises(SystemExit):
-        run(["solve", "--input", p4_file, "--algo", "nope"])
+    assert run(["solve", "--input", p4_file, "--algo", "nope"]) == 1
     assert run(["solve", "--input", p4_file]) == 0
     assert "algorithm fpt" in capsys.readouterr().out
     assert build_parser() is parser

@@ -11,6 +11,7 @@ import pytest
 
 from diamaug import (
     INF,
+    BoundedCostDistances,
     HeightTableLimitError,
     InfeasibleEntryError,
     InstanceError,
@@ -400,12 +401,14 @@ def test_fpt_degenerate_inputs_insert_nothing(instance):
     assert clusters.centers == (0,)
 
 
-def test_height_table_rejects_partial_distance_table():
-    instance = p4(budget=2)
-    centers = greedy_centers(instance)
-    for sources in [(0, 1, 2), (0,), (3, 2, 1, 0)]:
-        with pytest.raises(ValueError):
-            solve_height_table(centers, apsp_b(instance, sources))
+def test_height_table_fills_missing_rows():
+    for instance in [p4(budget=2), *seeded_corpus(6, seed=58, n_range=(4, 9))]:
+        centers = greedy_centers(instance)
+        expected = solve_height_table(centers, apsp_b(instance)).values
+        for filled in [(0,), (3, 2, 1, 0), ()]:
+            dists = BoundedCostDistances.of(instance).rows(filled)
+            assert solve_height_table(centers, dists).values.tobytes() == expected.tobytes()
+            assert dists.filled.all()
 
 
 def test_fpt_infeasible_budget_is_flagged():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from diamaug import serialize_instance
+from diamaug import budget_paths, gen_random, serialize_instance
 from diamaug.cli import run
 from helpers import p4
 
@@ -43,3 +43,25 @@ def test_traced_solves_count_trees_and_witness_walks(tmp_path, capsys):
     metrics = tracer.per_solve_metrics(4)
     assert metrics["fpt.tree_nodes"] > 0
     assert metrics["budget_paths.path_to_calls"] > 0
+
+
+def test_fpt_fills_its_table_inside_the_apsp_b_span(tmp_path, monkeypatch, capsys):
+    # budget_paths.apsp_b_s and fpt.height_table_s keep their meaning only
+    # while every batch of table rows is filled inside the apsp_b span
+    path = tmp_path / "deep.txt"
+    path.write_text(serialize_instance(gen_random(24, 0.25, 5, 3, 5, seed=1)), encoding="utf-8")
+    tracer = _load_tracer().Tracer()
+    enclosing = []
+    table_rows = budget_paths._table_rows
+
+    def recorded(*args):
+        enclosing.append({tracer.spans[i][0] for i in tracer._stack})
+        return table_rows(*args)
+
+    monkeypatch.setattr(budget_paths, "_table_rows", recorded)
+    with tracer.installed():
+        tracer.solve = 0
+        assert run(["solve", "--input", str(path), "--algo", "fpt"]) == 0
+    capsys.readouterr()
+    assert {"fpt.solve_height_table", "fpt.reconstruct_tree"} <= {n for n, *_ in tracer.spans}
+    assert enclosing and all("budget_paths.apsp_b" in names for names in enclosing)
