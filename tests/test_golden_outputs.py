@@ -7,7 +7,11 @@ Pinned jobs:
 * ``bench --suite small --seed 7``;
 * ``apsp``, ``apsp --source 0``, ``apsp --source <n-1> --beta <B>`` and
   ``cluster`` on instance 0 of each workload;
-* ``exact`` on README's ``small.txt`` and ``hard.txt``.
+* ``exact`` on README's ``small.txt`` and ``hard.txt``;
+* ``solve`` (``fpt``, and ``pairs`` on a unit-cost twin), ``apsp`` and
+  ``cluster`` on instances with weights up to 2**20 and 2**40. Every
+  workload instance has n·W below 2**14; these have n·W in [2**14, 2**30)
+  and above 2**30, so they pin the wider distance dtypes.
 
 A change that alters an output on purpose re-pins the file in the same
 change, with ``python tests/test_golden_outputs.py``, and names the jobs
@@ -30,6 +34,8 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "golden_outputs.json"
 WORKLOADS_PATH = ROOT / "perfbench" / "workloads.py"
 SEED = 1
 EVERY = 4
+# (label, max_weight) of the wide-weight jobs: gen_random(40, 0.15, max_weight, cmax, 3, SEED).
+WIDE_WEIGHTS = (("w2^20", 2**20), ("w2^40", 2**40))
 
 
 def _load_workloads():
@@ -85,6 +91,20 @@ def output_digests(workdir: Path) -> dict[str, str]:
                   "--beta", str(instance.budget)])
         )
         digests[f"cluster {workload.name} 0"] = _sha(_run(["cluster", "--input", first]))
+    for label, max_weight in WIDE_WEIGHTS:
+        for algo, cmax in (("fpt", 3), ("pairs", 1)):
+            path = workdir / f"{label}-cmax{cmax}.txt"
+            instance = gen_random(40, 0.15, max_weight, cmax, 3, SEED)
+            path.write_text(serialize_instance(instance), encoding="utf-8")
+            solution = workdir / "job.sol"
+            solution.unlink(missing_ok=True)
+            report = _run(["solve", "--input", str(path), "--algo", algo,
+                           "--report", "json", "--solution", str(solution)])
+            digests[f"solve {label} ({algo}) report"] = _sha(report)
+            digests[f"solve {label} ({algo}) solution"] = _sha(solution.read_text(encoding="utf-8"))
+        wide = str(workdir / f"{label}-cmax3.txt")
+        digests[f"apsp {label}"] = _sha(_run(["apsp", "--input", wide]))
+        digests[f"cluster {label}"] = _sha(_run(["cluster", "--input", wide]))
     digests["bench small 7"] = _sha(_run(["bench", "--suite", "small", "--seed", "7"]))
     small = str(workdir / "small.txt")
     _run(["gen", "random", "--n", "7", "--p", "0.4", "--wmax", "5", "--cmax", "2",
