@@ -33,9 +33,15 @@ everywhere. Past c₀, X_beta changes only on the exception sets
 and the listed targets, and an unchanged entry adds no walk, so the walk
 product may read only those columns. The product runs over the middle
 index in blocks, so its temporaries stay small for full and few-row tables
-alike. Tables are uint64, and every operand is at most INF64 (2**62) before
-each sum, so two "unreachable" sentinels add up without wrapping; X_beta is
-clipped to INF64 before its walk.
+alike.
+
+Tables take the instance's dtype and sentinel s (``instance.dist_type``,
+see :mod:`diamaug.core`): uint16, uint32 or uint64, chosen from n·W. Every
+finite D_β entry is the weight of a simple path, at most (n−1)·W < s, and
+every table entry is at most s. A sum adds at most two entries and a
+weight, so it stays below 3·s, which the dtype holds without wrapping; the
+default jumps of X_beta are clipped to s before its walk. The jumps'
+weights are held in the table's dtype, so no sum widens.
 
 Witness paths are walked back from the table and the complement structure
 it was built from (``jumps``). An entry that equals its D₀ entry is a graph
@@ -55,7 +61,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    INF64,
     Dist,
     Pair,
     WeightedInstance,
@@ -80,13 +85,15 @@ _SHORT_ROWS = 2**12
 def _min_plus(
     a: np.ndarray, b: np.ndarray, out: np.ndarray, columns: np.ndarray | None = None
 ) -> None:
-    """``out = min(out, a ⊗ b)`` over uint64 entries no larger than INF64.
+    """``out = min(out, a ⊗ b)`` over entries of one dtype, each sum below its maximum.
 
-    With ``columns``, ``a`` is sparse: row i holds ``a[i, k]`` at column
-    ``columns[i, k]`` and INF64 elsewhere. Rows run in blocks of at most
-    ``_TILE`` entries. A block shorter than ``_SHORT_ROWS`` entries takes the
-    middle index in blocks too, so a 1–3-row product is a few numpy calls;
-    no temporary exceeds ``_TILE`` entries.
+    The sums stay in that dtype, as callers keep operands at most the
+    instance's sentinel s and 3·s fits the dtype. With ``columns``, ``a`` is
+    sparse: row i holds ``a[i, k]`` at column ``columns[i, k]`` and s
+    elsewhere. Rows run in blocks of at most ``_TILE`` entries. A block
+    shorter than ``_SHORT_ROWS`` entries takes the middle index in blocks
+    too, so a 1–3-row product is a few numpy calls; no temporary exceeds
+    ``_TILE`` entries.
     """
     rows, n = out.shape
     row_block = max(1, min(rows, _TILE // n))
@@ -113,10 +120,12 @@ class _ComplementJumps:
     default. ``listed[c]`` holds the listed non-edges x-y of cost c as
     entries ``(x, weight, y)`` sorted by y, then x: ``ends`` are the distinct
     y, ``starts`` where each y's entries begin. ``targets`` holds every y
-    that a listed jump of cost <= B ends at.
+    that a listed jump of cost <= B ends at. Weights and ``sentinel`` are in
+    the instance's table dtype.
     """
 
-    weight: np.uint64
+    weight: np.unsignedinteger
+    sentinel: np.unsignedinteger
     cost: int
     excluded: np.ndarray
     listed: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
@@ -124,7 +133,7 @@ class _ComplementJumps:
 
     @classmethod
     def of(cls, instance: WeightedInstance) -> _ComplementJumps:
-        budget, dense = instance.budget, instance.dense
+        budget, dense, (dtype, sentinel) = instance.budget, instance.dense, instance.dist_type
         listed = (dense.weight_listed | dense.cost_listed) & ~dense.edge
         excluded = listed | dense.edge
         np.fill_diagonal(excluded, True)
@@ -138,9 +147,10 @@ class _ComplementJumps:
         for c in np.unique(costs[costs <= budget]).tolist():
             y, x = ys[costs == c], xs[costs == c]
             ends, starts = np.unique(y, return_index=True)
-            # a valid instance's weights lie in [0, INF64)
-            groups[c] = (x, dense.weight[y, x].astype(np.uint64), y, ends, starts)
-        return cls(np.uint64(weight), cost, excluded, groups, np.unique(ys[costs <= budget]))
+            # a valid instance's weights lie in [0, sentinel)
+            groups[c] = (x, dense.weight[y, x].astype(dtype), y, ends, starts)
+        targets = np.unique(ys[costs <= budget])
+        return cls(dtype(weight), sentinel, cost, excluded, groups, targets)
 
     @property
     def cheapest(self) -> int:
@@ -159,18 +169,19 @@ class _ComplementJumps:
         exact weight: it leaves from the source itself, where D[s, s] = 0 is
         the row minimum. Inside the set it stands in for a jump no lighter
         than the source's graph distance to y, so its walks add nothing to
-        D_{beta-1}. Entries are at most INF64.
+        D_{beta-1}. Default entries are at most the sentinel s, listed ones
+        below s plus a weight. ``out`` has the table's dtype.
         """
         if self.cost <= beta:
-            out = np.full(table.shape[1:], self.weight, dtype=np.uint64)
+            out = np.full(table.shape[1:], self.weight, dtype=table.dtype)
             before, (rows, ys) = table[beta - self.cost], pending
             step = max(1, _TILE // before.shape[1])
             for i in range(0, len(rows), step):
                 row, y = rows[i : i + step], ys[i : i + step]
-                nearest = np.where(self.excluded[y], INF64, before[row]).min(axis=1)
-                out[row, y] = np.minimum(nearest + self.weight, INF64)  # both terms <= INF64
+                nearest = np.where(self.excluded[y], self.sentinel, before[row]).min(axis=1)
+                out[row, y] = np.minimum(nearest + self.weight, self.sentinel)  # both terms <= s
         else:
-            out = np.full(table.shape[1:], INF64, dtype=np.uint64)
+            out = np.full(table.shape[1:], self.sentinel, dtype=table.dtype)
         for c, (sources, weights, _, ends, starts) in self.listed.items():
             if c <= beta:
                 sums = np.minimum.reduceat(table[beta - c][:, sources] + weights, starts, axis=1)
@@ -181,7 +192,7 @@ class _ComplementJumps:
 def _table_rows(
     graph: np.ndarray, jumps: _ComplementJumps, rows: np.ndarray, table: np.ndarray
 ) -> np.ndarray:
-    """Fill and return ``table``, uint64 (budget+1, len(rows), n), with rows ``rows`` of D_beta.
+    """Fill and return ``table``, (budget+1, len(rows), n) in D₀'s dtype, with rows ``rows`` of D_beta.
 
     Each budget takes one jump step and, when some jump costs at most beta,
     one walk product: D_beta = min(D_{beta-1}, X_beta ⊗ D₀). A default jump
@@ -227,7 +238,7 @@ def _check_entry(instance: WeightedInstance, beta: int, v: int) -> None:
 def _graph_tree(instance: WeightedInstance, a: int) -> list[int]:
     """Predecessors on shortest paths from ``a`` over the edges, read from D₀'s row a.
 
-    An edge u-v is tight when D₀[a, u] + w(u, v) = D₀[a, v] < INF64, and hop[x]
+    An edge u-v is tight when D₀[a, u] + w(u, v) = D₀[a, v] < s, and hop[x]
     is the fewest tight edges from a to x. pred[v] is the smallest u with u-v
     tight and (D₀[a, u], hop[u]) < (D₀[a, v], hop[v]); -1 at a and off its
     component. On positive weights that is the smallest-predecessor tie-break
@@ -235,8 +246,10 @@ def _graph_tree(instance: WeightedInstance, a: int) -> list[int]:
     exists, keeps such ties acyclic.
     """
     dense, dist, n = instance.dense, instance.metric[a], instance.n
-    # a valid instance's weights lie in [0, INF64), so the uint64 sums are exact
-    tight = dense.edge & (dist[:, None] + dense.weight.view(np.uint64) == dist) & (dist < INF64)
+    dtype, sentinel = instance.dist_type
+    # a valid instance's weights lie in [0, sentinel), so the sums below 2·s are exact
+    weight = dense.weight.astype(dtype)
+    tight = dense.edge & (dist[:, None] + weight == dist) & (dist < sentinel)
     level = tight & (dist[:, None] == dist)  # zero-weight tight edges
     if level.any():
         hop, frontier, step = np.full(n, n), np.arange(n) == a, 0
@@ -251,11 +264,12 @@ def _graph_tree(instance: WeightedInstance, a: int) -> list[int]:
 class BoundedCostDistances:
     """The bounded-cost table ``table[beta, u, v]``, filled a batch of rows at a time.
 
-    ``table`` is uint64, shape (B+1, n, n), with INF64 for unreachable
-    entries; row u holds values once ``filled[u]``. :meth:`rows` fills rows,
-    and :meth:`get` and :class:`PathSource` the one row they read. A row's
-    values do not depend on its batch, as every entry is an exact minimum,
-    and a full ``table[beta]`` is symmetric, as every path runs both ways.
+    ``table`` has shape (B+1, n, n) in the instance's ``dist_type``, whose
+    sentinel marks unreachable entries; row u holds values once
+    ``filled[u]``. :meth:`rows` fills rows, and :meth:`get` and
+    :class:`PathSource` the one row they read. A row's values do not depend
+    on its batch, as every entry is an exact minimum, and a full
+    ``table[beta]`` is symmetric, as every path runs both ways.
     ``jumps`` is the complement structure rows are built from, and ``trees``
     holds one :func:`_graph_tree` per start of a graph path; the witness
     walks of every :class:`PathSource` view read both.
@@ -271,7 +285,8 @@ class BoundedCostDistances:
     def of(cls, instance: WeightedInstance) -> BoundedCostDistances:
         """An empty table for ``instance``: no row is filled yet."""
         ensure_valid(instance)
-        table = np.empty((instance.budget + 1, instance.n, instance.n), dtype=np.uint64)
+        shape = (instance.budget + 1, instance.n, instance.n)
+        table = np.empty(shape, dtype=instance.dist_type.dtype)
         return cls(instance, table, np.zeros(instance.n, dtype=bool), _ComplementJumps.of(instance))
 
     def rows(self, vertices: Sequence[int]) -> BoundedCostDistances:
@@ -284,7 +299,7 @@ class BoundedCostDistances:
         if len(missing) == n:  # in place, so a full fill holds one full-size table
             _table_rows(graph, self.jumps, missing, self.table)
         elif len(missing):
-            block = np.empty((len(self.table), len(missing), n), dtype=np.uint64)
+            block = np.empty((len(self.table), len(missing), n), dtype=self.table.dtype)
             self.table[:, missing] = _table_rows(graph, self.jumps, missing, block)
         self.filled[missing] = True
         return self
@@ -293,7 +308,7 @@ class BoundedCostDistances:
         _check_entry(self.instance, beta, v)
         if not (0 <= u < self.instance.n and self.filled[u]):  # rows() rejects u outside [0, n)
             self.rows((u,))
-        return to_dist(int(self.table[beta, u, v]))
+        return to_dist(int(self.table[beta, u, v]), self.instance.dist_type.sentinel)
 
 
 def apsp_b(instance: WeightedInstance) -> BoundedCostDistances:
@@ -317,9 +332,9 @@ class PathSource:
     """A view of ``source``'s row of ``dists``, with witness paths.
 
     ``table[beta][v]`` is the cheapest weight of a beta-bounded path from
-    ``source`` to ``v`` (uint64, INF64 for unreachable; read entries through
-    ``to_dist``). ``dists`` fills the row when it is missing; ValueError when
-    ``source`` is outside [0, n).
+    ``source`` to ``v`` (the instance's sentinel for unreachable; read
+    entries through ``to_dist``). ``dists`` fills the row when it is
+    missing; ValueError when ``source`` is outside [0, n).
     """
 
     def __init__(self, dists: BoundedCostDistances, source: int):
@@ -369,7 +384,7 @@ class PathSource:
         Raises NoPathError when the entry is unreachable.
         """
         _check_entry(self.instance, beta, v)  # a negative v would walk a wrapped row forever
-        if self.table[beta, v] >= INF64:
+        if self.table[beta, v] >= self.instance.dist_type.sentinel:
             raise NoPathError(f"no path: source {self.source}, target {v}, budget {beta}")
         tails: list[list[int]] = []  # graph paths y -> v, each after a jump x -> y
         used: set[Pair] = set()

@@ -50,14 +50,13 @@ def greedy_centers(instance: WeightedInstance, first_center: int = 0) -> Cluster
     assignment ties keep the earlier center. When n <= budget + 1 every
     vertex becomes a center and the radius is 0.
     """
-    metric = instance.metric.view(np.int64)  # validates; entries <= INF64 < 2**63
-    n = instance.n
+    metric, n = instance.metric, instance.n  # validates
     if not (0 <= first_center < n):
         raise ValueError(f"first center {first_center} out of range for n={n}")
     count = min(instance.budget + 1, n)
 
     centers = [first_center]
-    best = metric[first_center].copy()
+    best = metric[first_center].astype(np.int64)  # signed, so -1 can mark the selected
     assignment = np.zeros(n, dtype=np.intp)
     unselected = np.ones(n, dtype=bool)
     unselected[first_center] = False
@@ -70,7 +69,8 @@ def greedy_centers(instance: WeightedInstance, first_center: int = 0) -> Cluster
         best[closer] = metric[farthest][closer]
         assignment[closer] = len(centers) - 1
 
-    distances = tuple(to_dist(d) for d in best.tolist())
+    sentinel = int(instance.dist_type.sentinel)
+    distances = tuple(to_dist(d, sentinel) for d in best.tolist())
     return ClusterCenters(
         centers=tuple(centers),
         assignment=tuple(assignment.tolist()),

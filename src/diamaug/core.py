@@ -12,6 +12,25 @@ value. :func:`graph_metric` is the package's only shortest-path routine:
 witness paths read their graph segments from its cached result. An instance
 caches its validation and its metric D₀, which :func:`diameter` extends.
 
+Every distance table of an instance (D₀, the diameter check's copy, the
+bounded-cost table D_β and the height table H) holds one unsigned dtype,
+with a sentinel s standing for "unreachable": ``instance.dist_type``, chosen
+once from n·W, where W is the largest weight of any pair (edge or not).
+
+* n·W < 2**14: uint16 with s = 2**14;
+* n·W < 2**30: uint32 with s = 2**30;
+* otherwise uint64 with s = INF64 (2**62); validation keeps n·W below it.
+
+Why it is exact: every finite entry of D₀ and D_β is the weight of a
+simple path, so at most (n−1)·W < s. So is every finite H[S, j, u]: take a
+composition of walks that reaches it; a shortest-path tree of their union
+from u, pruned to S, is again a composition within budget j, and its height
+is the weight of a simple path. Every table entry is therefore at most s,
+and the largest sum the package forms, D[:, u] + w + D[v, :] in the
+diameter check, stays below 3·s, which each dtype holds without wrapping.
+Scalars added to a table are cast to its dtype first: a uint64 scalar
+would silently widen a uint16 sum.
+
 Every scan over all vertex pairs reads one cached dense view of the instance,
 :class:`DensePairs`: weight and cost as symmetric n×n int64 matrices, an edge
 mask, and masks of the pairs each table lists. Matrix entries saturate at
@@ -28,7 +47,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -39,15 +58,35 @@ Dist = int | float
 
 Pair = tuple[int, int]
 
-# int64 stand-in for INF in numpy distance tables. It is also the headroom
-# bound: validation keeps every finite distance below it, so table entries
-# are exact and two of them add up without wrapping in uint64.
+# The headroom bound: validation keeps n·W, and so every finite distance,
+# below it. It is the sentinel of uint64 distance tables, the saturation
+# bound of the int64 pair view, and the oracle's own INF.
 INF64 = 2**62
 
 
-def to_dist(value: int) -> Dist:
-    """A numpy table entry as a Dist: INF for INF64 (or above), else the int."""
-    return INF if value >= INF64 else int(value)
+class DistType(NamedTuple):
+    """The dtype of an instance's distance tables and its "unreachable" sentinel."""
+
+    dtype: type[np.unsignedinteger]
+    sentinel: np.unsignedinteger  # a scalar of ``dtype``
+
+
+def dist_type_for(span: int) -> DistType:
+    """The narrowest exact table dtype for an instance with n·W = ``span``.
+
+    The sentinel s exceeds every finite entry, (n−1)·W < span, and 3·s fits
+    the dtype (see the module docstring).
+    """
+    if span < 2**14:
+        return DistType(np.uint16, np.uint16(2**14))
+    if span < 2**30:
+        return DistType(np.uint32, np.uint32(2**30))
+    return DistType(np.uint64, np.uint64(INF64))
+
+
+def to_dist(value: int, sentinel: int) -> Dist:
+    """A table entry as a Dist: INF for the table's sentinel (or above), else the int."""
+    return INF if value >= sentinel else int(value)
 
 
 class InstanceError(ValueError):
@@ -203,6 +242,11 @@ class WeightedInstance:
         return tuple(validate(self))
 
     @cached_property
+    def dist_type(self) -> DistType:
+        """Every distance table's dtype and sentinel, chosen once from n·W."""
+        return dist_type_for(self.n * self.weight.max_value())
+
+    @cached_property
     def metric(self) -> np.ndarray:
         """D₀: :func:`graph_metric` of the bare instance, computed once, read-only."""
         metric = graph_metric(self)
@@ -288,12 +332,13 @@ def ensure_valid(instance: WeightedInstance) -> None:
 def graph_metric(instance: WeightedInstance) -> np.ndarray:
     """All-pairs distances over the edges, by Floyd–Warshall.
 
-    n×n uint64, INF64 for unreachable pairs. Validating first keeps finite
-    distances under the headroom bound, so two entries add up exactly.
+    n×n in ``instance.dist_type``, its sentinel for unreachable pairs.
+    Validating first keeps weights, and so finite distances, below the
+    sentinel, so two entries add up exactly.
     """
     ensure_valid(instance)
-    dense = instance.dense
-    metric = np.where(dense.edge, dense.weight, INF64).astype(np.uint64)
+    dense, (dtype, sentinel) = instance.dense, instance.dist_type
+    metric = np.where(dense.edge, dense.weight.astype(dtype), sentinel)
     np.fill_diagonal(metric, 0)
     for k in range(instance.n):
         np.minimum(metric, metric[:, k, None] + metric[None, k, :], out=metric)
@@ -304,18 +349,20 @@ def diameter(instance: WeightedInstance, added: Iterable[Pair] = ()) -> Dist:
     """Largest distance with ``added`` inserted into D₀; 0 for a single vertex.
 
     Each pair u–v of weight w takes D = min(D, D[:, u] + w + D[v, :] and its
-    transpose), exact for insertions. Entries stay at most INF64 and w is below
-    it, so no uint64 sum wraps. Raises InstanceError for a pair outside [0, n).
+    transpose), exact for insertions. Entries stay at most the sentinel s and
+    w is below it, so the sum stays below 3·s and does not wrap in the
+    instance's dtype. Raises InstanceError for a pair outside [0, n).
     """
     dists = instance.metric.copy()  # validates first
     pairs = [ordered_pair(*pair) for pair in added]
     if any(not (0 <= u < v < instance.n) for u, v in pairs):
         raise InstanceError(f"added pairs {pairs} out of range for n={instance.n}")
-    weight = instance.dense.weight.view(np.uint64)  # a valid instance's weights are >= 0
+    dtype, sentinel = instance.dist_type
+    weight = instance.dense.weight  # a valid instance's weights lie in [0, sentinel)
     for u, v in pairs:
-        via = dists[:, u, None] + weight[u, v] + dists[None, v, :]  # below 3 * INF64
+        via = dists[:, u, None] + dtype(weight[u, v]) + dists[None, v, :]
         np.minimum(dists, np.minimum(via, via.T), out=dists)
-    return to_dist(int(dists.max()))
+    return to_dist(int(dists.max()), sentinel)
 
 
 def augment(instance: WeightedInstance, added: Iterable[Pair]) -> Augmentation:

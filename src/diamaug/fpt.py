@@ -31,6 +31,16 @@ values. Splits are only enumerated with A holding the lowest-indexed
 center, which halves the work without changing any value (the two halves
 are interchangeable).
 
+The table holds the instance's distance dtype (``instance.dist_type``:
+uint16, uint32 or uint64, chosen from n·W), with its sentinel s for
+unreachable entries. That is exact: a finite H[S, j, u] is reached by some
+composition of walks, and a shortest-path tree of their union from u,
+pruned to S, is a composition within budget j whose height is the weight
+of a simple path, at most (n−1)·W < s. So every entry is at most s, and a
+move or choice sum of two entries is at most 2·s, inside the dtype.
+``MAX_HEIGHT_TABLE_BYTES`` still counts 8 bytes per entry, whatever the
+dtype, so the refusal does not depend on the weights.
+
 Only values are stored. The rule behind an entry is recomputed on demand,
 and only reconstruction asks for it (fewer than 2m entries per tree). Ties
 are broken by the smallest (via vertex, subset mask, first budget, second
@@ -50,7 +60,6 @@ from .budget_paths import BoundedCostDistances, PathSource, _min_plus, apsp_b
 from .clustering import ClusterCenters, greedy_centers
 from .core import (
     INF,
-    INF64,
     Augmentation,
     Dist,
     Pair,
@@ -78,7 +87,10 @@ class HeightTableLimitError(RuntimeError):
 
 
 def _check_table_size(m: int, budget: int, n: int) -> None:
-    """HeightTableLimitError when the table of ``m`` non-root centers exceeds the limit."""
+    """HeightTableLimitError when the table of ``m`` non-root centers exceeds the limit.
+
+    The size counts 8 bytes per entry, the widest table dtype, for every instance.
+    """
     size = (1 << m) * (budget + 1) * n * 8
     if size > MAX_HEIGHT_TABLE_BYTES:
         raise HeightTableLimitError(
@@ -125,8 +137,8 @@ class HeightTable:
 
     ``others`` lists the non-root centers in selection order; bit i of a
     subset mask stands for ``others[i]``. ``values`` has shape
-    (2**len(others), budget+1, n), uint64 with INF64 (2**62) marking
-    unreachable entries.
+    (2**len(others), budget+1, n), in the instance's ``dist_type``, whose
+    sentinel marks unreachable entries.
     Only values are stored: :meth:`choice` recomputes the minimizing rule of
     an entry from ``values`` and the bounded-cost table in ``dists``.
     """
@@ -148,7 +160,7 @@ class HeightTable:
 
     def height(self, u: int, mask: int, j: int) -> Dist:
         self._check_entry(u, mask, j)
-        return to_dist(int(self.values[mask, j, u]))
+        return to_dist(int(self.values[mask, j, u]), self.dists.instance.dist_type.sentinel)
 
     def choice(self, u: int, mask: int, j: int) -> BaseChoice | SplitChoice | None:
         """The minimizing rule of a finite entry, else None.
@@ -159,7 +171,7 @@ class HeightTable:
         """
         self._check_entry(u, mask, j)
         target = self.values[mask, j, u]
-        if target >= INF64:
+        if target >= self.dists.instance.dist_type.sentinel:
             return None
         if mask.bit_count() == 1:
             return BaseChoice(center=self.others[mask.bit_length() - 1], budget=j)
@@ -187,8 +199,8 @@ def solve_height_table(centers: ClusterCenters, dists: BoundedCostDistances) -> 
     mask itself and the masks of a level never read each other. A level runs
     in chunks whose gathered halves take at most ``_TILE`` entries and whose
     rows at most ``_SHORT_ROWS``: one merge, then one :func:`_min_plus` call
-    per fresh layer over the whole chunk. Entries start at INF64, so its
-    operands stay at most INF64, as it asks.
+    per fresh layer over the whole chunk. Entries start at the instance's
+    sentinel s, in its table dtype, so its operands stay at most s, as it asks.
 
     Layer j1 is fresh unless D_{j1} = D_{j1-1}. H[A, j, ·] does not increase
     with j (D_β does not, so neither does the merge, by induction), so then
@@ -198,12 +210,13 @@ def solve_height_table(centers: ClusterCenters, dists: BoundedCostDistances) -> 
     anything, for a table over ``MAX_HEIGHT_TABLE_BYTES``.
     """
     n, budget = dists.instance.n, dists.instance.budget
+    dtype, sentinel = dists.instance.dist_type
     others = tuple(centers.centers[1:])
     m = len(others)
     _check_table_size(m, budget, n)
     d = dists.rows(range(n)).table  # (budget+1, n, n)
 
-    values = np.full(((1 << m), budget + 1, n), INF64, dtype=np.uint64)
+    values = np.full(((1 << m), budget + 1, n), sentinel, dtype=dtype)
     for i, c in enumerate(others):
         values[1 << i] = d[:, c]  # row c: the table is symmetric
 
@@ -219,13 +232,13 @@ def solve_height_table(centers: ClusterCenters, dists: BoundedCostDistances) -> 
             group, smasks = masks[start : start + chunk], halves[start : start + chunk]
             kept, comp = values[smasks], values[group[:, None] ^ smasks]  # (masks, splits, B+1, n)
             # merge at v: merged[j', mask, v] = min over splits and j2 + j3 = j' of the larger half
-            merged = np.full((budget + 1, len(group), n), INF64, dtype=np.uint64)
+            merged = np.full((budget + 1, len(group), n), sentinel, dtype=dtype)
             for j2 in range(budget + 1):
                 larger = np.maximum(kept[:, :, j2, None], comp[:, :, : budget + 1 - j2]).min(axis=1)
                 np.minimum(merged[j2:], larger.transpose(1, 0, 2), out=merged[j2:])
             # move along a path: moved[j, mask, u] = min over j1 and v of
             # merged[j - j1, mask, v] + d[j1, v, u], which is d[j1, u, v] by symmetry
-            moved = np.full_like(merged, INF64)
+            moved = np.full_like(merged, sentinel)
             for j1 in fresh:
                 rows = merged[: budget + 1 - j1].reshape(-1, n)
                 _min_plus(rows, d[j1], moved[j1:].reshape(-1, n))

@@ -199,20 +199,21 @@ def _build_reduction(sc: SetCoverInstance, copies: int) -> tuple[WeightedInstanc
 def _check_reduction(instance: WeightedInstance, layout: ReductionLayout) -> None:
     """Verify the distance profile; raise on the first mismatch, a's row first."""
     metric, a = instance.metric, layout.a
-    expected = np.full(instance.n, 2, dtype=np.uint64)
+    sentinel = instance.dist_type.sentinel
+    expected = np.full(instance.n, 2, dtype=metric.dtype)
     expected[[a, layout.b]] = 0, 1  # D₀'s diagonal is 0
     expected[list(layout.element_vertices())] = 3
     if (wrong := metric[a] != expected).any():
         v = int(wrong.argmax())  # the first mismatch
-        raise ReductionError(
-            f"self-check failed: dist(a, {v}) = {to_dist(metric[a, v])}, expected {expected[v]}"
-        )
+        found = to_dist(metric[a, v], sentinel)
+        raise ReductionError(f"self-check failed: dist(a, {v}) = {found}, expected {expected[v]}")
     far = np.triu(metric > 2, 1)
     far[a, :] = far[:, a] = False
     if far.any():  # row-major order
         u, v = divmod(int(far.argmax()), instance.n)
-        raise ReductionError(f"self-check failed: dist({u}, {v}) = {to_dist(metric[u, v])} > 2")
-    if (worst := to_dist(metric.max())) != 3:
+        found = to_dist(metric[u, v], sentinel)
+        raise ReductionError(f"self-check failed: dist({u}, {v}) = {found} > 2")
+    if (worst := to_dist(metric.max(), sentinel)) != 3:
         raise ReductionError(f"self-check failed: reduction diameter is {worst}, expected 3")
 
 

@@ -187,6 +187,9 @@ EDGE_CASES = [
     build(5, {(0, 1), (1, 2), (2, 3)}, budget=1, default_weight=_HEADROOM, edge_weight=0),
 ]
 
+# The shared edge cases plus n <= B + 1, where every vertex is a center.
+DP_EDGE_CASES = EDGE_CASES + [build(4, {(0, 1), (2, 3)}, budget=4, default_weight=2)]
+
 
 def _raw(n: int, edges, weight: PairTable, cost: PairTable, budget: int = 1) -> WeightedInstance:
     return WeightedInstance(n=n, edges=frozenset(edges), weight=weight, cost=cost, budget=budget)
@@ -277,6 +280,15 @@ def build_layered_digraph(instance: WeightedInstance) -> LayeredDigraph:
     return LayeredDigraph(n=n, budget=budget, nodes=nodes, arcs=tuple(arcs))
 
 
+def widened(instance: WeightedInstance, table: np.ndarray) -> np.ndarray:
+    """A distance table of ``instance`` as uint64 with INF64 for unreachable.
+
+    That is the uint64 dtype's form of every table, so tables compare
+    exactly across dtypes and with the uint64 references below.
+    """
+    return np.where(table >= instance.dist_type.sentinel, np.uint64(INF64), table.astype(np.uint64))
+
+
 def _engine_inputs(instance: WeightedInstance) -> dict[int, np.ndarray]:
     """The nonempty W_c (c <= budget) as dense uint64 matrices, INF64 for unreachable.
 
@@ -304,11 +316,12 @@ def _reference_min_plus(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 def reference_table_rows(instance: WeightedInstance, rows: Sequence[int]) -> np.ndarray:
     """Rows ``rows`` of the bounded-cost table by dense (min,+) products, uint64.
 
-    The reference for ``apsp_b``'s table: one product D_{beta-c} ⊗ W_c per
-    cost class and one walk product per budget, with no use of the
+    The reference for ``apsp_b``'s widened table: one product D_{beta-c} ⊗ W_c
+    per cost class and one walk product per budget, with no use of the
     complement structure.
     """
-    graph, jumps, budget = instance.metric, _engine_inputs(instance), instance.budget
+    graph, jumps = widened(instance, instance.metric), _engine_inputs(instance)
+    budget = instance.budget
     table = np.empty((budget + 1, len(rows), instance.n), dtype=np.uint64)
     table[0] = graph[np.array(rows, dtype=np.intp)]
     for beta in range(1, budget + 1):
@@ -370,7 +383,7 @@ def reference_graph_trees(instance: WeightedInstance) -> list[list[int]]:
     over those tight edges); -1 at a and at the vertices a does not reach.
     """
     adj, trees = _adjacency(instance), []
-    for a, dist in enumerate(instance.metric.tolist()):
+    for a, dist in enumerate(widened(instance, instance.metric).tolist()):
         tight = [
             [u for u, w in adj[v] if dist[v] < INF64 and dist[u] + w == dist[v]]
             for v in range(instance.n)
@@ -401,7 +414,7 @@ def reference_witnesses(instance: WeightedInstance) -> dict[tuple[int, int, int]
     """
     n, budget = instance.n, instance.budget
     table = reference_table_rows(instance, range(n)).tolist()
-    graph = instance.metric.tolist()
+    graph = widened(instance, instance.metric).tolist()
     jumps = {c: jump.tolist() for c, jump in sorted(_engine_inputs(instance).items())}
     trees = reference_graph_trees(instance)
 
@@ -464,7 +477,8 @@ def sssp(instance: WeightedInstance, source: int) -> list[Dist]:
     """
     if not (0 <= source < instance.n):
         raise ValueError(f"source {source} out of range for n={instance.n}")
-    return [to_dist(d) for d in instance.metric[source].tolist()]
+    sentinel = instance.dist_type.sentinel
+    return [to_dist(d, sentinel) for d in instance.metric[source].tolist()]
 
 
 def sssp_b(instance: WeightedInstance, source: int) -> PathSource:
@@ -473,9 +487,9 @@ def sssp_b(instance: WeightedInstance, source: int) -> PathSource:
 
 
 def batch_rows(instance: WeightedInstance, rows: Sequence[int]) -> np.ndarray:
-    """Rows ``rows`` of a table that fills them in one batch, shape (B+1, len(rows), n)."""
+    """Rows ``rows`` of a table that fills them in one batch, (B+1, len(rows), n), widened."""
     table = BoundedCostDistances.of(instance).rows(rows).table
-    return table[:, np.asarray(rows, dtype=np.intp)]
+    return widened(instance, table[:, np.asarray(rows, dtype=np.intp)])
 
 
 def reconstruct_path(dists: BoundedCostDistances, beta: int, u: int, v: int) -> PathWitness:

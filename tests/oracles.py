@@ -15,7 +15,16 @@ from typing import Sequence
 
 import numpy as np
 
-from diamaug.core import INF, Dist, InstanceError, Pair, WeightedInstance, ensure_valid, to_dist
+from diamaug.core import (
+    INF,
+    INF64,
+    Dist,
+    InstanceError,
+    Pair,
+    WeightedInstance,
+    ensure_valid,
+    to_dist,
+)
 from diamaug.oracle import OracleLimitError, _base_matrix, _with_edge
 from helpers import all_pairs
 
@@ -104,7 +113,7 @@ def span_height_profile(
             raise OracleLimitError(
                 f"instance too large: enumeration exceeded {max_nodes} candidate sets"
             )
-        h = max((to_dist(int(d[root, t])) for t in targets), default=0)
+        h = max((to_dist(int(d[root, t]), INF64) for t in targets), default=0)
         for j in range(cost_used, budget + 1):
             if h < heights[j]:
                 heights[j] = h

@@ -38,6 +38,7 @@ from helpers import (
     seeded_corpus,
     sssp,
     sssp_b,
+    widened,
     witness_weight_cost,
 )
 from oracles import path_oracle
@@ -106,15 +107,20 @@ def test_sssp_b_matches_apsp_rows():
         assert np.array_equal(sssp_b(instance, u).table, dists.table[:, u])
 
 
-def test_tables_are_uint64():
-    instance = p4(budget=2)
+@pytest.mark.parametrize(
+    "weight, dtype", [(1, np.uint16), (2**20, np.uint32), (2**40, np.uint64)]
+)
+def test_tables_take_the_instance_dtype(weight, dtype):
+    instance = p4(budget=2, default_weight=weight)
+    assert instance.dist_type.dtype is dtype
     for dists in (apsp_b(instance), BoundedCostDistances.of(instance).rows((2,))):
-        assert dists.table.dtype == PathSource(dists, 2).table.dtype == np.uint64
+        assert dists.table.dtype == PathSource(dists, 2).table.dtype == dtype
 
 
 def test_isolated_source_budget_zero():
     instance = build(3, {(1, 2)}, budget=0)
-    assert sssp_b(instance, 0).table[0].tolist() == [0, INF64, INF64]
+    sentinel = instance.dist_type.sentinel
+    assert sssp_b(instance, 0).table[0].tolist() == [0, sentinel, sentinel]
 
 
 @pytest.mark.parametrize("instance", seeded_corpus(12, seed=32, n_range=(2, 6)))
@@ -186,15 +192,15 @@ def test_layer_shift_invariance(instance):
 
 @pytest.mark.parametrize("instance", EDGE_CASES)
 def test_apsp_equals_layered_reference(instance):
-    # bit for bit, INF64 standing in for unreachable; sentinel sums must not wrap
-    table = apsp_b(instance).table
+    # bit for bit, the sentinel standing in for unreachable; sentinel sums must not wrap
+    table, sentinel = apsp_b(instance).table, instance.dist_type.sentinel
     layered = build_layered_digraph(instance)
     for u in range(instance.n):
         dist = _arc_dijkstra(layered, (u, 0))
         for beta in range(instance.budget + 1):
             for v in range(instance.n):
                 expected = dist.get((v, beta), INF)
-                assert table[beta, u, v] == (INF64 if expected == INF else expected)
+                assert table[beta, u, v] == (sentinel if expected == INF else expected)
     assert (table >= 0).all()
 
 
@@ -394,7 +400,7 @@ def test_witnesses_follow_the_tie_break(instance):
     expected = reference_witnesses(instance)
     for (beta, s, v), witness in expected.items():
         assert PathSource(dists, s).path_to(v, beta) == witness, (beta, s, v)
-    finite = int((dists.table < INF64).sum())
+    finite = int((dists.table < instance.dist_type.sentinel).sum())
     assert len(expected) == finite
 
 
@@ -558,7 +564,7 @@ def test_graph_trees_equal_dijkstra_on_positive_weights(corpus):
 @pytest.mark.parametrize("corpus", ["edge", "seeded", "override", "workload"])
 def test_graph_tree_walks_are_tight_simple_edge_paths(corpus):
     for instance in _tree_corpus(corpus):
-        metric, weight, n = instance.metric.tolist(), instance.weight, instance.n
+        metric, weight, n = widened(instance, instance.metric).tolist(), instance.weight, instance.n
         for a, reference in enumerate(reference_graph_trees(instance)):
             pred = budget_paths._graph_tree(instance, a)
             assert pred == reference, a

@@ -31,6 +31,7 @@ from helpers import (
     path_graph,
     seeded_corpus,
     sssp,
+    widened,
 )
 from oracles import path_oracle
 
@@ -140,8 +141,8 @@ METRIC_CORPUS = EDGE_CASES + seeded_corpus(40, seed=14, n_range=(1, 9))
 @pytest.mark.parametrize("instance", METRIC_CORPUS)
 def test_graph_metric_matches_base_matrix(instance):
     metric = graph_metric(instance)
-    assert metric.dtype == np.uint64
-    assert np.array_equal(metric.view(np.int64), _base_matrix(instance))
+    assert metric.dtype == instance.dist_type.dtype
+    assert np.array_equal(widened(instance, metric).view(np.int64), _base_matrix(instance))
     assert np.array_equal(instance.metric, metric)
 
 
@@ -161,7 +162,7 @@ def test_diameter_and_sssp_match_dijkstra_reference(instance):
 
 @pytest.mark.parametrize("instance", EDGE_CASES + override_corpus(10, seed=16))
 def test_augment_leaves_the_cached_metric_unchanged(instance):
-    # EDGE_CASES' disconnected headroom instances sum INF64 + w + INF64
+    # EDGE_CASES' disconnected headroom instances sum INF64 + w + INF64 in uint64
     metric = instance.metric
     before = metric.copy()
     augment(instance, instance.non_edges()[:3])

@@ -25,10 +25,10 @@ from diamaug import (
     reconstruct_tree,
     solve_height_table,
 )
-from diamaug.core import INF64
 from diamaug import fpt
 from diamaug.fpt import BaseChoice, SplitChoice
 from helpers import (
+    DP_EDGE_CASES,
     EDGE_CASES,
     build,
     complete_graph,
@@ -39,9 +39,6 @@ from helpers import (
     star_graph,
 )
 from oracles import span_height_profile
-
-# The shared edge cases plus n <= B + 1, where every vertex is a center.
-DP_EDGE_CASES = EDGE_CASES + [build(4, {(0, 1), (2, 3)}, budget=4, default_weight=2)]
 
 
 def _table_for(instance, first=0):
@@ -125,7 +122,7 @@ def test_star_fixture_split_value():
 @pytest.mark.parametrize("instance", seeded_corpus(12, seed=51, n_range=(2, 6)) + DP_EDGE_CASES)
 def test_matches_reference_recurrence(instance):
     table, centers, dists = _table_for(instance)
-    assert ((table.values >= 0) & (table.values <= INF64)).all()
+    assert ((table.values >= 0) & (table.values <= instance.dist_type.sentinel)).all()
     reference = _reference_height(instance, table.others, dists)
     m = len(table.others)
     for mask in range(1, 1 << m):
@@ -511,6 +508,9 @@ def test_filling_a_table_keeps_temporaries_to_one_tile():
     assert peak < 1.5 * 2**20
 
 
-def test_height_table_values_are_uint64():
-    table, _, dists = _table_for(path_graph(6, budget=2))
-    assert table.values.dtype == dists.table.dtype == np.uint64
+@pytest.mark.parametrize(
+    "weight, dtype", [(1, np.uint16), (2**20, np.uint32), (2**40, np.uint64)]
+)
+def test_height_table_values_take_the_instance_dtype(weight, dtype):
+    table, _, dists = _table_for(path_graph(6, budget=2, default_weight=weight))
+    assert table.values.dtype == dists.table.dtype == dtype

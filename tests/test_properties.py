@@ -51,6 +51,7 @@ from helpers import (
     reference_unit_cost_error,
     reference_validate,
     unit_cost_error,
+    widened,
 )
 
 
@@ -129,7 +130,8 @@ def test_connectors_equal_reference(instance):
 
 @given(instances())
 def test_graph_metric_equals_base_matrix(instance):
-    assert np.array_equal(graph_metric(instance).view(np.int64), _base_matrix(instance))
+    metric = widened(instance, graph_metric(instance))
+    assert np.array_equal(metric.view(np.int64), _base_matrix(instance))
 
 
 @given(instances(), st.data())
