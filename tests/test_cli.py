@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from diamaug import gen_random, serialize_instance
-from diamaug.cli import build_parser, run
+from diamaug import core, gen_random, serialize_instance
+from diamaug.cli import SCALE_REPEATS, build_parser, run
+from diamaug.core import graph_metric
 from helpers import build, p4
 
 P4_TEXT = serialize_instance(p4())
@@ -85,6 +86,29 @@ def test_check_fails_pairs_solution_over_budget(tmp_path, capsys):
     assert "cost 3\n" in solution.read_text(encoding="utf-8")
     assert run(["check", *args, "--solution", str(solution)]) == 1
     assert "check failed: budget exceeded: cost 3 > budget 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("algo", ["pairs", "star"])
+def test_pairs_and_star_solutions_round_trip_through_check(algo, tmp_path, capsys):
+    # within B, check accepts; above B, budget is its only complaint, never cost or diameter
+    path, solution = tmp_path / "g.txt", tmp_path / "g.sol"
+    verdicts = set()
+    for seed, budget in enumerate((1, 2, 3, 3)):
+        instance = gen_random(9 + seed, 0.2, 3, 1, budget, seed)
+        path.write_text(serialize_instance(instance), encoding="utf-8")
+        assert run(["solve", "--input", str(path), "--algo", algo,
+                    "--solution", str(solution)]) == 0
+        capsys.readouterr()
+        cost = int(solution.read_text(encoding="utf-8").split("cost ")[1].split()[0])
+        code = run(["check", "--input", str(path), "--solution", str(solution)])
+        out = capsys.readouterr().out
+        if cost <= budget:
+            assert code == 0 and out.startswith(f"check ok: cost {cost}, diameter ")
+        else:
+            assert code == 1
+            assert out == f"check failed: budget exceeded: cost {cost} > budget {budget}\n"
+        verdicts.add(code)
+    assert verdicts == ({0, 1} if algo == "pairs" else {0})
 
 
 def test_check_rejects_existing_edge(p4_file, tmp_path, capsys):
@@ -316,6 +340,23 @@ def test_bench_scale_tiny(capsys):
     assert "budget=1" in out and "budget=2" in out
     assert "bounded_paths=" in out and "table=" in out and "reconstruct=" in out
     assert "growth" in out
+    rows = [dict(field.split("=") for field in line.split()) for line in out.splitlines()[:2]]
+    for row in rows:  # D₀ is its own column, and each cold run's total includes it
+        assert list(row) == ["n", "budget", "seconds", "metric", "bounded_paths", "table",
+                             "reconstruct"]
+        assert float(row["seconds"]) >= float(row["metric"])
+
+
+def test_bench_scale_computes_the_metric_once_per_repeat(monkeypatch, capsys):
+    calls = []
+
+    def counted(instance):
+        calls.append(instance)
+        return graph_metric(instance)
+
+    monkeypatch.setattr(core, "graph_metric", counted)
+    assert run(["bench", "--suite", "scale", "--n", "8", "--budgets", "1,2"]) == 0
+    assert len(calls) == 2 * SCALE_REPEATS
 
 
 def test_bench_scale_checks_every_budget_before_the_first_row(capsys):
