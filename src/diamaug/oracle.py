@@ -13,6 +13,7 @@ instead of silently truncating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -77,21 +78,28 @@ def exact_optimum(instance: WeightedInstance) -> ExactResult:
     Raises OracleLimitError before any work when (sets + n)·n² exceeds
     ``MAX_WORK`` (read at call time). The sets are counted by cost sum, so a
     huge budget costs nothing, and the count stops once it passes the limit.
+    Before counting, a lower bound refuses at once: when the t cheapest
+    non-edges fit in the budget, so does each of their 2**t subsets. Spread
+    costs under a huge budget would otherwise grow the count to millions of
+    distinct sums before it passes the limit.
     """
     ensure_valid(instance)
     n = instance.n
     non_edges = instance.non_edges()
     costs = [instance.cost.get(u, v) for (u, v) in non_edges]
     max_sets = MAX_WORK // (n * n) - n
-    sets_by_cost = {0: 1}
-    explored = 1
-    for c in costs:
-        if explored > max_sets:
-            break
-        for total, count in list(sets_by_cost.items()):
-            if total + c <= instance.budget:
-                sets_by_cost[total + c] = sets_by_cost.get(total + c, 0) + count
-                explored += count
+    fitting = sum(1 for total in accumulate(sorted(costs)) if total <= instance.budget)
+    explored = 1 << fitting  # at least this many sets, until counted
+    if explored <= max_sets:
+        sets_by_cost = {0: 1}
+        explored = 1
+        for c in costs:
+            if explored > max_sets:
+                break
+            for total, count in list(sets_by_cost.items()):
+                if total + c <= instance.budget:
+                    sets_by_cost[total + c] = sets_by_cost.get(total + c, 0) + count
+                    explored += count
     if explored > max_sets:
         raise OracleLimitError(
             f"instance too large: more than {max(max_sets, 0)} sets within budget at n={n} "
@@ -102,7 +110,7 @@ def exact_optimum(instance: WeightedInstance) -> ExactResult:
 
     def visit(d: np.ndarray, start: int, budget_left: int, chosen: list[Pair]) -> None:
         nonlocal best_key
-        key = (to_dist(int(d.max())), tuple(chosen))
+        key = (to_dist(int(d.max()), INF64), tuple(chosen))
         if key < best_key:
             best_key = key
         for idx in range(start, len(non_edges)):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,7 @@ from diamaug import (
 from diamaug import oracle
 from helpers import (
     EDGE_CASES,
+    all_pairs,
     build,
     complete_graph,
     dijkstra_rows,
@@ -103,6 +105,26 @@ def test_exact_counts_sets_by_cost_not_by_budget():
     result = exact_optimum(priced_out)  # no non-edge is affordable: the empty set alone
     assert time.perf_counter() - start < 0.5
     assert result.explored == 1 and result.best_added == ()
+
+
+def test_exact_refuses_spread_costs_before_counting_them(monkeypatch):
+    # costs 2**0..2**20 cycled over the 28 non-edges and B = 2**21 - 1: the 27 cheapest
+    # fit, so at least 2**27 sets do; a count by cost sum would hold millions of sums
+    costs = {pair: 2 ** (i % 21) for i, pair in enumerate(all_pairs(8))}
+    instance = build(8, set(), budget=2**21 - 1, cost_overrides=costs)
+    _refuse_work(monkeypatch)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleLimitError) as refusal:
+            exact_optimum(instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**21
+    assert str(refusal.value) == (
+        "instance too large: more than 2097144 sets within budget at n=8 "
+        "(the guard admits (sets + n)·n² <= 134217728)"
+    )
 
 
 def test_exact_refuses_a_complete_graph_above_the_cubic_bound(monkeypatch):
