@@ -19,6 +19,7 @@ from .core import (
     Dist,
     InstanceError,
     Pair,
+    PairSet,
     PairTable,
     WeightedInstance,
     augment,
@@ -79,6 +80,7 @@ __all__ = [
     "NoPathError",
     "OracleLimitError",
     "Pair",
+    "PairSet",
     "PairTable",
     "PathSource",
     "PathWitness",

@@ -31,23 +31,25 @@ diameter check, stays below 3·s, which each dtype holds without wrapping.
 Scalars added to a table are cast to its dtype first: a uint64 scalar
 would silently widen a uint16 sum.
 
-Every scan over all vertex pairs reads one cached dense view of the instance,
-:class:`DensePairs`: weight and cost as symmetric n×n int64 matrices, an edge
-mask, and masks of the pairs each table lists. Matrix entries saturate at
-±INF64 (2**62). Every weight of a valid instance lies below that bound, so
-weights are exact; costs are unbounded, so a cost of 2**70 reads as INF64 in
-the view. A value that is printed or summed is read from the
-:class:`PairTable`, never from the view.
+An instance stores its listed pairs once, as arrays (:class:`PairSet`,
+:class:`PairTable`). Every scan over all vertex pairs reads one cached
+dense view built from them, :class:`DensePairs`: weight and cost as
+symmetric n×n int64 matrices, an edge mask, and masks of the pairs each
+table lists. Matrix entries saturate at ±INF64 (2**62). A valid instance's
+weights lie below that bound, so they are exact; a cost of 2**70 reads as
+INF64. A value that is printed or summed goes through
+:meth:`PairTable.exact_at`, which reads the arrays where the view saturates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Set as AbstractSet
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -100,22 +102,90 @@ def ordered_pair(u: int, v: int) -> Pair:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+def exact_array(values: list) -> np.ndarray:
+    """Python ints as int64, or as an object array of the same ints when one lies beyond int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _symmetric(n: int, rows: np.ndarray, cols: np.ndarray, values, fill) -> np.ndarray:
+    """A read-only n×n matrix of ``fill``, with ``values`` at (rows, cols) and (cols, rows)."""
+    matrix = np.full((n, n), fill)
+    matrix[rows, cols] = matrix[cols, rows] = values
+    return _read_only(matrix)
+
+
+class PairSet(AbstractSet):
+    """A set of ``(u, v)`` tuples stored as a read-only (m, 2) array, as listed.
+
+    It holds an instance's edges and a :class:`PairTable`'s pairs as given,
+    in :func:`exact_array`'s dtypes. Set operators return frozensets.
+    """
+
+    def __init__(self, pairs: Iterable[Pair] | np.ndarray):
+        if not isinstance(pairs, np.ndarray):
+            pairs = exact_array(list(chain.from_iterable(pairs))).reshape(-1, 2)
+        self.array = _read_only(pairs)
+
+    def __iter__(self) -> Iterator[Pair]:
+        return map(tuple, self.array.tolist())
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __contains__(self, pair: object) -> bool:
+        return pair in self._members
+
+    @cached_property
+    def _members(self) -> frozenset[Pair]:
+        return frozenset(self)
+
+    _from_iterable = staticmethod(frozenset)
+
+    def within(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows and columns of the normalized pairs in [0, n), and the mask of those pairs."""
+        rows, cols = self.array.T
+        kept = (0 <= rows) & (rows < cols) & (cols < n)
+        return rows[kept].astype(np.intp), cols[kept].astype(np.intp), kept
+
+
 class PairTable:
     """Symmetric integer function over unordered vertex pairs.
 
-    Stored as a default value plus per-pair overrides; pairs not listed in
-    ``overrides`` take ``default``. A table with ``default=None`` is partial
-    and only valid if the overrides cover every pair (checked by
-    :func:`validate`). ``overrides`` is a read-only view of a private copy,
-    so caches built from a table cannot go stale.
+    Listed ``pairs`` with ``values`` (read-only, :func:`exact_array`'s
+    dtypes), and ``default`` for the rest; with ``default=None`` the table
+    is partial and only valid if it lists every pair (see :func:`validate`).
+    ``PairTable(default, overrides)`` copies a mapping, :meth:`listed` keeps
+    arrays. ``overrides``, which ``get`` reads, is built on first use.
     """
 
-    default: int | None
-    overrides: Mapping[Pair, int] = field(default_factory=dict)
+    def __init__(self, default: int | None, overrides: Mapping[Pair, int] = MappingProxyType({})):
+        self.default = default
+        self.pairs = PairSet(overrides)
+        self.values = _read_only(exact_array(list(overrides.values())))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "overrides", MappingProxyType(dict(self.overrides)))
+    @classmethod
+    def listed(cls, default: int | None, pairs: np.ndarray, values: np.ndarray) -> PairTable:
+        table = cls(default)
+        table.pairs, table.values = PairSet(pairs), _read_only(values)
+        return table
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PairTable) and (self.default, self.overrides) == (
+            other.default,
+            other.overrides,
+        )
+
+    @cached_property
+    def overrides(self) -> Mapping[Pair, int]:
+        return MappingProxyType(dict(zip(self.pairs, self.values.tolist())))
 
     def get(self, u: int, v: int) -> int:
         value = self.overrides.get(ordered_pair(u, v), self.default)
@@ -124,55 +194,26 @@ class PairTable:
         return value
 
     def max_value(self) -> int:
-        values = list(self.overrides.values())
-        if self.default is not None:
-            values.append(self.default)
-        return max(values, default=0)
+        values = [int(self.values.max())] if len(self.values) else []
+        return max(values + ([] if self.default is None else [self.default]), default=0)
 
+    def matrix(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """As a symmetric n×n int64 matrix saturated at ±INF64 (0 where a partial table
+        lists nothing), and the mask of the pairs listed."""
+        rows, cols, kept = self.pairs.within(n)
+        values = np.clip(self.values[kept], -INF64, INF64).astype(np.int64)
+        fill = np.int64(0 if self.default is None else max(-INF64, min(self.default, INF64)))
+        return _symmetric(n, rows, cols, values, fill), _symmetric(n, rows, cols, True, False)
 
-def _saturated(values: Collection[int]) -> np.ndarray:
-    """Python ints of any size as int64, each clipped to [-INF64, INF64]."""
-    try:
-        array = np.fromiter(values, dtype=np.int64, count=len(values))
-    except OverflowError:  # some value lies beyond int64: clip the exact ints instead
-        array = np.array(list(values), dtype=object).clip(-INF64, INF64).astype(np.int64)
-    return array.clip(-INF64, INF64)
-
-
-def _pair_index(pairs: Collection[Pair], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows and columns of the normalized pairs of distinct vertices in [0, n).
-
-    The third array marks which of ``pairs``, in iteration order, those are.
-    Other keys are skipped: ``get`` never reads them, and :func:`validate`
-    reports them.
-    """
-    try:
-        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
-    except OverflowError:  # a vertex beyond int64 is out of range anyway
-        flat = np.array([-1 if abs(x) > INF64 else x for x in chain.from_iterable(pairs)])
-    rows, cols = flat.reshape(-1, 2).T
-    kept = (0 <= rows) & (rows < cols) & (cols < n)
-    return rows[kept], cols[kept], kept
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-def _dense_table(table: PairTable, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``table`` as a symmetric n×n int64 matrix, and the mask of the pairs it lists.
-
-    Entries take the saturated default, 0 when the table is partial.
-    """
-    rows, cols, kept = _pair_index(table.overrides.keys(), n)
-    values = _saturated(table.overrides.values())[kept]
-    fill = 0 if table.default is None else _saturated([table.default])[0]
-    matrix = np.full((n, n), fill, dtype=np.int64)
-    listed = np.zeros((n, n), dtype=bool)
-    matrix[rows, cols] = matrix[cols, rows] = values
-    listed[rows, cols] = listed[cols, rows] = True
-    return _read_only(matrix), _read_only(listed)
+    def exact_at(self, matrix: np.ndarray, listed: np.ndarray, rows, cols) -> Iterator[int]:
+        """The values at pairs (rows[i], cols[i]), from this table's :meth:`matrix`
+        where exact, else from :meth:`get` (KeyError where a partial table lists nothing)."""
+        values = matrix[rows, cols]
+        trusted = (np.abs(values) < INF64) & (True if self.default is not None else listed[rows, cols])
+        if trusted.all():
+            return iter(values.tolist())
+        pairs = zip(np.asarray(rows).tolist(), np.asarray(cols).tolist())
+        return (w if ok else self.get(*p) for p, w, ok in zip(pairs, values.tolist(), trusted.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,10 +222,10 @@ class DensePairs:
 
     ``weight`` and ``cost`` are symmetric int64 matrices whose entries
     saturate at ±INF64: a valid instance's weights are exact, but a cost may
-    exceed the bound, so values that are printed or summed come from the
-    ``PairTable``. ``weight_listed`` and ``cost_listed`` mark the pairs each
-    table's overrides name; an unlisted pair of a partial table holds 0.
-    ``edge`` marks the edges. Keys outside [0, n) or not normalized are
+    exceed the bound, so a value that is printed or summed is read through
+    :meth:`PairTable.exact_at`. ``weight_listed`` and ``cost_listed`` mark the
+    pairs each table lists; an unlisted pair of a partial table holds 0.
+    ``edge`` marks the edges. Pairs outside [0, n) or not normalized are
     skipped, as ``get`` skips them. The diagonal holds no pair: every mask is
     False there.
     """
@@ -198,12 +239,10 @@ class DensePairs:
     @classmethod
     def of(cls, instance: WeightedInstance) -> DensePairs:
         n = max(instance.n, 0)
-        weight, weight_listed = _dense_table(instance.weight, n)
-        cost, cost_listed = _dense_table(instance.cost, n)
-        rows, cols, _ = _pair_index(instance.edges, n)
-        edge = np.zeros((n, n), dtype=bool)
-        edge[rows, cols] = edge[cols, rows] = True
-        return cls(weight, cost, weight_listed, cost_listed, _read_only(edge))
+        weight, weight_listed = instance.weight.matrix(n)
+        cost, cost_listed = instance.cost.matrix(n)
+        rows, cols, _ = instance.edges.within(n)
+        return cls(weight, cost, weight_listed, cost_listed, _symmetric(n, rows, cols, True, False))
 
 
 @dataclass(frozen=True)
@@ -212,24 +251,29 @@ class WeightedInstance:
 
     Attributes:
         n: vertex count (vertices are 0..n-1).
-        edges: existing undirected edges, as normalized pairs.
+        edges: existing undirected edges, as normalized pairs; any
+            collection of pairs is stored as a :class:`PairSet`.
         weight: weight of every pair, existing edges and candidate
             insertions alike.
         cost: insertion cost of every pair; consulted only on non-edges and
             required to be a positive integer there.
         budget: total insertion budget.
 
-    The cached properties assume the instance never changes; the tables'
-    overrides are read-only. ``dense`` is the one n×n view of the pairs
-    (see :class:`DensePairs`); it is built on first use, by validation or
-    by any other scan over all pairs.
+    The cached properties assume the instance never changes; the pair
+    arrays are read-only. ``dense`` is the one n×n view of the pairs (see
+    :class:`DensePairs`); it is built on first use, by validation or by any
+    other scan over all pairs.
     """
 
     n: int
-    edges: frozenset[Pair]
+    edges: PairSet
     weight: PairTable
     cost: PairTable
     budget: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.edges, PairSet):
+            object.__setattr__(self, "edges", PairSet(self.edges))
 
     @cached_property
     def dense(self) -> DensePairs:
@@ -285,18 +329,15 @@ def validate(instance: WeightedInstance) -> list[str]:
     if instance.budget < 0:
         problems.append(f"budget must be >= 0, got {instance.budget}")
 
-    for pair in instance.edges:
-        u, v = pair
-        if not (0 <= u < v < n):
-            problems.append(f"edge {pair} is not a normalized pair of distinct vertices in [0, {n})")
-
-    for table, name in ((instance.weight, "weight"), (instance.cost, "cost")):
-        for pair, value in table.overrides.items():
-            u, v = pair
-            if not (0 <= u < v < n):
-                problems.append(f"{name} override {pair} is out of range")
-
     dense = instance.dense
+    for pairs, listed, problem in (
+        (instance.edges, dense.edge, f"edge {{}} is not a normalized pair of distinct vertices in [0, {n})"),
+        (instance.weight.pairs, dense.weight_listed, "weight override {} is out of range"),
+        (instance.cost.pairs, dense.cost_listed, "cost override {} is out of range"),
+    ):
+        if np.count_nonzero(listed) < 2 * len(pairs):  # the view marks each pair it keeps twice
+            problems += [problem.format(tuple(pair)) for pair in pairs.array[~pairs.within(n)[2]].tolist()]
+
     weight_total = instance.weight.default is not None or not np.triu(~dense.weight_listed, 1).any()
     if not weight_total:
         problems.append("weight not total: no default and some pairs unlisted")
@@ -304,11 +345,12 @@ def validate(instance: WeightedInstance) -> list[str]:
         # Costs are only consulted on non-edges, so edges need no cost entry.
         problems.append("cost not total: no default and some non-edges unlisted")
 
-    if instance.weight.default is not None and instance.weight.default < 0:
-        problems.append(f"default weight must be >= 0, got {instance.weight.default}")
-    for pair, value in instance.weight.overrides.items():
-        if value < 0:
-            problems.append(f"weight of {pair} must be >= 0, got {value}")
+    weight = instance.weight
+    if weight.default is not None and weight.default < 0:
+        problems.append(f"default weight must be >= 0, got {weight.default}")
+    for i in np.flatnonzero(weight.values < 0).tolist():
+        pair = tuple(weight.pairs.array[i].tolist())
+        problems.append(f"weight of {pair} must be >= 0, got {weight.values[i]}")
 
     costed = dense.cost_listed if instance.cost.default is None else True
     below_one = np.triu(costed & ~dense.edge & (dense.cost < 1), 1)
@@ -371,9 +413,11 @@ def augment(instance: WeightedInstance, added: Iterable[Pair]) -> Augmentation:
     Raises InstanceError if some pair is already an edge or lies outside [0, n).
     """
     pairs = frozenset(ordered_pair(*pair) for pair in added)
+    reached = diameter(instance, pairs)  # validates, and range-checks pairs before costing them
+    dense = instance.dense
     for pair in pairs:
-        if pair in instance.edges:
+        if dense.edge[pair]:
             raise InstanceError(f"pair {pair} is already an edge")
-    reached = diameter(instance, pairs)  # range-checks pairs before costing them
-    total = sum(instance.cost.get(*pair) for pair in pairs)
+    rows, cols = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2).T
+    total = sum(instance.cost.exact_at(dense.cost, dense.cost_listed, rows, cols))
     return Augmentation(added=pairs, total_cost=total, diameter=reached)

@@ -11,7 +11,10 @@ vertices 0-indexed decimal)::
 
 Every pair not named by an ``edge`` or ``nonedge`` line is a non-edge with
 the default weight and cost. A file with no ``default_nonedge`` line and
-incomplete pair coverage is invalid.
+incomplete pair coverage is invalid. Numbers are read by Python's ``int``,
+so ``+3`` and ``1_000`` are accepted. The pair lines are read into the
+instance's arrays (see :mod:`diamaug.core`) with one conversion and checked
+together; FormatError names the first line that fails.
 
 Solution format: one ``add <u> <v>`` line per inserted pair (sorted), then
 ``cost <total>``, then ``diameter <value|inf>``.
@@ -23,12 +26,13 @@ import numpy as np
 
 from .core import (
     INF,
-    INF64,
     Augmentation,
     Dist,
     Pair,
+    PairSet,
     PairTable,
     WeightedInstance,
+    exact_array,
     ordered_pair,
 )
 
@@ -41,14 +45,12 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
-def _tokenized_lines(text: str) -> list[tuple[int, list[str]]]:
-    out = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        tokens = body.split()
-        if tokens:
-            out.append((line_no, tokens))
-    return out
+def _tokenized_lines(text: str) -> list[list[str]]:
+    """The tokens of every line, comments dropped; line ``i + 1`` is entry ``i``."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return [line.split() for line in lines]
 
 
 def _parse_int(line_no: int, token: str, what: str) -> int:
@@ -58,110 +60,121 @@ def _parse_int(line_no: int, token: str, what: str) -> int:
         raise FormatError(line_no, f"{what} must be a decimal integer, got {token!r}") from None
 
 
-def _parse_pair(line_no: int, n: int | None, tu: str, tv: str) -> Pair:
-    u = _parse_int(line_no, tu, "vertex")
-    v = _parse_int(line_no, tv, "vertex")
-    if n is None:
+def _check_pair_line(tokens: list[str], line_no: int, n: int, before_n: bool, seen: dict) -> None:
+    """Raise the first check a pair line fails, in reading order; ``seen`` maps pairs to lines."""
+    kind, *args = tokens
+    if len(args) != (3 if kind == "edge" else 4):
+        form = "edge <u> <v> <weight>" if kind == "edge" else "nonedge <u> <v> <weight> <cost>"
+        raise FormatError(line_no, f"expected: {form}")
+    u, v = (_parse_int(line_no, token, "vertex") for token in args[:2])
+    if before_n:
         raise FormatError(line_no, "vertex pair listed before the 'n' line")
     if u == v:
         raise FormatError(line_no, f"self-loop ({u}, {v}) is not allowed")
     if not (0 <= u < n and 0 <= v < n):
         raise FormatError(line_no, f"vertex pair ({u}, {v}) out of range for n={n}")
-    return ordered_pair(u, v)
+    pair = ordered_pair(u, v)
+    if pair in seen:
+        raise FormatError(line_no, f"pair {pair} already listed on line {seen[pair]}")
+    seen[pair] = line_no
+    for token, what in zip(args[2:], ("weight", "cost")):
+        _parse_int(line_no, token, what)
+
+
+def _pair_arrays(
+    lines: list[list[str]], edge_nos: list[int], nonedge_nos: list[int], n: int, n_index: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The pair lines' pairs (u < v, edges first), their weights and the non-edges' costs.
+
+    ``edge_nos`` and ``nonedge_nos`` index ``lines``, and ``n_index`` is the
+    ``n`` line's. One conversion reads every token, and the checks of
+    :func:`_check_pair_line` run over all lines at once: None when one fails.
+    """
+    rows = [lines[i][1:] + ["0"] for i in edge_nos] + [lines[i][1:] for i in nonedge_nos]
+    try:
+        try:
+            grid = np.array(rows or np.zeros((0, 4)), dtype=np.int64)  # an edge's cost reads 0
+        except OverflowError:  # a value beyond int64: keep the exact ints
+            grid = np.array([[int(token) for token in row] for row in rows], dtype=object)
+    except ValueError:  # a token that is not an integer, or a row of another length
+        return None
+    if grid.shape != (len(rows), 4) or min(edge_nos + nonedge_nos, default=n_index) < n_index:
+        return None
+    pairs = np.sort(grid[:, :2], axis=1)
+    lo, hi = pairs.T
+    keys = np.sort((lo.astype(object) if n * n >= 2**63 else lo) * n + hi)  # as int64 it would wrap
+    if (lo == hi).any() or (keys[1:] == keys[:-1]).any() or (len(lo) and (lo.min() < 0 or hi.max() >= n)):
+        return None
+    return pairs, grid[:, 2], grid[len(edge_nos) :, 3]
 
 
 def parse_instance(text: str) -> WeightedInstance:
-    """Parse the instance format; raises FormatError with a line number."""
+    """Parse the instance format; raises FormatError with a line number.
+
+    Directive lines are read up to the first that fails. When a pair line
+    before it fails, the first is reported. The weight table lists every
+    pair, edges first; the edges and the cost table are slices of it.
+    """
+    lines = _tokenized_lines(text)
     n: int | None = None
+    n_index = len(lines)  # the index of the 'n' line
     budget: int | None = None
     default_weight: int | None = None
     default_cost: int | None = None
-    edge_weights: dict[Pair, int] = {}
-    nonedge_values: dict[Pair, tuple[int, int]] = {}
-    seen: dict[Pair, int] = {}
-
-    for line_no, tokens in _tokenized_lines(text):
-        kind, args = tokens[0], tokens[1:]
-        if kind == "n":
-            if n is not None:
-                raise FormatError(line_no, "duplicate 'n' line")
-            if len(args) != 1:
-                raise FormatError(line_no, "expected: n <count>")
-            n = _parse_int(line_no, args[0], "vertex count")
-        elif kind == "B":
-            if budget is not None:
-                raise FormatError(line_no, "duplicate 'B' line")
-            if len(args) != 1:
-                raise FormatError(line_no, "expected: B <budget>")
-            budget = _parse_int(line_no, args[0], "budget")
-        elif kind == "default_nonedge":
-            if default_weight is not None:
-                raise FormatError(line_no, "duplicate 'default_nonedge' line")
-            if len(args) != 4 or args[0] != "weight" or args[2] != "cost":
-                raise FormatError(line_no, "expected: default_nonedge weight <w> cost <c>")
-            default_weight = _parse_int(line_no, args[1], "default weight")
-            default_cost = _parse_int(line_no, args[3], "default cost")
-        elif kind == "edge":
-            if len(args) != 3:
-                raise FormatError(line_no, "expected: edge <u> <v> <weight>")
-            pair = _parse_pair(line_no, n, args[0], args[1])
-            if pair in seen:
-                raise FormatError(line_no, f"pair {pair} already listed on line {seen[pair]}")
-            seen[pair] = line_no
-            edge_weights[pair] = _parse_int(line_no, args[2], "weight")
-        elif kind == "nonedge":
-            if len(args) != 4:
-                raise FormatError(line_no, "expected: nonedge <u> <v> <weight> <cost>")
-            pair = _parse_pair(line_no, n, args[0], args[1])
-            if pair in seen:
-                raise FormatError(line_no, f"pair {pair} already listed on line {seen[pair]}")
-            seen[pair] = line_no
-            w = _parse_int(line_no, args[2], "weight")
-            c = _parse_int(line_no, args[3], "cost")
-            nonedge_values[pair] = (w, c)
-        else:
-            raise FormatError(line_no, f"unknown directive {kind!r}")
-
+    pairs: dict[str, list[int]] = {"edge": [], "nonedge": []}  # line indices
+    failure: FormatError | None = None
+    try:
+        for i, tokens in enumerate(lines):
+            if tokens and tokens[0] in pairs:
+                pairs[tokens[0]].append(i)
+                continue
+            if not tokens:
+                continue
+            (kind, *args), line_no = tokens, i + 1
+            if kind == "n":
+                if n is not None:
+                    raise FormatError(line_no, "duplicate 'n' line")
+                if len(args) != 1:
+                    raise FormatError(line_no, "expected: n <count>")
+                n, n_index = _parse_int(line_no, args[0], "vertex count"), i
+            elif kind == "B":
+                if budget is not None:
+                    raise FormatError(line_no, "duplicate 'B' line")
+                if len(args) != 1:
+                    raise FormatError(line_no, "expected: B <budget>")
+                budget = _parse_int(line_no, args[0], "budget")
+            elif kind == "default_nonedge":
+                if default_weight is not None:
+                    raise FormatError(line_no, "duplicate 'default_nonedge' line")
+                if len(args) != 4 or args[0] != "weight" or args[2] != "cost":
+                    raise FormatError(line_no, "expected: default_nonedge weight <w> cost <c>")
+                default_weight = _parse_int(line_no, args[1], "default weight")
+                default_cost = _parse_int(line_no, args[3], "default cost")
+            else:
+                raise FormatError(line_no, f"unknown directive {kind!r}")
+    except FormatError as exc:  # a pair line before it may hold an earlier error
+        failure = exc
+    edges = pairs["edge"]
+    listed = _pair_arrays(lines, edges, pairs["nonedge"], n or 0, n_index)
+    if listed is None:
+        seen: dict[Pair, int] = {}
+        for i in sorted(edges + pairs["nonedge"]):
+            _check_pair_line(lines[i], i + 1, n or 0, i < n_index, seen)
+    if failure is not None:
+        raise failure
     if n is None:
         raise FormatError(1, "missing 'n' line")
     if budget is None:
         raise FormatError(1, "missing 'B' line")
 
-    weight_overrides: dict[Pair, int] = dict(edge_weights)
-    cost_overrides: dict[Pair, int] = {}
-    for pair, (w, c) in nonedge_values.items():
-        weight_overrides[pair] = w
-        cost_overrides[pair] = c
-
+    pair_array, weights, costs = listed
     return WeightedInstance(
         n=n,
-        edges=frozenset(edge_weights),
-        weight=PairTable(default=default_weight, overrides=weight_overrides),
-        cost=PairTable(default=default_cost, overrides=cost_overrides),
+        edges=PairSet(pair_array[: len(edges)]),
+        weight=PairTable.listed(default_weight, pair_array, weights),
+        cost=PairTable.listed(default_cost, pair_array[len(edges) :], costs),
         budget=budget,
     )
-
-
-def _edge_lines(instance: WeightedInstance) -> list[str]:
-    """One ``edge`` line per edge, sorted, with the exact weight from the table.
-
-    The edges come from the dense view's mask, which holds them in sorted
-    order when every edge is a normalized pair in range; otherwise they are
-    sorted as given. A weight is read from the table where the view's entry
-    may not be exact: saturated at ±INF64, or a pair a partial table misses.
-    """
-    dense, table = instance.dense, instance.weight
-    rows, cols = np.nonzero(np.triu(dense.edge, 1))
-    if len(rows) != len(instance.edges):
-        return [f"edge {u} {v} {table.get(u, v)}" for u, v in sorted(instance.edges)]
-    weights = dense.weight[rows, cols]
-    exact = np.abs(weights) < INF64
-    if table.default is None:
-        exact &= dense.weight_listed[rows, cols]
-    return [
-        f"edge {u} {v} {w if ok else table.get(u, v)}"
-        for u, v, w, ok in zip(rows.tolist(), cols.tolist(), weights.tolist(), exact.tolist())
-    ]
 
 
 def serialize_instance(instance: WeightedInstance) -> str:
@@ -171,21 +184,30 @@ def serialize_instance(instance: WeightedInstance) -> str:
     serialize to identical bytes, so the output doubles as a digest input
     and as golden-file material. Only a non-edge that one of the tables
     lists can differ from the defaults, so only those are compared (every
-    non-edge when there are no defaults); printed values come from the
-    tables, exact at any size.
+    non-edge when there are no defaults). Pairs come from the dense view in
+    sorted order, values from :meth:`PairTable.exact_at`, exact at any
+    size. Edges that the view skips (outside [0, n) or not normalized) are
+    printed as given, sorted.
     """
     lines = [f"n {instance.n}", f"B {instance.budget}"]
-    dw, dc = instance.weight.default, instance.cost.default
+    weight, cost = instance.weight, instance.cost
+    dw, dc = weight.default, cost.default
     if dw is not None or dc is not None:
         if dw is None or dc is None:
             raise ValueError("cannot serialize: only one of the default weight/cost is set")
         lines.append(f"default_nonedge weight {dw} cost {dc}")
-    lines += _edge_lines(instance)
     dense = instance.dense
+    rows, cols = np.nonzero(np.triu(dense.edge, 1))
+    if len(rows) == len(instance.edges):
+        weights = weight.exact_at(dense.weight, dense.weight_listed, rows, cols)
+        lines += [f"edge {u} {v} {w}" for u, v, w in zip(rows.tolist(), cols.tolist(), weights)]
+    else:
+        lines += [f"edge {u} {v} {weight.get(u, v)}" for u, v in sorted(instance.edges)]
     listed = ~dense.edge if dw is None else (dense.weight_listed | dense.cost_listed) & ~dense.edge
-    for u, v in zip(*(index.tolist() for index in np.nonzero(np.triu(listed, 1)))):
-        w = instance.weight.get(u, v)
-        c = instance.cost.get(u, v)
+    rows, cols = np.nonzero(np.triu(listed, 1))
+    weights = weight.exact_at(dense.weight, dense.weight_listed, rows, cols)
+    costs = cost.exact_at(dense.cost, dense.cost_listed, rows, cols)
+    for u, v, w, c in zip(rows.tolist(), cols.tolist(), weights, costs):
         if w != dw or c != dc:
             lines.append(f"nonedge {u} {v} {w} {c}")
     return "\n".join(lines) + "\n"
@@ -196,7 +218,9 @@ def parse_solution(text: str) -> tuple[list[Pair], int, Dist]:
     added: list[Pair] = []
     cost: int | None = None
     diam: Dist | None = None
-    for line_no, tokens in _tokenized_lines(text):
+    for line_no, tokens in enumerate(_tokenized_lines(text), start=1):
+        if not tokens:
+            continue
         kind, args = tokens[0], tokens[1:]
         if kind == "add":
             if len(args) != 2:

@@ -270,7 +270,7 @@ def reconstruct_tree(table: HeightTable, u: int, mask: int, j: int) -> CenterTre
     InfeasibleEntryError on an unreachable entry; only the root can be one,
     as a finite split forces both halves and its path to be finite.
     """
-    dists, weight = table.dists, table.dists.instance.weight
+    dists, weight = table.dists, table.dists.instance.dense.weight
     node_vertices: list[int] = [u]
     depths: list[int] = [0]
     new_edges: set[Pair] = set()
@@ -282,7 +282,7 @@ def reconstruct_tree(table: HeightTable, u: int, mask: int, j: int) -> CenterTre
         current = anchor
         for a, b in zip(witness.vertices, witness.vertices[1:]):
             node_vertices.append(b)
-            depths.append(depths[current] + weight.get(a, b))
+            depths.append(depths[current] + int(weight[a, b]))
             current = len(node_vertices) - 1
         return current
 

@@ -44,8 +44,10 @@ import numpy as np
 
 from .core import (
     Pair,
+    PairSet,
     PairTable,
     WeightedInstance,
+    exact_array,
     ordered_pair,
     to_dist,
 )
@@ -278,10 +280,11 @@ def gen_random(
                 edges[(u, v)] = rng.randint(1, max_weight)
     default_weight = rng.randint(1, max_weight)
     default_cost = rng.randint(1, max_cost)
+    pairs = PairSet(edges)
     return WeightedInstance(
         n=n,
-        edges=frozenset(edges),
-        weight=PairTable(default=default_weight, overrides=edges),
+        edges=pairs,
+        weight=PairTable.listed(default_weight, pairs.array, exact_array(list(edges.values()))),
         cost=PairTable(default=default_cost),
         budget=budget,
     )

@@ -39,15 +39,10 @@ class ExactResult:
 
 def _base_matrix(instance: WeightedInstance) -> np.ndarray:
     """All-pairs distance matrix of the bare instance graph (int64)."""
-    n = instance.n
-    d = np.full((n, n), INF64, dtype=np.int64)
+    dense = instance.dense  # a valid instance's weights lie in [0, INF64)
+    d = np.where(dense.edge, dense.weight, INF64)
     np.fill_diagonal(d, 0)
-    for (u, v) in instance.edges:
-        w = instance.weight.get(u, v)
-        if w < d[u, v]:
-            d[u, v] = w
-            d[v, u] = w
-    for k in range(n):
+    for k in range(instance.n):
         via = d[:, k, None] + d[None, k, :]
         bad = (d[:, k, None] >= INF64) | (d[None, k, :] >= INF64)
         via = np.where(bad, INF64, via)
@@ -85,8 +80,10 @@ def exact_optimum(instance: WeightedInstance) -> ExactResult:
     """
     ensure_valid(instance)
     n = instance.n
-    non_edges = instance.non_edges()
-    costs = [instance.cost.get(u, v) for (u, v) in non_edges]
+    dense, non_edges = instance.dense, instance.non_edges()
+    rows, cols = np.array(non_edges, dtype=np.intp).reshape(-1, 2).T
+    costs = list(instance.cost.exact_at(dense.cost, dense.cost_listed, rows, cols))
+    weights = dense.weight[rows, cols].tolist()
     max_sets = MAX_WORK // (n * n) - n
     fitting = sum(1 for total in accumulate(sorted(costs)) if total <= instance.budget)
     explored = 1 << fitting  # at least this many sets, until counted
@@ -119,7 +116,7 @@ def exact_optimum(instance: WeightedInstance) -> ExactResult:
                 continue
             u, v = non_edges[idx]
             chosen.append((u, v))
-            visit(_with_edge(d, u, v, instance.weight.get(u, v)), idx + 1, budget_left - c, chosen)
+            visit(_with_edge(d, u, v, weights[idx]), idx + 1, budget_left - c, chosen)
             chosen.pop()
 
     visit(_base_matrix(instance), 0, instance.budget, [])

@@ -140,7 +140,6 @@ def cluster_spanning_mst(instance: WeightedInstance, first_center: int = 0) -> A
         if ri == rj:
             continue
         parent[ri] = rj
-        pair = (u, v) if u < v else (v, u)
-        if pair not in instance.edges:
-            added.add(pair)
+        if not instance.dense.edge[u, v]:
+            added.add((u, v) if u < v else (v, u))
     return augment(instance, added)
