@@ -3,7 +3,8 @@
 Subcommands: solve, exact, check, apsp, cluster, gen, bench. Exit codes:
 0 success, 1 invalid input (malformed file, vertex or budget flag outside
 the instance, generator flag out of range, usage error, failed check, bound
-violation), 2 guard refusal (oracle too large, degenerate or oversized reduction).
+violation), 2 guard refusal (oversized instance, oracle too large, degenerate or
+oversized reduction).
 
 All randomness enters through explicit ``--seed`` flags; repeated runs with
 identical inputs produce byte-identical output. Wall-clock numbers never
@@ -26,9 +27,11 @@ from .core import (
     INF,
     Augmentation,
     InstanceError,
+    InstanceLimitError,
     PairTable,
     WeightedInstance,
     augment,
+    check_instance_size,
     ensure_valid,
 )
 from .formats import (
@@ -68,6 +71,7 @@ SCALE_STAGES = ("bounded_paths", "table", "reconstruct")
 def _load_instance(path: str) -> WeightedInstance:
     text = Path(path).read_text(encoding="utf-8")
     instance = parse_instance(text)
+    check_instance_size(instance)  # before validation builds the first n×n array
     ensure_valid(instance)
     return instance
 
@@ -441,7 +445,7 @@ def run(argv: Sequence[str]) -> int:
     except (FormatError, InstanceError, FlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (HeightTableLimitError, OracleLimitError, ReductionError) as exc:
+    except (HeightTableLimitError, InstanceLimitError, OracleLimitError, ReductionError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -371,6 +371,26 @@ def ensure_valid(instance: WeightedInstance) -> None:
         raise InstanceError("; ".join(instance.problems))
 
 
+# The largest instance a command loads: its pair view (19 bytes per pair)
+# plus D₀, n·n·(19 + 2) bytes up to n = 3,575 with a uint16 D₀.
+MAX_INSTANCE_BYTES = 2**28
+
+
+class InstanceLimitError(ValueError):
+    """Raised for an instance whose pair view and D₀ would exceed MAX_INSTANCE_BYTES."""
+
+
+def check_instance_size(instance: WeightedInstance) -> None:
+    """Raise InstanceLimitError before any n×n array exists: it reads n and the largest weight."""
+    n = max(instance.n, 0)
+    size = n * n * (2 * 8 + 3 + np.dtype(instance.dist_type.dtype).itemsize)  # DensePairs + D₀
+    if size > MAX_INSTANCE_BYTES:
+        raise InstanceLimitError(
+            f"instance too large: n={n} needs {size} bytes for its pair view and D₀, "
+            f"above {MAX_INSTANCE_BYTES}"
+        )
+
+
 def graph_metric(instance: WeightedInstance) -> np.ndarray:
     """All-pairs distances over the edges, by Floyd–Warshall.
 

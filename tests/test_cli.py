@@ -270,6 +270,44 @@ def test_solve_refuses_an_oversized_height_table(tmp_path, capsys):
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["solve"], ["solve", "--algo", "pairs"], ["exact"], ["apsp"], ["cluster"], ["check"]],
+)
+def test_commands_refuse_an_oversized_instance_on_load(tmp_path, capsys, monkeypatch, command):
+    path, solution = tmp_path / "huge.txt", tmp_path / "huge.sol"
+    path.write_text("n 100000\nB 0\n", encoding="utf-8")  # a 190 GB pair view
+    solution.write_text("cost 0\ndiameter 0\n", encoding="utf-8")
+
+    def unguarded(instance):
+        raise AssertionError("the pair view was built before the size check")
+
+    monkeypatch.setattr(core.DensePairs, "of", unguarded)
+    argv = [command[0], "--input", str(path), *command[1:]]
+    if command[0] == "check":
+        argv += ["--solution", str(solution)]
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "refused: instance too large: n=100000 needs 210000000000 bytes for its pair view "
+        f"and D₀, above {core.MAX_INSTANCE_BYTES}\n"
+    )
+    assert peak < 4 * 2**20
+
+
+def test_instance_size_limit_sits_at_n_3575():
+    core.check_instance_size(build(3575, set()))  # 3575² · 21 bytes (uint16 D₀) is below 2**28
+    with pytest.raises(core.InstanceLimitError):
+        core.check_instance_size(build(3576, set()))
+
+
 def test_gen_setcover_copies_guard(tmp_path, capsys):
     sets = tmp_path / "sets.txt"
     sets.write_text("0\n0 1\n", encoding="utf-8")
