@@ -153,7 +153,8 @@ class PairSet(AbstractSet):
         """Rows and columns of the normalized pairs in [0, n), and the mask of those pairs."""
         rows, cols = self.array.T
         kept = (0 <= rows) & (rows < cols) & (cols < n)
-        return rows[kept].astype(np.intp), cols[kept].astype(np.intp), kept
+        rows, cols = (index[kept].astype(np.intp, copy=False) for index in (rows, cols))
+        return rows, cols, kept
 
 
 class PairTable:
@@ -209,11 +210,13 @@ class PairTable:
         """The values at pairs (rows[i], cols[i]), from this table's :meth:`matrix`
         where exact, else from :meth:`get` (KeyError where a partial table lists nothing)."""
         values = matrix[rows, cols]
-        trusted = (np.abs(values) < INF64) & (True if self.default is not None else listed[rows, cols])
+        trusted = np.abs(values) < INF64
+        if self.default is None:
+            trusted &= listed[rows, cols]
         if trusted.all():
             return iter(values.tolist())
         pairs = zip(np.asarray(rows).tolist(), np.asarray(cols).tolist())
-        return (w if ok else self.get(*p) for p, w, ok in zip(pairs, values.tolist(), trusted.tolist()))
+        return (w if ok else self.get(*p) for p, w, ok in zip(pairs, values.tolist(), trusted))
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,13 +333,15 @@ def validate(instance: WeightedInstance) -> list[str]:
         problems.append(f"budget must be >= 0, got {instance.budget}")
 
     dense = instance.dense
+    edge_problem = "edge {} is not a normalized pair of distinct vertices in [0, {n})"
     for pairs, listed, problem in (
-        (instance.edges, dense.edge, f"edge {{}} is not a normalized pair of distinct vertices in [0, {n})"),
+        (instance.edges, dense.edge, edge_problem),
         (instance.weight.pairs, dense.weight_listed, "weight override {} is out of range"),
         (instance.cost.pairs, dense.cost_listed, "cost override {} is out of range"),
     ):
         if np.count_nonzero(listed) < 2 * len(pairs):  # the view marks each pair it keeps twice
-            problems += [problem.format(tuple(pair)) for pair in pairs.array[~pairs.within(n)[2]].tolist()]
+            skipped = pairs.array[~pairs.within(n)[2]].tolist()
+            problems += [problem.format(tuple(pair), n=n) for pair in skipped]
 
     weight_total = instance.weight.default is not None or not np.triu(~dense.weight_listed, 1).any()
     if not weight_total:

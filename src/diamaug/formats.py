@@ -60,8 +60,10 @@ def _parse_int(line_no: int, token: str, what: str) -> int:
         raise FormatError(line_no, f"{what} must be a decimal integer, got {token!r}") from None
 
 
-def _check_pair_line(tokens: list[str], line_no: int, n: int, before_n: bool, seen: dict) -> None:
-    """Raise the first check a pair line fails, in reading order; ``seen`` maps pairs to lines."""
+def _check_pair_line(
+    tokens: list[str], line_no: int, n: int, before_n: bool, seen: dict[Pair, int]
+) -> None:
+    """Raise FormatError at the first check a pair line fails; ``seen`` maps pairs to lines."""
     kind, *args = tokens
     if len(args) != (3 if kind == "edge" else 4):
         form = "edge <u> <v> <weight>" if kind == "edge" else "nonedge <u> <v> <weight> <cost>"
@@ -90,10 +92,10 @@ def _pair_arrays(
     ``n`` line's. One conversion reads every token, and the checks of
     :func:`_check_pair_line` run over all lines at once: None when one fails.
     """
-    rows = [lines[i][1:] + ["0"] for i in edge_nos] + [lines[i][1:] for i in nonedge_nos]
+    rows = [lines[i][1:] + ["0"] for i in edge_nos] + [lines[i][1:] for i in nonedge_nos]  # cost 0
     try:
         try:
-            grid = np.array(rows or np.zeros((0, 4)), dtype=np.int64)  # an edge's cost reads 0
+            grid = np.array(rows or np.zeros((0, 4)), dtype=np.int64)
         except OverflowError:  # a value beyond int64: keep the exact ints
             grid = np.array([[int(token) for token in row] for row in rows], dtype=object)
     except ValueError:  # a token that is not an integer, or a row of another length
@@ -103,7 +105,8 @@ def _pair_arrays(
     pairs = np.sort(grid[:, :2], axis=1)
     lo, hi = pairs.T
     keys = np.sort((lo.astype(object) if n * n >= 2**63 else lo) * n + hi)  # as int64 it would wrap
-    if (lo == hi).any() or (keys[1:] == keys[:-1]).any() or (len(lo) and (lo.min() < 0 or hi.max() >= n)):
+    outside = len(lo) and (lo.min() < 0 or hi.max() >= n)
+    if outside or (lo == hi).any() or (keys[1:] == keys[:-1]).any():
         return None
     return pairs, grid[:, 2], grid[len(edge_nos) :, 3]
 
