@@ -234,10 +234,14 @@ def parse_solution(text: str) -> tuple[list[Pair], int, Dist]:
                 raise FormatError(line_no, f"self-loop ({u}, {v}) is not allowed")
             added.append(ordered_pair(u, v))
         elif kind == "cost":
+            if cost is not None:
+                raise FormatError(line_no, "duplicate 'cost' line")
             if len(args) != 1:
                 raise FormatError(line_no, "expected: cost <total>")
             cost = _parse_int(line_no, args[0], "cost")
         elif kind == "diameter":
+            if diam is not None:
+                raise FormatError(line_no, "duplicate 'diameter' line")
             if len(args) != 1:
                 raise FormatError(line_no, "expected: diameter <value|inf>")
             diam = INF if args[0] == "inf" else _parse_int(line_no, args[0], "diameter")

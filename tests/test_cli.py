@@ -118,6 +118,15 @@ def test_check_rejects_existing_edge(p4_file, tmp_path, capsys):
     assert "already an edge" in capsys.readouterr().out
 
 
+def test_check_rejects_a_repeated_cost_line(p4_file, tmp_path, capsys):
+    solution = tmp_path / "sol.txt"
+    solution.write_text("add 0 3\ncost 1\ndiameter 2\ncost 5\n", encoding="utf-8")
+    assert run(["check", "--input", p4_file, "--solution", str(solution)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 4: duplicate 'cost' line\n"
+
+
 def test_malformed_instance_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("n 4\nB 1\nedge 0 9 1\n", encoding="utf-8")

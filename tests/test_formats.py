@@ -120,6 +120,19 @@ def test_solution_parse_errors():
         parse_solution("add 0 1\ndiameter 1\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("add 0 3\ncost 1\ndiameter 2\ncost 5\n", "line 4: duplicate 'cost' line"),
+        ("add 0 3\ndiameter 2\ncost 1\n# late\ndiameter inf\n", "line 5: duplicate 'diameter' line"),
+    ],
+)
+def test_solution_repeated_totals_are_rejected(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_solution(text)
+    assert str(err.value) == message
+
+
 PARTIAL_TEXT = """\
 n 4
 B 2
