@@ -15,7 +15,8 @@ Pinned jobs:
 
 A change that alters an output on purpose re-pins the file in the same
 change, with ``python tests/test_golden_outputs.py``, and names the jobs
-whose digests moved.
+whose digests moved: the script prints each added, removed or changed job
+before it writes the file.
 """
 
 from __future__ import annotations
@@ -117,17 +118,39 @@ def output_digests(workdir: Path) -> dict[str, str]:
     return digests
 
 
+def moved_jobs(pinned: dict[str, str], digests: dict[str, str]) -> list[str]:
+    """Every job whose digest a re-pin adds, removes or changes, by name, with that verdict."""
+    moved = []
+    for name in sorted(pinned.keys() | digests.keys()):
+        if name not in pinned:
+            moved.append(f"added {name}")
+        elif name not in digests:
+            moved.append(f"removed {name}")
+        elif pinned[name] != digests[name]:
+            moved.append(f"changed {name}")
+    return moved
+
+
 def test_outputs_match_pinned_digests(tmp_path):
     pinned = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    digests = output_digests(tmp_path)
-    assert digests.keys() == pinned.keys()
-    changed = sorted(name for name in pinned if digests[name] != pinned[name])
-    assert not changed, f"outputs changed: {changed}"
+    assert not moved_jobs(pinned, output_digests(tmp_path))
+
+
+def test_moved_jobs_names_each_verdict():
+    pinned = {"a": "1", "b": "2", "c": "3"}
+    assert moved_jobs(pinned, {"b": "2", "c": "4", "d": "5"}) == [
+        "removed a",
+        "changed c",
+        "added d",
+    ]
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as workdir:
         digests = output_digests(Path(workdir))
+    pinned = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exists() else {}
+    for line in moved_jobs(pinned, digests):
+        print(line)
     GOLDEN_PATH.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
     print(f"pinned {len(digests)} digests in {GOLDEN_PATH}")
