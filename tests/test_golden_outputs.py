@@ -13,6 +13,10 @@ Pinned jobs:
   workload instance has n·W below 2**14; these have n·W in [2**14, 2**30)
   and above 2**30, so they pin the wider distance dtypes.
 
+Each of ``fpt``, ``pairs``, ``star``, ``mst`` and ``exact`` also runs twice
+in one process on these files, and both runs must print and write the same
+bytes.
+
 A change that alters an output on purpose re-pins the file in the same
 change, with ``python tests/test_golden_outputs.py``, and names the jobs
 whose digests moved: the script prints each added, removed or changed job
@@ -134,6 +138,30 @@ def moved_jobs(pinned: dict[str, str], digests: dict[str, str]) -> list[str]:
 def test_outputs_match_pinned_digests(tmp_path):
     pinned = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     assert not moved_jobs(pinned, output_digests(tmp_path))
+
+
+def test_solves_repeat_byte_identically_in_one_process(tmp_path):
+    from diamaug import gen_random, serialize_instance
+
+    workloads = _load_workloads()
+    paths = {}
+    for name in ("fpt-wide", "unit-mix"):
+        paths[name] = tmp_path / f"{name}-0.txt"
+        instance = workloads[name].instance(SEED, 0, gen_random)
+        paths[name].write_text(serialize_instance(instance), encoding="utf-8")
+    paths["small"] = tmp_path / "small.txt"  # the exact job's file
+    _run(["gen", "random", "--n", "7", "--p", "0.4", "--wmax", "5", "--cmax", "2",
+          "--budget", "2", "--seed", "7", "--output", str(paths["small"])])
+    solution = tmp_path / "job.sol"
+    for name, algo in [("fpt-wide", "fpt"), ("unit-mix", "pairs"), ("unit-mix", "star"),
+                       ("unit-mix", "mst"), ("small", "exact")]:
+        runs = []
+        for _ in range(2):
+            solution.unlink(missing_ok=True)
+            report = _run(["solve", "--input", str(paths[name]), "--algo", algo,
+                           "--report", "json", "--solution", str(solution)])
+            runs.append((report.encode("utf-8"), solution.read_bytes()))
+        assert runs[0] == runs[1], (name, algo)
 
 
 def test_moved_jobs_names_each_verdict():
