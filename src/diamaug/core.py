@@ -103,11 +103,15 @@ def ordered_pair(u: int, v: int) -> Pair:
 
 
 def exact_array(values: list) -> np.ndarray:
-    """Python ints as int64, or as an object array of the same ints when one lies beyond int64."""
+    """Nested lists of ints or of int strings, each read by ``int``, as an int64 array.
+
+    When a value lies beyond int64, the array holds the exact Python ints as
+    objects. Raises ValueError for a string ``int`` rejects or ragged lists.
+    """
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
-        return np.array(values, dtype=object)
+        return np.vectorize(int, otypes=[object])(values)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -94,10 +94,7 @@ def _pair_arrays(
     """
     rows = [lines[i][1:] + ["0"] for i in edge_nos] + [lines[i][1:] for i in nonedge_nos]  # cost 0
     try:
-        try:
-            grid = np.array(rows or np.zeros((0, 4)), dtype=np.int64)
-        except OverflowError:  # a value beyond int64: keep the exact ints
-            grid = np.array([[int(token) for token in row] for row in rows], dtype=object)
+        grid = exact_array(rows or np.zeros((0, 4)))
     except ValueError:  # a token that is not an integer, or a row of another length
         return None
     if grid.shape != (len(rows), 4) or min(edge_nos + nonedge_nos, default=n_index) < n_index:
