@@ -153,6 +153,9 @@ class PairSet(AbstractSet):
 
     _from_iterable = staticmethod(frozenset)
 
+    def __repr__(self) -> str:
+        return f"PairSet({self.array.tolist()})"
+
     def within(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows and columns of the normalized pairs in [0, n), and the mask of those pairs."""
         rows, cols = self.array.T
@@ -161,6 +164,7 @@ class PairSet(AbstractSet):
         return rows, cols, kept
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class PairTable:
     """Symmetric integer function over unordered vertex pairs.
 
@@ -171,15 +175,18 @@ class PairTable:
     arrays. ``overrides``, which ``get`` reads, is built on first use.
     """
 
+    default: int | None
+    pairs: PairSet
+    values: np.ndarray
+
     def __init__(self, default: int | None, overrides: Mapping[Pair, int] = MappingProxyType({})):
-        self.default = default
-        self.pairs = PairSet(overrides)
-        self.values = _read_only(exact_array(list(overrides.values())))
+        values = _read_only(exact_array(list(overrides.values())))
+        self.__dict__.update(default=default, pairs=PairSet(overrides), values=values)
 
     @classmethod
     def listed(cls, default: int | None, pairs: np.ndarray, values: np.ndarray) -> PairTable:
         table = cls(default)
-        table.pairs, table.values = PairSet(pairs), _read_only(values)
+        table.__dict__.update(pairs=PairSet(pairs), values=_read_only(values))
         return table
 
     def __eq__(self, other: object) -> bool:
@@ -203,16 +210,22 @@ class PairTable:
         return max(values + ([] if self.default is None else [self.default]), default=0)
 
     def matrix(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """As a symmetric n×n int64 matrix saturated at ±INF64 (0 where a partial table
-        lists nothing), and the mask of the pairs listed."""
+        """The table as a symmetric n×n int64 matrix, and the mask of the pairs it lists.
+
+        Entries saturate at ±INF64; an unlisted pair of a partial table holds 0.
+        """
         rows, cols, kept = self.pairs.within(n)
         values = np.clip(self.values[kept], -INF64, INF64).astype(np.int64)
         fill = np.int64(0 if self.default is None else max(-INF64, min(self.default, INF64)))
         return _symmetric(n, rows, cols, values, fill), _symmetric(n, rows, cols, True, False)
 
     def exact_at(self, matrix: np.ndarray, listed: np.ndarray, rows, cols) -> Iterator[int]:
-        """The values at pairs (rows[i], cols[i]), from this table's :meth:`matrix`
-        where exact, else from :meth:`get` (KeyError where a partial table lists nothing)."""
+        """The exact values at the pairs (rows[i], cols[i]), one at a time.
+
+        ``matrix`` and ``listed`` are this table's :meth:`matrix`. A value comes
+        from there where it is exact, else from :meth:`get`: where the matrix
+        saturates, or at an unlisted pair of a partial table (KeyError).
+        """
         values = matrix[rows, cols]
         trusted = np.abs(values) < INF64
         if self.default is None:
