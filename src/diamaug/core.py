@@ -103,11 +103,8 @@ def ordered_pair(u: int, v: int) -> Pair:
 
 
 def exact_array(values: list) -> np.ndarray:
-    """Nested lists of ints or of int strings, each read by ``int``, as an int64 array.
-
-    When a value lies beyond int64, the array holds the exact Python ints as
-    objects. Raises ValueError for a string ``int`` rejects or ragged lists.
-    """
+    """Nested lists of ints or int strings, each read by ``int``, as int64; as exact
+    Python ints in an object array when one lies beyond int64. ValueError if ragged."""
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
@@ -190,10 +187,8 @@ class PairTable:
         return table
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PairTable) and (self.default, self.overrides) == (
-            other.default,
-            other.overrides,
-        )
+        same_default = isinstance(other, PairTable) and self.default == other.default
+        return same_default and self.overrides == other.overrides
 
     @cached_property
     def overrides(self) -> Mapping[Pair, int]:
