@@ -92,7 +92,8 @@ def _pair_arrays(
     ``n`` line's. One conversion reads every token, and the checks of
     :func:`_check_pair_line` run over all lines at once: None when one fails.
     """
-    rows = [lines[i][1:] + ["0"] for i in edge_nos] + [lines[i][1:] for i in nonedge_nos]  # cost 0
+    # an edge line gets cost token "0", so every row holds u, v, weight, cost
+    rows = [lines[i][1:] + ["0"] for i in edge_nos] + [lines[i][1:] for i in nonedge_nos]
     try:
         grid = exact_array(rows or np.zeros((0, 4)))
     except ValueError:  # a token that is not an integer, or a row of another length
