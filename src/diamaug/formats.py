@@ -102,7 +102,8 @@ def _pair_arrays(
         return None
     pairs = np.sort(grid[:, :2], axis=1)
     lo, hi = pairs.T
-    keys = np.sort((lo.astype(object) if n * n >= 2**63 else lo) * n + hi)  # as int64 it would wrap
+    # keys of pairs in [0, n) are equal exactly for equal pairs; past n² ≥ 2**63, int64 would wrap
+    keys = np.sort((lo.astype(object) if n * n >= 2**63 else lo) * n + hi)
     outside = len(lo) and (lo.min() < 0 or hi.max() >= n)
     if outside or (lo == hi).any() or (keys[1:] == keys[:-1]).any():
         return None
@@ -118,7 +119,7 @@ def parse_instance(text: str) -> WeightedInstance:
     """
     lines = _tokenized_lines(text)
     n: int | None = None
-    n_index = len(lines)  # the index of the 'n' line
+    n_index = len(lines)  # the 'n' line's index, past the end until one is read
     budget: int | None = None
     default_weight: int | None = None
     default_cost: int | None = None
