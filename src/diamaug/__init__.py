@@ -21,6 +21,7 @@ from .core import (
     Pair,
     PairSet,
     PairTable,
+    SolveOutcome,
     WeightedInstance,
     augment,
     diameter,
@@ -36,7 +37,6 @@ from .formats import (
 )
 from .fpt import (
     CenterTree,
-    FptOutcome,
     HeightTable,
     HeightTableLimitError,
     InfeasibleEntryError,
@@ -72,7 +72,6 @@ __all__ = [
     "Dist",
     "ExactResult",
     "FormatError",
-    "FptOutcome",
     "HeightTable",
     "HeightTableLimitError",
     "InfeasibleEntryError",
@@ -88,6 +87,7 @@ __all__ = [
     "ReductionLayout",
     "RunReport",
     "SetCoverInstance",
+    "SolveOutcome",
     "WeightedInstance",
     "apsp_b",
     "augment",

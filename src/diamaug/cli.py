@@ -24,11 +24,10 @@ from typing import Sequence
 
 from . import oracle, unit_cost
 from .core import (
-    INF,
-    Augmentation,
     InstanceError,
     InstanceLimitError,
     PairTable,
+    SolveOutcome,
     WeightedInstance,
     augment,
     check_instance_size,
@@ -52,7 +51,7 @@ from .generators import (
     reduce_setcover_multicopy,
 )
 from .oracle import OracleLimitError
-from .report import RunReport, instance_digest, render_dist
+from .report import RunReport, diameter_ratio, instance_digest, render_dist
 
 # README's Guarantees table: per algorithm, the cost spent and the diameter
 # ratio to the optimum that it guarantees, as functions of the budget k.
@@ -66,12 +65,14 @@ GUARANTEES = {
 SCALE_REPEATS = 3
 # fpt_solve stages the scale suite prints after D₀ (metric), each the median over the repeats.
 SCALE_STAGES = ("bounded_paths", "table", "reconstruct")
+# The scale suite's largest weight: it draws gen_random(n, 0.15, SCALE_WMAX, 3, B, seed).
+SCALE_WMAX = 5
 
 
 def _load_instance(path: str) -> WeightedInstance:
     text = Path(path).read_text(encoding="utf-8")
     instance = parse_instance(text)
-    check_instance_size(instance)  # before validation builds the first n×n array
+    check_instance_size(instance.n, instance.weight.max_value())  # before the first n×n array
     ensure_valid(instance)
     return instance
 
@@ -93,55 +94,36 @@ def _gen_random(*args: float) -> WeightedInstance:
         raise FlagError(str(exc)) from None
 
 
-def _solve_one(
-    instance: WeightedInstance, algo: str, first_center: int
-) -> tuple[Augmentation, RunReport]:
-    parameters: dict[str, int | str] = {"first_center": first_center}
-    extras: dict[str, object] = {}
-    timings = None
+def _solve_one(instance: WeightedInstance, algo: str, first_center: int) -> RunReport:
     start = time.perf_counter()
-    if algo == "fpt":
-        outcome = fpt_solve(instance, first_center)
-        augmentation, timings = outcome.augmentation, outcome.timings
-        extras = {"tree_height": outcome.tree_height, "cluster_radius": outcome.cluster_radius}
-    elif algo == "exact":
-        result = oracle.exact_optimum(instance)
-        augmentation = augment(instance, result.best_added)
-        parameters = {"explored": result.explored}
-        extras = {"d_opt": result.best_diameter}
-    elif algo in ("pairs", "star", "mst"):
+    if algo == "exact":
+        exact = oracle.exact_optimum(instance)
+        augmentation = augment(instance, exact.best_added)
+        outcome = SolveOutcome(augmentation, {"explored": exact.explored}, d_opt=exact.best_diameter)
+    else:
         solver = {  # looked up per call, so a replaced unit_cost attribute is honoured
+            "fpt": fpt_solve,
             "pairs": unit_cost.pairwise_centers,
             "star": unit_cost.star_centers,
             "mst": unit_cost.cluster_spanning_mst,
         }[algo]
-        augmentation = solver(instance, first_center)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    timings = timings or {"solve": time.perf_counter() - start}
-    report = RunReport(
-        algorithm=algo,
-        digest=instance_digest(instance),
-        parameters=parameters,
-        added=tuple(sorted(augmentation.added)),
-        total_cost=augmentation.total_cost,
-        diameter=augmentation.diameter,
-        timings=timings,
-        **extras,
-    )
-    return augmentation, report
+        outcome = solver(instance, first_center)
+    if not outcome.timings:
+        outcome = dataclasses.replace(outcome, timings={"solve": time.perf_counter() - start})
+    return RunReport(algo, instance_digest(instance), outcome)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
     _check_flag("--first", args.first, instance.n)
-    augmentation, report = _solve_one(instance, args.algo, args.first)
+    report = _solve_one(instance, args.algo, args.first)
     if args.report == "json":
         sys.stdout.write(report.to_json(include_timings=args.timings))
     else:
         sys.stdout.write(report.to_text(include_timings=args.timings))
     if args.solution:
-        Path(args.solution).write_text(serialize_solution(augmentation), encoding="utf-8")
+        solution = serialize_solution(report.outcome.augmentation)
+        Path(args.solution).write_text(solution, encoding="utf-8")
     return 0
 
 
@@ -240,6 +222,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         else:
             instance, _ = reduce_setcover_multicopy(sc, args.copies)
     else:
+        check_instance_size(args.n, args.wmax)  # before the first of n² draws
         instance = _gen_random(args.n, args.p, args.wmax, args.cmax, args.budget, args.seed)
     text = serialize_instance(instance)
     if args.output:
@@ -300,7 +283,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if _is_unit_cost(instance):
             algos += ["pairs", "star", "mst"]
         for algo in algos:
-            augmentation, _ = _solve_one(instance, algo, first_center=0)
+            augmentation = _solve_one(instance, algo, first_center=0).outcome.augmentation
             cost_bound, ratio_bound = GUARANTEES[algo]
             bound = ratio_bound(instance.budget)
             ok = (
@@ -309,15 +292,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
             if not ok:
                 violations += 1
-            ratio = (
-                f"{augmentation.diameter / d_opt:.4f}"
-                if d_opt not in (0, INF) and augmentation.diameter != INF
-                else "-"
-            )
+            ratio = diameter_ratio(augmentation.diameter, d_opt)
             rows.append(
                 f"{name} {algo} cost={augmentation.total_cost} "
-                f"diameter={render_dist(augmentation.diameter)} "
-                f"d_opt={render_dist(d_opt)} ratio={ratio} bound={bound} "
+                f"diameter={render_dist(augmentation.diameter)} d_opt={render_dist(d_opt)} "
+                f"ratio={'-' if ratio is None else f'{ratio:.4f}'} bound={bound} "
                 f"{'ok' if ok else 'VIOLATION'}"
             )
     for row in sorted(rows):
@@ -335,8 +314,10 @@ def _parse_budgets(raw: str) -> list[int]:
 
 def _bench_scale(args: argparse.Namespace) -> int:
     budgets = _parse_budgets(args.budgets)
-    # every flag, and fpt_solve's table size check, runs before the first row prints
-    instances = [_gen_random(args.n, 0.15, 5, 3, budget, args.seed) for budget in budgets]
+    # every flag and both size checks run before the first row prints, the instance's
+    # before the first draw
+    check_instance_size(args.n, SCALE_WMAX)
+    instances = [_gen_random(args.n, 0.15, SCALE_WMAX, 3, b, args.seed) for b in budgets]
     for budget in budgets:
         _check_table_size(min(budget + 1, args.n) - 1, budget, args.n)
     timings: list[tuple[int, float]] = []

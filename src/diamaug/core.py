@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
@@ -330,6 +330,23 @@ class Augmentation:
     diameter: Dist
 
 
+@dataclass(frozen=True)
+class SolveOutcome:
+    """What a solver returns: its augmentation and everything its report prints.
+
+    ``parameters`` are the report's ``param`` lines, in order; ``timings`` the
+    seconds per stage, empty for a solver without stages. Each optional
+    distance is reported when set.
+    """
+
+    augmentation: Augmentation
+    parameters: dict[str, int | str]
+    timings: dict[str, float] = field(default_factory=dict)
+    tree_height: Dist | None = None
+    cluster_radius: Dist | None = None
+    d_opt: Dist | None = None
+
+
 def validate(instance: WeightedInstance) -> list[str]:
     """Check every instance invariant and report violations.
 
@@ -388,7 +405,7 @@ def ensure_valid(instance: WeightedInstance) -> None:
         raise InstanceError("; ".join(instance.problems))
 
 
-# The largest instance a command loads: its pair view (19 bytes per pair)
+# The largest instance a command loads or generates: its pair view (19 bytes per pair)
 # plus D₀, n·n·(19 + 2) bytes up to n = 3,575 with a uint16 D₀.
 MAX_INSTANCE_BYTES = 2**28
 
@@ -397,10 +414,12 @@ class InstanceLimitError(ValueError):
     """Raised for an instance whose pair view and D₀ would exceed MAX_INSTANCE_BYTES."""
 
 
-def check_instance_size(instance: WeightedInstance) -> None:
-    """Raise InstanceLimitError before any n×n array exists: it reads n and the largest weight."""
-    n = max(instance.n, 0)
-    size = n * n * (2 * 8 + 3 + np.dtype(instance.dist_type.dtype).itemsize)  # DensePairs + D₀
+def check_instance_size(n: int, max_weight: int) -> None:
+    """Raise InstanceLimitError when n vertices with weights up to ``max_weight`` need a
+    pair view and D₀ above MAX_INSTANCE_BYTES; it reads no array, so it runs before any."""
+    n = max(n, 0)
+    itemsize = np.dtype(dist_type_for(n * max_weight).dtype).itemsize
+    size = n * n * (2 * 8 + 3 + itemsize)  # DensePairs + D₀
     if size > MAX_INSTANCE_BYTES:
         raise InstanceLimitError(
             f"instance too large: n={n} needs {size} bytes for its pair view and D₀, "

@@ -60,9 +60,9 @@ from .budget_paths import BoundedCostDistances, PathSource, _min_plus, apsp_b
 from .clustering import ClusterCenters, greedy_centers
 from .core import (
     INF,
-    Augmentation,
     Dist,
     Pair,
+    SolveOutcome,
     WeightedInstance,
     augment,
     ensure_valid,
@@ -311,17 +311,7 @@ def reconstruct_tree(table: HeightTable, u: int, mask: int, j: int) -> CenterTre
     )
 
 
-@dataclass(frozen=True)
-class FptOutcome:
-    """Result of the end-to-end budget-exponential solver."""
-
-    augmentation: Augmentation
-    tree_height: Dist
-    cluster_radius: Dist
-    timings: dict[str, float]
-
-
-def fpt_solve(instance: WeightedInstance, first_center: int = 0) -> FptOutcome:
+def fpt_solve(instance: WeightedInstance, first_center: int = 0) -> SolveOutcome:
     """Insert non-edges within budget, aiming at 4x the best diameter.
 
     Pipeline: bounded-cost distance table, greedy centers, height table,
@@ -333,7 +323,9 @@ def fpt_solve(instance: WeightedInstance, first_center: int = 0) -> FptOutcome:
     and nothing is inserted. If some center is unreachable within budget
     the outcome's ``tree_height`` is INF and it carries whatever diameter
     the bare graph has. Raises HeightTableLimitError for a height table
-    over ``MAX_HEIGHT_TABLE_BYTES`` before building any stage.
+    over ``MAX_HEIGHT_TABLE_BYTES`` before building any stage. The outcome
+    times the stages ``bounded_paths``, ``clustering``, ``table``,
+    ``reconstruct`` and ``diameter``.
     """
     ensure_valid(instance)
     _check_table_size(min(instance.budget + 1, instance.n) - 1, instance.budget, instance.n)
@@ -364,9 +356,10 @@ def fpt_solve(instance: WeightedInstance, first_center: int = 0) -> FptOutcome:
     start = time.perf_counter()
     augmentation = augment(instance, added)
     timings["diameter"] = time.perf_counter() - start
-    return FptOutcome(
-        augmentation=augmentation,
+    return SolveOutcome(
+        augmentation,
+        {"first_center": first_center},
+        timings,
         tree_height=height,
         cluster_radius=centers.radius,
-        timings=timings,
     )

@@ -20,9 +20,9 @@ import numpy as np
 from .budget_paths import BoundedCostDistances, NoPathError, PathSource
 from .clustering import greedy_centers
 from .core import (
-    Augmentation,
     InstanceError,
     Pair,
+    SolveOutcome,
     WeightedInstance,
     augment,
     ensure_valid,
@@ -45,7 +45,7 @@ def ensure_unit_cost(instance: WeightedInstance) -> None:
         )
 
 
-def _join_centers(instance: WeightedInstance, first_center: int, rows: int) -> Augmentation:
+def _join_centers(instance: WeightedInstance, first_center: int, rows: int) -> SolveOutcome:
     """Join each of the first ``rows`` centers to every later center by a k-bounded path.
 
     ``rows`` is a slice stop over the centers, so -1 means all but the last.
@@ -64,15 +64,15 @@ def _join_centers(instance: WeightedInstance, first_center: int, rows: int) -> A
             except NoPathError:
                 continue
             added.update(witness.used_non_edges)
-    return augment(instance, added)
+    return SolveOutcome(augment(instance, added), {"first_center": first_center})
 
 
-def pairwise_centers(instance: WeightedInstance, first_center: int = 0) -> Augmentation:
+def pairwise_centers(instance: WeightedInstance, first_center: int = 0) -> SolveOutcome:
     """Insert the non-edges of a cheapest k-bounded path between every center pair."""
     return _join_centers(instance, first_center, rows=-1)
 
 
-def star_centers(instance: WeightedInstance, first_center: int = 0) -> Augmentation:
+def star_centers(instance: WeightedInstance, first_center: int = 0) -> SolveOutcome:
     """Insert the non-edges of cheapest k-bounded paths from the first center."""
     return _join_centers(instance, first_center, rows=1)
 
@@ -104,7 +104,7 @@ def _lightest_connectors(
     return connectors
 
 
-def cluster_spanning_mst(instance: WeightedInstance, first_center: int = 0) -> Augmentation:
+def cluster_spanning_mst(instance: WeightedInstance, first_center: int = 0) -> SolveOutcome:
     """Join the clusters along a minimum spanning tree of lightest connectors.
 
     For every pair of non-empty clusters the lightest connecting vertex pair
@@ -142,4 +142,4 @@ def cluster_spanning_mst(instance: WeightedInstance, first_center: int = 0) -> A
         parent[ri] = rj
         if not instance.dense.edge[u, v]:
             added.add((u, v) if u < v else (v, u))
-    return augment(instance, added)
+    return SolveOutcome(augment(instance, added), {"first_center": first_center})

@@ -334,14 +334,17 @@ def reference_table_rows(instance: WeightedInstance, rows: Sequence[int]) -> np.
     return table
 
 
-def _dijkstra(instance: WeightedInstance, source: int) -> tuple[list[Dist], list[int]]:
+def _dijkstra(
+    instance: WeightedInstance, source: int, adj: list[list[tuple[int, int]]] | None = None
+) -> tuple[list[Dist], list[int]]:
     """Nonnegative-weight single-source shortest paths over the instance edges.
 
     Returns (distances, predecessors). Ties between equal-length paths are
     resolved toward the smallest predecessor vertex id, so reconstruction is
-    deterministic. Predecessor -1 means source or unreachable.
+    deterministic. Predecessor -1 means source or unreachable. ``adj`` is the
+    instance's :func:`_adjacency`, built here when not given.
     """
-    n, adj = instance.n, _adjacency(instance)
+    n, adj = instance.n, _adjacency(instance) if adj is None else adj
     dist: list[Dist] = [INF] * n
     pred = [-1] * n
     dist[source] = 0
@@ -463,7 +466,8 @@ def dijkstra_rows(instance: WeightedInstance, added=()) -> list[list[Dist]]:
     insertions into D₀: it shares only the instance model with them.
     """
     augmented = replace(instance, edges=instance.edges | {ordered_pair(*p) for p in added})
-    return [_dijkstra(augmented, s)[0] for s in range(instance.n)]
+    adj = _adjacency(augmented)
+    return [_dijkstra(augmented, s, adj)[0] for s in range(instance.n)]
 
 
 # One-row shorthands over the package's engines, for tests that check a

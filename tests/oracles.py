@@ -33,16 +33,40 @@ MAX_NONEDGES = 28
 MAX_NODES = 2_000_000
 
 
-def path_oracle(instance: WeightedInstance, u: int, v: int, beta: int) -> Dist:
-    """Minimum weight over all simple u-v paths using non-edges of total cost <= beta.
-
-    Exhaustive depth-first enumeration over the complete graph on the
-    instance vertices; guards to n <= 8.
-    """
+def pair_steps(instance: WeightedInstance) -> list[list[tuple[int, int]]]:
+    """(weight, insertion cost) of every vertex pair, with cost 0 on edges, for
+    :func:`path_oracle`; guards to n <= 8. Read once per instance: the table
+    serves every (u, v, beta) query."""
     ensure_valid(instance)
     n = instance.n
     if n > 8:
         raise OracleLimitError(f"path oracle is limited to n <= 8, got n={n}")
+    return [
+        [
+            (instance.weight.get(x, y), 0 if instance.is_edge(x, y) else instance.cost.get(x, y))
+            if x != y
+            else (0, 0)
+            for y in range(n)
+        ]
+        for x in range(n)
+    ]
+
+
+def path_oracle(
+    instance: WeightedInstance,
+    u: int,
+    v: int,
+    beta: int,
+    steps: list[list[tuple[int, int]]] | None = None,
+) -> Dist:
+    """Minimum weight over all simple u-v paths using non-edges of total cost <= beta.
+
+    Exhaustive depth-first enumeration over the complete graph on the
+    instance vertices; guards to n <= 8. ``steps`` is the instance's
+    :func:`pair_steps`, read here when not given.
+    """
+    steps = pair_steps(instance) if steps is None else steps
+    n = len(steps)
     if u == v:
         return 0
     best: Dist = INF
@@ -53,16 +77,13 @@ def path_oracle(instance: WeightedInstance, u: int, v: int, beta: int) -> Dist:
         nonlocal best
         if weight >= best:
             return
-        for y in range(n):
+        for y, (w, c) in enumerate(steps[x]):
             if visited[y]:
                 continue
-            step = weight + instance.weight.get(x, y)
-            if instance.is_edge(x, y):
-                spent = cost_used
-            else:
-                spent = cost_used + instance.cost.get(x, y)
-                if spent > beta:
-                    continue
+            spent = cost_used + c
+            if spent > beta:
+                continue
+            step = weight + w
             if y == v:
                 if step < best:
                     best = step

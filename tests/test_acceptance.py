@@ -36,7 +36,7 @@ from diamaug.cli import run
 from diamaug.generators import ReductionError, SetCoverInstance
 from diamaug.unit_cost import cluster_spanning_mst, pairwise_centers, star_centers
 from helpers import connected_unit_instances, seeded_corpus, sssp
-from oracles import diameter2_feasible, has_cover, path_oracle, span_height_profile
+from oracles import diameter2_feasible, has_cover, pair_steps, path_oracle, span_height_profile
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -83,12 +83,12 @@ def test_criterion_1_bounded_paths_match_oracle():
         200, seed=103, n_range=(2, 6), budget_range=(0, 3), max_weight=3, max_cost=2
     )
     for instance in corpora:
-        dists = apsp_b(instance)
+        dists, steps = apsp_b(instance), pair_steps(instance)
         for beta in range(instance.budget + 1):
             for u in range(instance.n):
                 for v in range(instance.n):
                     checked += 1
-                    if dists.get(beta, u, v) != path_oracle(instance, u, v, beta):
+                    if dists.get(beta, u, v) != path_oracle(instance, u, v, beta, steps):
                         mismatches += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 60.0
@@ -182,7 +182,7 @@ def test_criterion_5_unit_cost_guarantees(unit_corpus, unit_best):
             (star_centers, k * k, 4),
             (cluster_spanning_mst, k, 3 * k + 2),
         ):
-            result = solver(instance)
+            result = solver(instance).augmentation
             if len(result.added) > max_added:
                 violations += 1
             if not result.diameter <= _bounded(best, factor):

@@ -23,6 +23,7 @@ from diamaug import (
 from diamaug.core import INF64
 from helpers import (
     EDGE_CASES,
+    _adjacency,
     _dijkstra,
     batch_rows,
     build,
@@ -555,8 +556,9 @@ def test_graph_trees_equal_dijkstra_on_positive_weights(corpus):
     # every tight neighbour is then closer to the start: Dijkstra's tie-break
     compared = 0
     for instance in filter(_positive_weights, _tree_corpus(corpus)):
+        adj = _adjacency(instance)
         for a in range(instance.n):
-            assert budget_paths._graph_tree(instance, a) == _dijkstra(instance, a)[1], a
+            assert budget_paths._graph_tree(instance, a) == _dijkstra(instance, a, adj)[1], a
             compared += 1
     assert compared
 

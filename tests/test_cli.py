@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import shlex
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from diamaug import core, gen_random, serialize_instance
+from diamaug import cli, core, gen_random, serialize_instance
 from diamaug.cli import SCALE_REPEATS, build_parser, run
 from diamaug.core import graph_metric
 from helpers import build, p4
@@ -47,8 +48,16 @@ def test_solve_json_report(p4_file, capsys):
 
 
 def test_solve_with_timings_flag(p4_file, capsys):
-    assert run(["solve", "--input", p4_file, "--timings"]) == 0
-    assert "time " in capsys.readouterr().out
+    # fpt times each stage, every other algorithm the whole solve; the values are wall clock
+    stages = {"fpt": ["bounded_paths", "clustering", "table", "reconstruct", "diameter"]}
+    for algo in ("fpt", "pairs", "star", "mst", "exact"):
+        argv = ["solve", "--input", p4_file, "--algo", algo, "--timings"]
+        assert run(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        keys = [line.split()[1] for line in lines if line.startswith("time ")]
+        assert keys == stages.get(algo, ["solve"]), algo
+        assert run([*argv, "--report", "json"]) == 0
+        assert list(json.loads(capsys.readouterr().out)["timings"]) == keys, algo
 
 
 def test_solutions_from_solve_pass_check(p4_file, tmp_path, capsys):
@@ -312,9 +321,42 @@ def test_commands_refuse_an_oversized_instance_on_load(tmp_path, capsys, monkeyp
 
 
 def test_instance_size_limit_sits_at_n_3575():
-    core.check_instance_size(build(3575, set()))  # 3575² · 21 bytes (uint16 D₀) is below 2**28
+    core.check_instance_size(3575, 1)  # 3575² · 21 bytes (uint16 D₀) is below 2**28
     with pytest.raises(core.InstanceLimitError):
-        core.check_instance_size(build(3576, set()))
+        core.check_instance_size(3576, 1)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["gen", "random", "--p", "0.5", "--wmax", "5", "--cmax", "1", "--budget", "1",
+         "--seed", "1"],
+        ["bench", "--suite", "scale", "--budgets", "1"],  # the suite draws weights up to 5
+    ],
+    ids=["gen", "scale"],
+)
+def test_generators_refuse_an_oversized_n_before_drawing(capsys, monkeypatch, command):
+    def unguarded(*args):
+        raise AssertionError("gen_random ran before the size check")
+
+    monkeypatch.setattr(cli, "gen_random", unguarded)  # about 5·10⁹ draws at n = 100,000
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = run([*command, "--n", "100000"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (  # n·W = 500,000 takes a uint32 D₀: 23 bytes per pair
+        "refused: instance too large: n=100000 needs 230000000000 bytes for its pair view "
+        f"and D₀, above {core.MAX_INSTANCE_BYTES}\n"
+    )
+    assert peak < 4 * 2**20
+    assert elapsed < 1.0
 
 
 def test_gen_setcover_copies_guard(tmp_path, capsys):

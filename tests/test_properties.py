@@ -168,7 +168,7 @@ def test_unit_cost_solvers_keep_their_cost_and_ratio_bounds(instance):
     solvers = {"pairs": pairwise_centers, "star": star_centers, "mst": cluster_spanning_mst}
     for algo, solver in solvers.items():
         max_cost, factor = (bound(instance.budget) for bound in GUARANTEES[algo])
-        augmentation = solver(instance)
+        augmentation = solver(instance).augmentation
         assert augmentation.total_cost <= max_cost, algo
         assert within(augmentation.diameter, factor, best), algo
 

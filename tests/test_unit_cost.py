@@ -35,19 +35,19 @@ def test_cost_overrides_on_edges_are_ignored():
 
 
 def test_pairwise_on_p4():
-    result = pairwise_centers(p4())
+    result = pairwise_centers(p4()).augmentation
     assert sorted(result.added) == [(0, 3)]
     assert result.diameter == 2
 
 
 def test_star_on_p4():
-    result = star_centers(p4())
+    result = star_centers(p4()).augmentation
     assert sorted(result.added) == [(0, 3)]
     assert result.diameter == 2
 
 
 def test_mst_on_p4_prefers_existing_connector():
-    result = cluster_spanning_mst(p4())
+    result = cluster_spanning_mst(p4()).augmentation
     assert result.added == frozenset()
     assert result.total_cost == 0
     assert result.diameter == 3
@@ -55,20 +55,20 @@ def test_mst_on_p4_prefers_existing_connector():
 
 def test_complete_graph_needs_nothing():
     for solver in (pairwise_centers, star_centers, cluster_spanning_mst):
-        result = solver(complete_graph(3, budget=2))
+        result = solver(complete_graph(3, budget=2)).augmentation
         assert result.added == frozenset()
 
 
 def test_star_graph_paths_avoid_heavy_shortcuts():
     instance = star_graph(5, budget=2, default_weight=5, edge_weight=1)
-    assert star_centers(instance, 0).added == frozenset()
+    assert star_centers(instance, 0).augmentation.added == frozenset()
     # even from a leaf the hub detour (weight 2) beats a direct jump (weight 5)
-    assert star_centers(instance, 1).added == frozenset()
+    assert star_centers(instance, 1).augmentation.added == frozenset()
 
 
 def test_cycle_pairwise_uses_direct_jump():
     instance = cycle_graph(6, budget=1)
-    result = pairwise_centers(instance)
+    result = pairwise_centers(instance).augmentation
     assert sorted(result.added) == [(0, 3)]
     best = exact_optimum(instance).best_diameter
     assert result.diameter <= 3 * best
@@ -78,7 +78,7 @@ def test_two_triangles_mst_bridges_once():
     instance = build(
         6, {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)}, budget=1
     )
-    result = cluster_spanning_mst(instance)
+    result = cluster_spanning_mst(instance).augmentation
     assert sorted(result.added) == [(0, 3)]
     assert result.total_cost == 1
     assert result.diameter == 3
@@ -95,7 +95,7 @@ def test_cardinality_and_quality_bounds(instance):
         (cluster_spanning_mst, k, 3 * k + 2),
     ]
     for solver, max_added, factor in checks:
-        result = solver(instance)
+        result = solver(instance).augmentation
         assert len(result.added) <= max_added
         assert result.total_cost == len(result.added)
         bound = factor * best if best != INF else INF
@@ -106,7 +106,7 @@ def test_cardinality_and_quality_bounds(instance):
 def test_disconnected_beyond_budget_contributes_nothing():
     # two far components, budget too small to matter for pair paths
     instance = build(4, {(0, 1), (2, 3)}, budget=1)
-    result = pairwise_centers(instance)
+    result = pairwise_centers(instance).augmentation
     assert result.diameter <= diameter(instance)
 
 
