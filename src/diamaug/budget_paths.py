@@ -121,7 +121,8 @@ class _ComplementJumps:
     entries ``(x, weight, y)`` sorted by y, then x: ``ends`` are the distinct
     y, ``starts`` where each y's entries begin. ``targets`` holds every y
     that a listed jump of cost <= B ends at. Weights and ``sentinel`` are in
-    the instance's table dtype.
+    the instance's table dtype. The listed jumps come from the tables' arrays
+    (``instance.listed_non_edges``), so only ``excluded`` takes n×n work.
     """
 
     weight: np.unsignedinteger
@@ -134,14 +135,17 @@ class _ComplementJumps:
     @classmethod
     def of(cls, instance: WeightedInstance) -> _ComplementJumps:
         budget, dense, (dtype, sentinel) = instance.budget, instance.dense, instance.dist_type
-        listed = (dense.weight_listed | dense.cost_listed) & ~dense.edge
-        excluded = listed | dense.edge
+        rows, cols = instance.listed_non_edges
+        excluded = dense.edge.copy()
+        excluded[rows, cols] = excluded[cols, rows] = True
         np.fill_diagonal(excluded, True)
         if not excluded.all():  # some pair is unlisted, so validation saw both defaults
             cost, weight = min(instance.cost.default, budget + 1), instance.weight.default
         else:
             cost, weight = budget + 1, 0
-        ys, xs = np.nonzero(listed)  # row-major: grouped by y
+        ys, xs = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+        order = np.lexsort((xs, ys))  # grouped by y
+        ys, xs = ys[order], xs[order]
         costs = dense.cost[ys, xs]
         groups = {}
         for c in np.unique(costs[costs <= budget]).tolist():

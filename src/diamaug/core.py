@@ -161,6 +161,20 @@ class PairSet(AbstractSet):
         return rows, cols, kept
 
 
+def sorted_pairs(n: int, *pair_sets: PairSet) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the normalized pairs in [0, n) that any of ``pair_sets`` lists.
+
+    Each pair comes once, in (u, v) order: a sort of the listed pairs, so
+    O(m log m) with no n×n array. n·n must fit int64, as it does for any n
+    whose dense view fits in memory.
+    """
+    keys = [rows * n + cols for rows, cols, _ in (pairs.within(n) for pairs in pair_sets)]
+    keys = np.sort(np.concatenate(keys))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return np.divmod(keys[first], max(n, 1))
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class PairTable:
     """Symmetric integer function over unordered vertex pairs.
@@ -214,21 +228,22 @@ class PairTable:
         fill = np.int64(0 if self.default is None else max(-INF64, min(self.default, INF64)))
         return _symmetric(n, rows, cols, values, fill), _symmetric(n, rows, cols, True, False)
 
-    def exact_at(self, matrix: np.ndarray, listed: np.ndarray, rows, cols) -> Iterator[int]:
-        """The exact values at the pairs (rows[i], cols[i]), one at a time.
+    def exact_at(self, matrix: np.ndarray, listed: np.ndarray, rows, cols) -> list[int]:
+        """The exact values at the pairs (rows[i], cols[i]).
 
         ``matrix`` and ``listed`` are this table's :meth:`matrix`. A value comes
         from there where it is exact, else from :meth:`get`: where the matrix
-        saturates, or at an unlisted pair of a partial table (KeyError).
+        saturates, or at an unlisted pair of a partial table (KeyError for the
+        first such pair).
         """
         values = matrix[rows, cols]
         trusted = np.abs(values) < INF64
         if self.default is None:
             trusted &= listed[rows, cols]
-        if trusted.all():
-            return iter(values.tolist())
-        pairs = zip(np.asarray(rows).tolist(), np.asarray(cols).tolist())
-        return (w if ok else self.get(*p) for p, w, ok in zip(pairs, values.tolist(), trusted))
+        values = values.tolist()
+        for i in np.flatnonzero(~trusted).tolist():
+            values[i] = self.get(int(rows[i]), int(cols[i]))
+        return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,6 +327,18 @@ class WeightedInstance:
         metric.flags.writeable = False
         return metric
 
+    @cached_property
+    def listed_non_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and columns of the non-edges either table lists, in (u, v) order, read-only.
+
+        The pairs in [0, n) that :func:`sorted_pairs` keeps, less the edges:
+        O(m log m) over the tables' arrays, not a scan of the n×n view.
+        """
+        edge = self.dense.edge
+        rows, cols = sorted_pairs(self.n, self.weight.pairs, self.cost.pairs)
+        kept = ~edge[rows, cols]
+        return _read_only(rows[kept]), _read_only(cols[kept])
+
     def is_edge(self, u: int, v: int) -> bool:
         return ordered_pair(u, v) in self.edges
 
@@ -351,7 +378,12 @@ def validate(instance: WeightedInstance) -> list[str]:
     """Check every instance invariant and report violations.
 
     Returns the list of violated invariants; an empty list means the
-    instance is valid. Never raises and never mutates.
+    instance is valid. Never raises and never mutates. The range checks and
+    the negative weights read the listed pairs' arrays, and the costs below
+    1 are looked up at the listed cost pairs (:func:`sorted_pairs`): O(m)
+    lookups in the dense view, which validation builds. Scans of every pair
+    remain only where a table has no default (is it total?) and where the
+    default cost is below 1 (every unlisted non-edge is then a finding).
     """
     problems: list[str] = []
     n = instance.n
@@ -363,14 +395,13 @@ def validate(instance: WeightedInstance) -> list[str]:
 
     dense = instance.dense
     edge_problem = "edge {} is not a normalized pair of distinct vertices in [0, {n})"
-    for pairs, listed, problem in (
-        (instance.edges, dense.edge, edge_problem),
-        (instance.weight.pairs, dense.weight_listed, "weight override {} is out of range"),
-        (instance.cost.pairs, dense.cost_listed, "cost override {} is out of range"),
+    for pairs, problem in (
+        (instance.edges, edge_problem),
+        (instance.weight.pairs, "weight override {} is out of range"),
+        (instance.cost.pairs, "cost override {} is out of range"),
     ):
-        if np.count_nonzero(listed) < 2 * len(pairs):  # the view marks each pair it keeps twice
-            skipped = pairs.array[~pairs.within(n)[2]].tolist()
-            problems += [problem.format(tuple(pair), n=n) for pair in skipped]
+        skipped = pairs.array[~pairs.within(n)[2]].tolist()
+        problems += [problem.format(tuple(pair), n=n) for pair in skipped]
 
     weight_total = instance.weight.default is not None or not np.triu(~dense.weight_listed, 1).any()
     if not weight_total:
@@ -386,10 +417,14 @@ def validate(instance: WeightedInstance) -> list[str]:
         pair = tuple(weight.pairs.array[i].tolist())
         problems.append(f"weight of {pair} must be >= 0, got {weight.values[i]}")
 
-    costed = dense.cost_listed if instance.cost.default is None else True
-    below_one = np.triu(costed & ~dense.edge & (dense.cost < 1), 1)
-    for pair in zip(*(index.tolist() for index in np.nonzero(below_one))):
-        problems.append(f"cost of non-edge {pair} must be >= 1, got {instance.cost.get(*pair)}")
+    cost = instance.cost
+    if cost.default is None or cost.default >= 1:  # only a listed pair can cost less
+        rows, cols = sorted_pairs(n, cost.pairs)
+    else:
+        rows, cols = np.nonzero(np.triu(~dense.edge, 1))
+    below_one = ~dense.edge[rows, cols] & (dense.cost[rows, cols] < 1)
+    for pair in zip(rows[below_one].tolist(), cols[below_one].tolist()):
+        problems.append(f"cost of non-edge {pair} must be >= 1, got {cost.get(*pair)}")
 
     if weight_total and n * instance.weight.max_value() >= INF64:
         problems.append(

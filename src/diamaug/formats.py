@@ -22,6 +22,8 @@ Solution format: one ``add <u> <v>`` line per inserted pair (sorted), then
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
 
 from .core import (
@@ -34,6 +36,7 @@ from .core import (
     WeightedInstance,
     exact_array,
     ordered_pair,
+    sorted_pairs,
 )
 
 
@@ -92,22 +95,27 @@ def _pair_arrays(
     ``n`` line's. One conversion reads every token, and the checks of
     :func:`_check_pair_line` run over all lines at once: None when one fails.
     """
-    # an edge line gets cost token "0", so every row holds u, v, weight, cost
-    rows = [lines[i][1:] + ["0"] for i in edge_nos] + [lines[i][1:] for i in nonedge_nos]
-    try:
-        grid = exact_array(rows or np.zeros((0, 4)))
-    except ValueError:  # a token that is not an integer, or a row of another length
+    grids = []
+    for indices, width in ((edge_nos, 3), (nonedge_nos, 4)):  # u, v, weight[, cost]
+        rows = [lines[i][1:] for i in indices]
+        try:
+            grid = exact_array(rows or np.zeros((0, width)))
+        except ValueError:  # a token that is not an integer, or a row of another length
+            return None
+        if grid.shape != (len(rows), width):
+            return None
+        grids.append(grid)
+    if min(edge_nos + nonedge_nos, default=n_index) < n_index:
         return None
-    if grid.shape != (len(rows), 4) or min(edge_nos + nonedge_nos, default=n_index) < n_index:
-        return None
-    pairs = np.sort(grid[:, :2], axis=1)
+    edge_grid, nonedge_grid = grids
+    pairs = np.sort(np.concatenate([edge_grid[:, :2], nonedge_grid[:, :2]]), axis=1)
     lo, hi = pairs.T
     # keys of pairs in [0, n) are equal exactly for equal pairs; past n² ≥ 2**63, int64 would wrap
     keys = np.sort((lo.astype(object) if n * n >= 2**63 else lo) * n + hi)
     outside = len(lo) and (lo.min() < 0 or hi.max() >= n)
     if outside or (lo == hi).any() or (keys[1:] == keys[:-1]).any():
         return None
-    return pairs, grid[:, 2], grid[len(edge_nos) :, 3]
+    return pairs, np.concatenate([edge_grid[:, 2], nonedge_grid[:, 2]]), nonedge_grid[:, 3]
 
 
 def parse_instance(text: str) -> WeightedInstance:
@@ -179,6 +187,14 @@ def parse_instance(text: str) -> WeightedInstance:
     )
 
 
+def _lines(form: str, *columns: list) -> str:
+    """``form`` once per row of ``columns`` (equal-length lists), by one ``%``."""
+    flat: list = [None] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        flat[i :: len(columns)] = column
+    return (form * len(columns[0])) % tuple(flat)
+
+
 def serialize_instance(instance: WeightedInstance) -> str:
     """Canonical instance text: sorted lines, minimal non-edge overrides.
 
@@ -186,33 +202,41 @@ def serialize_instance(instance: WeightedInstance) -> str:
     serialize to identical bytes, so the output doubles as a digest input
     and as golden-file material. Only a non-edge that one of the tables
     lists can differ from the defaults, so only those are compared (every
-    non-edge when there are no defaults). Pairs come from the dense view in
-    sorted order, values from :meth:`PairTable.exact_at`, exact at any
-    size. Edges that the view skips (outside [0, n) or not normalized) are
-    printed as given, sorted.
+    non-edge when there are no defaults, the one case that scans all pairs).
+    Edges and listed non-edges come from the tables' arrays, sorted by
+    (u, v) (:func:`sorted_pairs`, ``instance.listed_non_edges``); values are
+    looked up in the dense view and read through :meth:`PairTable.exact_at`,
+    which reads the arrays only where the view saturates, so they are exact
+    at any size. Edges that the view skips (outside [0, n) or not
+    normalized), or that are listed twice, are printed as given, sorted.
     """
-    lines = [f"n {instance.n}", f"B {instance.budget}"]
-    weight, cost = instance.weight, instance.cost
+    n, weight, cost = instance.n, instance.weight, instance.cost
+    text = f"n {n}\nB {instance.budget}\n"
     dw, dc = weight.default, cost.default
     if dw is not None or dc is not None:
         if dw is None or dc is None:
             raise ValueError("cannot serialize: only one of the default weight/cost is set")
-        lines.append(f"default_nonedge weight {dw} cost {dc}")
+        text += f"default_nonedge weight {dw} cost {dc}\n"
     dense = instance.dense
-    rows, cols = np.nonzero(np.triu(dense.edge, 1))
+    rows, cols = sorted_pairs(n, instance.edges)
     if len(rows) == len(instance.edges):
         weights = weight.exact_at(dense.weight, dense.weight_listed, rows, cols)
-        lines += [f"edge {u} {v} {w}" for u, v, w in zip(rows.tolist(), cols.tolist(), weights)]
+        text += _lines("edge %d %d %d\n", rows.tolist(), cols.tolist(), weights)
     else:
-        lines += [f"edge {u} {v} {weight.get(u, v)}" for u, v in sorted(instance.edges)]
-    listed = ~dense.edge if dw is None else (dense.weight_listed | dense.cost_listed) & ~dense.edge
-    rows, cols = np.nonzero(np.triu(listed, 1))
-    weights = weight.exact_at(dense.weight, dense.weight_listed, rows, cols)
-    costs = cost.exact_at(dense.cost, dense.cost_listed, rows, cols)
-    for u, v, w, c in zip(rows.tolist(), cols.tolist(), weights, costs):
-        if w != dw or c != dc:
-            lines.append(f"nonedge {u} {v} {w} {c}")
-    return "\n".join(lines) + "\n"
+        text += "".join(f"edge {u} {v} {weight.get(u, v)}\n" for u, v in sorted(instance.edges))
+    rows, cols = np.nonzero(np.triu(~dense.edge, 1)) if dw is None else instance.listed_non_edges
+    try:
+        weights = weight.exact_at(dense.weight, dense.weight_listed, rows, cols)
+        costs = cost.exact_at(dense.cost, dense.cost_listed, rows, cols)
+    except KeyError:  # name the first pair either table lacks, as a pair-by-pair read does
+        for u, v in zip(rows.tolist(), cols.tolist()):
+            weight.get(u, v), cost.get(u, v)
+        raise
+    kept = [w != dw or c != dc for w, c in zip(weights, costs)]
+    if any(kept):
+        values = (list(compress(weights, kept)), list(compress(costs, kept)))
+        text += _lines("nonedge %d %d %d %d\n", rows[kept].tolist(), cols[kept].tolist(), *values)
+    return text
 
 
 def parse_solution(text: str) -> tuple[list[Pair], int, Dist]:

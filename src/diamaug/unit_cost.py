@@ -26,22 +26,29 @@ from .core import (
     WeightedInstance,
     augment,
     ensure_valid,
+    sorted_pairs,
 )
 
 
 def ensure_unit_cost(instance: WeightedInstance) -> None:
     """Raise InstanceError unless every non-edge has insertion cost 1.
 
-    The error names the lexicographically first offending non-edge.
+    The error names the lexicographically first offending non-edge. With a
+    default cost of 1, or none, only a listed cost pair can offend, so only
+    those are looked up (:func:`sorted_pairs`); any other default scans
+    every non-edge.
     """
     ensure_valid(instance)
-    dense = instance.dense
-    offending = np.triu(~dense.edge & (dense.cost != 1), 1)
-    if offending.any():
-        u, v = divmod(int(np.argmax(offending)), instance.n)  # first in row-major order
+    dense, cost = instance.dense, instance.cost
+    if cost.default is None or cost.default == 1:  # an unlisted non-edge costs 1, or is invalid
+        rows, cols = sorted_pairs(instance.n, cost.pairs)
+    else:
+        rows, cols = np.nonzero(np.triu(~dense.edge, 1))
+    offending = np.flatnonzero(~dense.edge[rows, cols] & (dense.cost[rows, cols] != 1))
+    if len(offending):
+        u, v = int(rows[offending[0]]), int(cols[offending[0]])
         raise InstanceError(
-            f"unit-cost solver requires cost 1 on non-edges, ({u}, {v}) costs "
-            f"{instance.cost.get(u, v)}"
+            f"unit-cost solver requires cost 1 on non-edges, ({u}, {v}) costs {cost.get(u, v)}"
         )
 
 
