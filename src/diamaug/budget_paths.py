@@ -64,6 +64,7 @@ from .core import (
     Dist,
     Pair,
     WeightedInstance,
+    check_bounded_table_size,
     ensure_valid,
     ordered_pair,
     to_dist,
@@ -287,10 +288,15 @@ class BoundedCostDistances:
 
     @classmethod
     def of(cls, instance: WeightedInstance) -> BoundedCostDistances:
-        """An empty table for ``instance``: no row is filled yet."""
+        """An empty table for ``instance``: no row is filled yet.
+
+        Raises InstanceLimitError, before allocating it, for a table over
+        ``MAX_INSTANCE_BYTES``.
+        """
         ensure_valid(instance)
-        shape = (instance.budget + 1, instance.n, instance.n)
-        table = np.empty(shape, dtype=instance.dist_type.dtype)
+        dtype = instance.dist_type.dtype
+        check_bounded_table_size(instance.budget, instance.n, np.dtype(dtype).itemsize)
+        table = np.empty((instance.budget + 1, instance.n, instance.n), dtype=dtype)
         return cls(instance, table, np.zeros(instance.n, dtype=bool), _ComplementJumps.of(instance))
 
     def rows(self, vertices: Sequence[int]) -> BoundedCostDistances:

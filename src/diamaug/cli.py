@@ -46,6 +46,7 @@ from .clustering import greedy_centers
 from .generators import (
     ReductionError,
     SetCoverInstance,
+    check_random_args,
     gen_random,
     reduce_setcover,
     reduce_setcover_multicopy,
@@ -86,10 +87,10 @@ def _check_flag(flag: str, value: int | None, limit: int) -> None:
         raise FlagError(f"{flag} {value} is outside 0..{limit - 1}")
 
 
-def _gen_random(*args: float) -> WeightedInstance:
-    """``gen_random(*args)`` on flag values, its argument checks raised as FlagError."""
+def _on_flags(call, *args: float):
+    """``call(*args)`` on flag values, its ValueError raised as FlagError."""
     try:
-        return gen_random(*args)
+        return call(*args)
     except ValueError as exc:
         raise FlagError(str(exc)) from None
 
@@ -223,7 +224,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             instance, _ = reduce_setcover_multicopy(sc, args.copies)
     else:
         check_instance_size(args.n, args.wmax)  # before the first of n² draws
-        instance = _gen_random(args.n, args.p, args.wmax, args.cmax, args.budget, args.seed)
+        flags = (args.n, args.p, args.wmax, args.cmax, args.budget, args.seed)
+        instance = _on_flags(gen_random, *flags)
     text = serialize_instance(instance)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -314,12 +316,13 @@ def _parse_budgets(raw: str) -> list[int]:
 
 def _bench_scale(args: argparse.Namespace) -> int:
     budgets = _parse_budgets(args.budgets)
-    # every flag and both size checks run before the first row prints, the instance's
-    # before the first draw
+    # the instance size, every budget and every table size are checked before the first draw
     check_instance_size(args.n, SCALE_WMAX)
-    instances = [_gen_random(args.n, 0.15, SCALE_WMAX, 3, b, args.seed) for b in budgets]
+    for budget in budgets:
+        _on_flags(check_random_args, args.n, 0.15, SCALE_WMAX, 3, budget)
     for budget in budgets:
         _check_table_size(min(budget + 1, args.n) - 1, budget, args.n)
+    instances = [_on_flags(gen_random, args.n, 0.15, SCALE_WMAX, 3, b, args.seed) for b in budgets]
     timings: list[tuple[int, float]] = []
     names = ("metric", *SCALE_STAGES)
     for budget, instance in zip(budgets, instances):

@@ -462,6 +462,17 @@ def check_instance_size(n: int, max_weight: int) -> None:
         )
 
 
+def check_bounded_table_size(budget: int, n: int, itemsize: int) -> None:
+    """Raise InstanceLimitError when a bounded-cost table, (budget+1)·n·n entries of
+    ``itemsize`` bytes, exceeds MAX_INSTANCE_BYTES; it reads no array, so it runs before any."""
+    size = (budget + 1) * n * n * itemsize
+    if size > MAX_INSTANCE_BYTES:
+        raise InstanceLimitError(
+            f"bounded-cost table too large: budget {budget} and n={n} need {size} bytes, "
+            f"above {MAX_INSTANCE_BYTES}"
+        )
+
+
 def graph_metric(instance: WeightedInstance) -> np.ndarray:
     """All-pairs distances over the edges, by Floyd–Warshall.
 

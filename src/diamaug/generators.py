@@ -248,6 +248,20 @@ def reduce_setcover_multicopy(
     return _build_reduction(sc, copies=copies)
 
 
+def check_random_args(
+    n: int, edge_probability: float, max_weight: int, max_cost: int, budget: int
+) -> None:
+    """ValueError for arguments :func:`gen_random` refuses; it draws nothing."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if not 0.0 <= edge_probability <= 1.0:
+        raise ValueError(f"edge probability must be in [0, 1], got {edge_probability}")
+    if max_weight < 1 or max_cost < 1:
+        raise ValueError("max_weight and max_cost must be >= 1")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+
+
 def gen_random(
     n: int,
     edge_probability: float,
@@ -264,14 +278,7 @@ def gen_random(
     draw fixes the default non-edge weight in [1, max_weight] and one the
     default non-edge cost in [1, max_cost].
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 0.0 <= edge_probability <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {edge_probability}")
-    if max_weight < 1 or max_cost < 1:
-        raise ValueError("max_weight and max_cost must be >= 1")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    check_random_args(n, edge_probability, max_weight, max_cost, budget)
     rng = random.Random(seed)
     edges: dict[Pair, int] = {}
     for u in range(n):

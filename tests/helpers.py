@@ -10,6 +10,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
+import pytest
 
 from diamaug import (
     BoundedCostDistances,
@@ -23,7 +24,8 @@ from diamaug import (
     ensure_valid,
     gen_random,
 )
-from diamaug.core import INF, INF64, Dist, Pair, ordered_pair, to_dist
+from diamaug import core
+from diamaug.core import INF, INF64, Dist, DistType, Pair, ordered_pair, to_dist
 
 
 def all_pairs(n: int) -> Iterator[Pair]:
@@ -278,6 +280,22 @@ def build_layered_digraph(instance: WeightedInstance) -> LayeredDigraph:
             arcs.append(((v, i), (v, i + 1), 0))
     arcs.sort(key=lambda arc: (arc[0], arc[1]))
     return LayeredDigraph(n=n, budget=budget, nodes=nodes, arcs=tuple(arcs))
+
+
+SENTINELS = {np.uint16: 2**14, np.uint32: 2**30, np.uint64: INF64}
+
+
+def force_dist_type(patch: pytest.MonkeyPatch, dtype: type[np.unsignedinteger]) -> None:
+    """Make ``core.dist_type_for`` pick ``dtype`` wherever it is exact (n·W below its sentinel).
+
+    Instances made or copied afterwards take it; one that has chosen keeps its choice.
+    """
+    natural, sentinel = core.dist_type_for, SENTINELS[dtype]
+
+    def forced(span: int) -> DistType:
+        return DistType(dtype, dtype(sentinel)) if span < sentinel else natural(span)
+
+    patch.setattr(core, "dist_type_for", forced)
 
 
 def widened(instance: WeightedInstance, table: np.ndarray) -> np.ndarray:
@@ -686,6 +704,36 @@ def reference_unit_cost_error(instance: WeightedInstance) -> str | None:
         if cost != 1:
             return f"unit-cost solver requires cost 1 on non-edges, ({u}, {v}) costs {cost}"
     return None
+
+
+def reference_listed_jumps(
+    instance: WeightedInstance,
+) -> tuple[np.ndarray, dict[int, list[tuple[int, int, int]]]]:
+    """``_ComplementJumps.of``'s exception mask and listed jumps, pair by pair.
+
+    The mask marks the diagonal, the edges and every non-edge in [0, n) that
+    a table lists; the jumps map each cost c <= B to its listed non-edges
+    x-y in both directions, as (y, x, weight) in (y, x) order.
+    """
+    n = instance.n
+    listed = {
+        pair
+        for table in (instance.weight, instance.cost)
+        for pair in table.overrides
+        if 0 <= pair[0] < pair[1] < n and pair not in instance.edges
+    }
+    excluded = np.eye(n, dtype=bool)
+    for u, v in listed | set(instance.edges):
+        excluded[u, v] = excluded[v, u] = True
+    jumps: dict[int, list[tuple[int, int, int]]] = {}
+    for y in range(n):
+        for x in range(n):
+            if x == y or ordered_pair(x, y) not in listed:
+                continue
+            cost = instance.cost.get(x, y)
+            if cost <= instance.budget:
+                jumps.setdefault(cost, []).append((y, x, instance.weight.get(x, y)))
+    return excluded, jumps
 
 
 def reference_connectors(

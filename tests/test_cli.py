@@ -359,6 +359,67 @@ def test_generators_refuse_an_oversized_n_before_drawing(capsys, monkeypatch, co
     assert elapsed < 1.0
 
 
+def _unguarded_draw(*args):
+    raise AssertionError("gen_random ran before the checks")
+
+
+@pytest.mark.parametrize(
+    "budgets, code, err",
+    [
+        ("3,30", 2, "refused: height table of 30 non-root centers, budget 30 and 2000 vertices "
+         "needs 532575944704000 bytes, over the limit of 268435456\n"),
+        ("3,-1", 1, "error: budget must be >= 0, got -1\n"),
+    ],
+    ids=["table", "budget"],
+)
+def test_bench_scale_checks_every_budget_before_drawing(capsys, monkeypatch, budgets, code, err):
+    monkeypatch.setattr(cli, "gen_random", _unguarded_draw)  # a 2000-vertex draw per budget
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert run(["bench", "--suite", "scale", "--n", "2000", "--budgets", budgets]) == code
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr() == ("", err)
+    assert peak < 4 * 2**20
+    assert elapsed < 1.0
+
+
+def test_bounded_cost_table_limit_counts_its_entries():
+    # (B+1)·n²·itemsize against 2**28: n = 3,000 in uint16 fits B = 13, not 14
+    core.check_bounded_table_size(13, 3000, 2)
+    with pytest.raises(core.InstanceLimitError):
+        core.check_bounded_table_size(14, 3000, 2)
+    core.check_bounded_table_size(3, 2**12, 4)  # 4·2**24·4: exactly 2**28 bytes
+    for budget, n in ((3, 2**12 + 1), (4, 2**12)):
+        with pytest.raises(core.InstanceLimitError):
+            core.check_bounded_table_size(budget, n, 4)
+    with pytest.raises(core.InstanceLimitError):
+        core.check_bounded_table_size(40, 3000, 2)  # 738 MB
+
+
+def test_apsp_refuses_an_oversized_table_before_allocating_it(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_instance(gen_random(200, 0.1, 5, 1, 300, 3)), encoding="utf-8")
+    # the pair view and D₀ take 200²·21 = 840,000 bytes, the uint16 table 301·200²·2 = 24 MB
+    monkeypatch.setattr(core, "MAX_INSTANCE_BYTES", 2**20)
+    tracemalloc.start()
+    try:
+        code = run(["apsp", "--input", str(path), "--source", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr() == (
+        "",
+        "refused: bounded-cost table too large: budget 300 and n=200 need 24080000 bytes, "
+        "above 1048576\n",
+    )
+    assert peak < 4 * 2**20
+
+
 def test_gen_setcover_copies_guard(tmp_path, capsys):
     sets = tmp_path / "sets.txt"
     sets.write_text("0\n0 1\n", encoding="utf-8")

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from diamaug import (
+    PairSet,
     PairTable,
+    WeightedInstance,
     cluster_spanning_mst,
+    ensure_unit_cost,
     fpt_solve,
     gen_random,
     greedy_centers,
@@ -17,14 +20,17 @@ from diamaug import (
     star_centers,
     validate,
 )
-from diamaug.core import INF64
+from diamaug.budget_paths import _ComplementJumps
+from diamaug.core import INF64, exact_array
 from diamaug.unit_cost import _lightest_connectors
 from helpers import (
     EDGE_CASES,
     INVALID_CASES,
+    build,
     outcome,
     p4,
     reference_connectors,
+    reference_listed_jumps,
     reference_serialize_instance,
     reference_unit_cost_error,
     reference_validate,
@@ -34,7 +40,55 @@ from helpers import (
 
 VALID_CORPUS = EDGE_CASES + seeded_corpus(30, seed=71, n_range=(1, 9), max_cost=3)
 UNIT_CORPUS = seeded_corpus(20, seed=72, n_range=(2, 12), max_weight=2, max_cost=1)
-CORPUS = VALID_CORPUS + UNIT_CORPUS + INVALID_CASES
+
+
+def _listed(default, pairs, values) -> PairTable:
+    """A table over ``pairs`` as given: repeated, unnormalized or out of range."""
+    return PairTable.listed(default, exact_array(pairs).reshape(-1, 2), exact_array(values))
+
+
+def _arrays(n, edges, weight, cost, budget=2) -> WeightedInstance:
+    return WeightedInstance(n, PairSet(exact_array(edges).reshape(-1, 2)), weight, cost, budget)
+
+
+_PATH = [(0, 1), (1, 2), (2, 3)]
+
+# Instances built from arrays, as only the library can: the scans over listed
+# pairs must treat each of these as the pair-by-pair references do.
+LISTED_CASES = [
+    # a pair listed twice: the later value holds, for weights and costs
+    _arrays(4, _PATH[:2], _listed(1, [(0, 2), (0, 2), (1, 3)], [5, 7, 2]),
+            _listed(1, [(0, 3), (0, 3), (1, 3)], [3, 1, 1])),
+    _arrays(4, _PATH[:2], _listed(1, [], []), _listed(1, [(0, 3), (0, 3)], [1, 3])),
+    _arrays(4, _PATH[:2], _listed(1, [], []), _listed(1, [(0, 3), (0, 3)], [2, 0])),
+    _arrays(5, _PATH, _listed(1, [(0, 4), (0, 4)], [2**70, 3]),
+            _listed(2, [(1, 4), (1, 4)], [-(2**70), 2])),
+    _arrays(4, [(0, 1), (0, 1)], _listed(1, [], []), _listed(1, [], [])),  # a repeated edge
+    # unnormalized or out-of-range pairs, in the edges and in both tables
+    _arrays(4, [(0, 1)], _listed(1, [(2, 0), (0, 9), (-1, 2), (1, 3), (3, 3)], [1, 1, 1, 4, 1]),
+            _listed(1, [(3, 1), (0, 2), (4, 5)], [2, 2, 0])),
+    _arrays(4, [(1, 0), (2, 3), (0, 7)], _listed(2, [(0, 2)], [1]), _listed(1, [(0, 2)], [1])),
+    # costs of 0 or below on edges: ignored
+    _arrays(4, _PATH, _listed(1, [], []), _listed(1, [(0, 1), (1, 2), (0, 3)], [0, -3, 2])),
+    _arrays(4, _PATH, _listed(1, [], []), _listed(1, [(0, 1), (2, 3)], [0, -(2**70)])),
+    _arrays(4, _PATH, _listed(0, [(0, 2)], [3]), _listed(1, [(0, 1), (0, 2)], [-1, 1])),
+    # a default cost below 1
+    build(4, {(0, 1)}, default_cost=0, cost_overrides={(0, 2): 1}),
+    build(4, {(0, 1), (2, 3)}, default_cost=-2, cost_overrides={(0, 2): 3, (1, 3): 0}),
+    build(4, set(_PATH), default_cost=0),  # every non-edge listed below 1: none unlisted
+    build(3, {(0, 1), (1, 2), (0, 2)}, default_cost=-1),  # no non-edge at all
+    # costs beyond int64, listed and default
+    _arrays(4, [(0, 1)], _listed(1, [(0, 2)], [2]),
+            _listed(1, [(0, 2), (1, 3), (0, 3)], [2**70, -(2**70), 2**64]), budget=3),
+    _arrays(4, [(0, 1)], _listed(3, [(0, 2)], [0]), _listed(2**70, [(1, 2), (0, 3)], [1, 2])),
+    build(4, {(0, 1)}, default_cost=2**70, cost_overrides={(1, 2): 1}),
+    # n = 1
+    _arrays(1, [], _listed(1, [(0, 1)], [2]), _listed(1, [(0, 0)], [0])),
+    _arrays(1, [], _listed(1, [], []), _listed(1, [], []), budget=0),
+    _arrays(1, [(0, 0)], _listed(None, [], []), _listed(None, [], [])),
+]
+
+CORPUS = VALID_CORPUS + UNIT_CORPUS + INVALID_CASES + LISTED_CASES
 
 
 @pytest.mark.parametrize("instance", CORPUS)
@@ -42,6 +96,36 @@ def test_pair_scans_match_references(instance):
     assert validate(instance) == reference_validate(instance)
     assert outcome(serialize_instance, instance) == outcome(reference_serialize_instance, instance)
     assert unit_cost_error(instance) == reference_unit_cost_error(instance)
+    if not validate(instance):  # the bounded-cost table builds its jumps after validating
+        jumps = _ComplementJumps.of(instance)
+        excluded, expected = reference_listed_jumps(instance)
+        assert np.array_equal(jumps.excluded, excluded)
+        listed = {
+            c: list(zip(ys.tolist(), xs.tolist(), weights.tolist()))
+            for c, (xs, weights, ys, _, _) in jumps.listed.items()
+        }
+        assert listed == expected
+        assert jumps.targets.tolist() == sorted({y for c in expected for y, _, _ in expected[c]})
+
+
+def test_listed_pair_scans_read_no_triangle(monkeypatch):
+    # with both defaults set, only the listed pairs are looked at: no n×n upper triangle
+    instance = build(
+        30,
+        {(i, i + 1) for i in range(29)},
+        budget=3,
+        weight_overrides={(0, 5): 2, (3, 9): 0, (4, 5): 7},
+        cost_overrides={(0, 5): 1, (2, 8): 1, (4, 5): 0},
+    )
+
+    def triangle(*args, **kwargs):
+        raise AssertionError("np.triu scanned every pair")
+
+    monkeypatch.setattr(np, "triu", triangle)
+    assert validate(instance) == []
+    assert serialize_instance(instance).count("\nnonedge ") == 2  # (2, 8) takes the defaults
+    ensure_unit_cost(instance)
+    assert set(_ComplementJumps.of(instance).listed) == {1}
 
 
 def test_unit_cost_check_names_first_pair_with_exact_cost():

@@ -29,19 +29,19 @@ from diamaug import (
     validate,
 )
 from diamaug import budget_paths, core, fpt
-from diamaug.core import INF64, DistType
+from diamaug.core import INF64
 from helpers import (
     DP_EDGE_CASES,
     EDGE_CASES,
+    SENTINELS,
     build,
+    force_dist_type,
     override_corpus,
     path_graph,
     seeded_corpus,
     unit_cost_error,
     widened,
 )
-
-SENTINELS = {np.uint16: 2**14, np.uint32: 2**30, np.uint64: INF64}
 
 
 def _boundary(n: int, weight: int) -> list:
@@ -164,7 +164,6 @@ def _stages(instance) -> dict:
 
 @pytest.mark.parametrize("instance", CORPUS)
 def test_stages_agree_in_every_dtype(monkeypatch, instance):
-    natural = core.dist_type_for
     results, forced = {}, 0
     for dtype, sentinel in SENTINELS.items():
         if _span(instance) >= sentinel:
@@ -172,13 +171,7 @@ def test_stages_agree_in_every_dtype(monkeypatch, instance):
         forced += 1
         seen: dict[str, set] = {name: set() for name in ("core", "budget_paths", "fpt")}
         with monkeypatch.context() as patch:
-            patch.setattr(
-                core,
-                "dist_type_for",
-                lambda span, dtype=dtype, sentinel=sentinel: (
-                    DistType(dtype, dtype(sentinel)) if span < sentinel else natural(span)
-                ),
-            )
+            force_dist_type(patch, dtype)
             for module in (core, budget_paths, fpt):
                 patch.setattr(module, "np", _RecordingNumpy(seen[module.__name__.split(".")[-1]]))
             results[dtype] = _stages(instance)

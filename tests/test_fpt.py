@@ -495,17 +495,19 @@ def test_fpt_validates_before_sizing_the_table(instance):
 
 
 def test_filling_a_table_keeps_temporaries_to_one_tile():
-    # the move step's (min,+) temporaries stay within one budget_paths._TILE tile (256 KiB),
-    # where one (n, B+1, n) broadcast alone would take 1.53 MiB here
+    # the move step's (min,+) temporaries stay within one budget_paths._TILE tile of
+    # 2**15 entries, so the fill peaks near four tiles (256 KiB in this instance's uint16),
+    # below what one (n, B+1, n) broadcast alone would take (391 KiB in uint16)
     instance = gen_random(200, 0.15, 5, 3, 4, 7)
     dists, centers = apsp_b(instance), greedy_centers(instance)
+    n, budget, itemsize = instance.n, instance.budget, dists.table.dtype.itemsize
     tracemalloc.start()
     try:
         solve_height_table(centers, dists)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 2**20
+    assert peak < n * (budget + 1) * n * itemsize
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -40,9 +41,11 @@ from diamaug.unit_cost import (
     star_centers,
 )
 from helpers import (
+    SENTINELS,
     batch_rows,
     build,
     dijkstra_rows,
+    force_dist_type,
     outcome,
     reference_centers,
     reference_connectors,
@@ -128,17 +131,32 @@ def test_connectors_equal_reference(instance):
     assert _lightest_connectors(instance, members) == reference_connectors(instance, members)
 
 
-@given(instances())
-def test_graph_metric_equals_base_matrix(instance):
+def check_graph_metric(instance):
     metric = widened(instance, graph_metric(instance))
     assert np.array_equal(metric.view(np.int64), _base_matrix(instance))
 
 
-@given(instances(), st.data())
-def test_diameter_equals_dijkstra_reference(instance, data):
+def check_diameter(instance, data):
     non_edges = instance.non_edges()
     added = data.draw(st.sets(st.sampled_from(non_edges)) if non_edges else st.just(set()))
     assert diameter(instance, added) == max(map(max, dijkstra_rows(instance, added)))
+
+
+def check_bounded_cost_table(instance, data):
+    rows = data.draw(st.lists(st.integers(0, instance.n - 1), unique=True))
+    for sources in (range(instance.n), rows):
+        table = batch_rows(instance, sources)
+        assert table.tobytes() == reference_table_rows(instance, sources).tobytes()
+
+
+@given(instances())
+def test_graph_metric_equals_base_matrix(instance):
+    check_graph_metric(instance)
+
+
+@given(instances(), st.data())
+def test_diameter_equals_dijkstra_reference(instance, data):
+    check_diameter(instance, data)
 
 
 @given(instances(), st.data())
@@ -149,10 +167,21 @@ def test_greedy_centers_equal_reference(instance, data):
 
 @given(partial_instances(), st.data())
 def test_bounded_cost_table_equals_dense_reference(instance, data):
-    rows = data.draw(st.lists(st.integers(0, instance.n - 1), unique=True))
-    for sources in (range(instance.n), rows):
-        table = batch_rows(instance, sources)
-        assert table.tobytes() == reference_table_rows(instance, sources).tobytes()
+    check_bounded_cost_table(instance, data)
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64], ids=["uint32", "uint64"])
+@given(partial_instances(), st.data())
+def test_metric_diameter_and_table_in_a_forced_dtype(dtype, instance, data):
+    # each dtype wherever it is exact, so drawn zero weights reach it too
+    with pytest.MonkeyPatch.context() as patch:
+        force_dist_type(patch, dtype)
+        instance = replace(instance)  # nothing cached: the dtype is chosen afresh
+        span = instance.n * instance.weight.max_value()
+        assert instance.dist_type.dtype is (dtype if span < SENTINELS[dtype] else np.uint64)
+        check_graph_metric(instance)
+        check_diameter(instance, data)
+        check_bounded_cost_table(instance, data)
 
 
 @given(instances())
