@@ -232,11 +232,9 @@ def serialize_instance(instance: WeightedInstance) -> str:
         for u, v in zip(rows.tolist(), cols.tolist()):
             weight.get(u, v), cost.get(u, v)
         raise
-    kept = [w != dw or c != dc for w, c in zip(weights, costs)]
-    if any(kept):
-        values = (list(compress(weights, kept)), list(compress(costs, kept)))
-        text += _lines("nonedge %d %d %d %d\n", rows[kept].tolist(), cols[kept].tolist(), *values)
-    return text
+    kept = np.array([w != dw or c != dc for w, c in zip(weights, costs)], dtype=bool)
+    values = (list(compress(weights, kept)), list(compress(costs, kept)))
+    return text + _lines("nonedge %d %d %d %d\n", rows[kept].tolist(), cols[kept].tolist(), *values)
 
 
 def parse_solution(text: str) -> tuple[list[Pair], int, Dist]:
