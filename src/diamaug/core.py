@@ -104,7 +104,7 @@ def ordered_pair(u: int, v: int) -> Pair:
 
 
 def exact_array(values: list) -> np.ndarray:
-    """Nested lists of ints or int strings, each read by ``int``, as int64; as exact
+    """A list, or nested lists, of ints or int strings, each read by ``int``, as int64; as exact
     Python ints in an object array when one lies beyond int64. ValueError if ragged."""
     try:
         return np.array(values, dtype=np.int64)

@@ -22,7 +22,7 @@ Solution format: one ``add <u> <v>`` line per inserted pair (sorted), then
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -92,19 +92,21 @@ def _pair_arrays(
     """The pair lines' pairs (u < v, edges first), their weights and the non-edges' costs.
 
     ``edge_nos`` and ``nonedge_nos`` index ``lines``, and ``n_index`` is the
-    ``n`` line's. One conversion reads every token, and the checks of
-    :func:`_check_pair_line` run over all lines at once: None when one fails.
+    ``n`` line's. One conversion reads the flattened tokens of each line
+    kind, and the checks of :func:`_check_pair_line` run over all lines at
+    once: None when one fails.
     """
     grids = []
-    for indices, width in ((edge_nos, 3), (nonedge_nos, 4)):  # u, v, weight[, cost]
-        rows = [lines[i][1:] for i in indices]
+    for indices, width in ((edge_nos, 4), (nonedge_nos, 5)):  # kind, u, v, weight[, cost]
+        rows = list(map(lines.__getitem__, indices))
+        if set(map(len, rows)) - {width}:  # a line with too few or too many tokens
+            return None
+        tokens = list(chain.from_iterable(rows))
+        del tokens[::width]  # the kind tokens
         try:
-            grid = exact_array(rows or np.zeros((0, width)))
-        except ValueError:  # a token that is not an integer, or a row of another length
+            grids.append(exact_array(tokens).reshape(-1, width - 1))
+        except ValueError:  # a token that is not an integer
             return None
-        if grid.shape != (len(rows), width):
-            return None
-        grids.append(grid)
     if min(edge_nos + nonedge_nos, default=n_index) < n_index:
         return None
     edge_grid, nonedge_grid = grids
