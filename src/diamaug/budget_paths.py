@@ -123,7 +123,7 @@ class _ComplementJumps:
     y, ``starts`` where each y's entries begin. ``targets`` holds every y
     that a listed jump of cost <= B ends at. Weights and ``sentinel`` are in
     the instance's table dtype. The listed jumps come from the tables' arrays
-    (``instance.listed_non_edges``), so only ``excluded`` takes n×n work.
+    (``instance.listed_non_edges``); only ``excluded`` is n×n.
     """
 
     weight: np.unsignedinteger
@@ -136,16 +136,15 @@ class _ComplementJumps:
     @classmethod
     def of(cls, instance: WeightedInstance) -> _ComplementJumps:
         budget, dense, (dtype, sentinel) = instance.budget, instance.dense, instance.dist_type
-        rows, cols = instance.listed_non_edges
-        excluded = dense.edge.copy()
-        excluded[rows, cols] = excluded[cols, rows] = True
+        excluded = dense.weight_listed | dense.cost_listed | dense.edge
         np.fill_diagonal(excluded, True)
         if not excluded.all():  # some pair is unlisted, so validation saw both defaults
             cost, weight = min(instance.cost.default, budget + 1), instance.weight.default
         else:
             cost, weight = budget + 1, 0
+        rows, cols = instance.listed_non_edges
         ys, xs = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-        order = np.lexsort((xs, ys))  # grouped by y
+        order = np.argsort(ys * instance.n + xs)  # grouped by y
         ys, xs = ys[order], xs[order]
         costs = dense.cost[ys, xs]
         groups = {}

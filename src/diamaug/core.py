@@ -135,6 +135,7 @@ class PairSet(AbstractSet):
         if not isinstance(pairs, np.ndarray):
             pairs = exact_array(list(chain.from_iterable(pairs))).reshape(-1, 2)
         self.array = _read_only(pairs)
+        self._within: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def __iter__(self) -> Iterator[Pair]:
         return map(tuple, self.array.tolist())
@@ -155,11 +156,16 @@ class PairSet(AbstractSet):
         return f"PairSet({self.array.tolist()})"
 
     def within(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows and columns of the normalized pairs in [0, n), and the mask of those pairs."""
-        rows, cols = self.array.T
-        kept = (0 <= rows) & (rows < cols) & (cols < n)
-        rows, cols = (index[kept].astype(np.intp, copy=False) for index in (rows, cols))
-        return rows, cols, kept
+        """Rows and columns of the normalized pairs in [0, n), and the mask of those pairs.
+
+        Read-only and kept per n: the view, validation and the sorted scans ask alike.
+        """
+        if n not in self._within:
+            rows, cols = self.array.T
+            kept = (0 <= rows) & (rows < cols) & (cols < n)
+            rows, cols = (index[kept].astype(np.intp, copy=False) for index in (rows, cols))
+            self._within[n] = (_read_only(rows), _read_only(cols), _read_only(kept))
+        return self._within[n]
 
 
 def sorted_pairs(n: int, *pair_sets: PairSet) -> tuple[np.ndarray, np.ndarray]:
@@ -241,6 +247,8 @@ class PairTable:
         trusted = np.abs(values) < INF64
         if self.default is None:
             trusted &= listed[rows, cols]
+        if trusted.all():
+            return values.tolist()
         values = values.tolist()
         for i in np.flatnonzero(~trusted).tolist():
             values[i] = self.get(int(rows[i]), int(cols[i]))
@@ -401,8 +409,9 @@ def validate(instance: WeightedInstance) -> list[str]:
         (instance.weight.pairs, "weight override {} is out of range"),
         (instance.cost.pairs, "cost override {} is out of range"),
     ):
-        skipped = pairs.array[~pairs.within(n)[2]].tolist()
-        problems += [problem.format(tuple(pair), n=n) for pair in skipped]
+        kept = pairs.within(n)[2]
+        if not kept.all():
+            problems += [problem.format(tuple(pair), n=n) for pair in pairs.array[~kept].tolist()]
 
     weight_total = instance.weight.default is not None or not np.triu(~dense.weight_listed, 1).any()
     if not weight_total:
