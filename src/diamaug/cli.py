@@ -328,7 +328,8 @@ def _bench_scale(args: argparse.Namespace) -> int:
     for budget, instance in zip(budgets, instances):
         runs = []
         for _ in range(SCALE_REPEATS):
-            cold = dataclasses.replace(instance)  # a copy caches nothing: each run is cold
+            # a copy caches no view, D₀ or table (only its shared pair sets' in-range rows)
+            cold = dataclasses.replace(instance)
             start = time.perf_counter()
             ensure_valid(cold)
             metric_start = time.perf_counter()

@@ -36,9 +36,9 @@ An instance stores its listed pairs once, as arrays (:class:`PairSet`,
 (:func:`sorted_pairs`) and looks its pairs up; every scan over all vertex
 pairs reads one cached dense view built from them, :class:`DensePairs`:
 weight and cost as symmetric n×n int64 matrices, an edge mask, and masks of
-the pairs each table lists. Matrix entries saturate at ±INF64 (2**62). A valid instance's
-weights lie below that bound, so they are exact; a cost of 2**70 reads as
-INF64. A value that is printed or summed goes through
+the pairs each table lists. Matrix entries saturate at ±INF64 (2**62). A
+valid instance's weights lie below that bound, so they are exact; a cost of
+2**70 reads as INF64. A value that is printed or summed goes through
 :meth:`PairTable.exact_at`, which reads the arrays where the view saturates.
 """
 
