@@ -10,7 +10,7 @@ non-edge gives
     D_beta = min(D_{beta-1}, X_beta ⊗ D₀),  X_beta = min_{c <= beta} D_{beta-c} ⊗ W_c,
 
 so the table for every budget 0..B follows from D₀ (``instance.metric``) and
-the non-edges alone, which are read from the instance's dense pair view
+the non-edges alone, which are read through the instance's pair index
 (costs clipped to B+1). Row s of D_beta depends only on row s of the smaller
 budgets, so :class:`BoundedCostDistances` fills each row when it is first
 asked for, and a :class:`PathSource` is a view of one filled row.
@@ -136,7 +136,7 @@ class _ComplementJumps:
     @classmethod
     def of(cls, instance: WeightedInstance) -> _ComplementJumps:
         budget, dense, (dtype, sentinel) = instance.budget, instance.dense, instance.dist_type
-        excluded = dense.weight_listed | dense.cost_listed | dense.edge
+        excluded = (dense.weight_index > 0) | (dense.cost_index > 0) | dense.edge
         np.fill_diagonal(excluded, True)
         if not excluded.all():  # some pair is unlisted, so validation saw both defaults
             cost, weight = min(instance.cost.default, budget + 1), instance.weight.default
@@ -146,13 +146,14 @@ class _ComplementJumps:
         ys, xs = np.concatenate([rows, cols]), np.concatenate([cols, rows])
         order = np.argsort(ys * instance.n + xs)  # grouped by y
         ys, xs = ys[order], xs[order]
-        costs = dense.cost[ys, xs]
+        costs = instance.cost.at(dense.cost_index, ys, xs)
+        # a valid instance's weights lie in [0, sentinel)
+        weights = instance.weight.at(dense.weight_index, ys, xs).astype(dtype)
         groups = {}
         for c in np.unique(costs[costs <= budget]).tolist():
             y, x = ys[costs == c], xs[costs == c]
             ends, starts = np.unique(y, return_index=True)
-            # a valid instance's weights lie in [0, sentinel)
-            groups[c] = (x, dense.weight[y, x].astype(dtype), y, ends, starts)
+            groups[c] = (x, weights[costs == c], y, ends, starts)
         targets = np.unique(ys[costs <= budget])
         return cls(dtype(weight), sentinel, cost, excluded, groups, targets)
 
@@ -249,11 +250,9 @@ def _graph_tree(instance: WeightedInstance, a: int) -> list[int]:
     of Dijkstra's search; the hop term, searched only when a zero-weight tie
     exists, keeps such ties acyclic.
     """
-    dense, dist, n = instance.dense, instance.metric[a], instance.n
-    dtype, sentinel = instance.dist_type
-    # a valid instance's weights lie in [0, sentinel), so the sums below 2·s are exact
-    weight = dense.weight.astype(dtype)
-    tight = dense.edge & (dist[:, None] + weight == dist) & (dist < sentinel)
+    dist, n, sentinel = instance.metric[a], instance.n, instance.dist_type.sentinel
+    # edges weigh below s and other entries are s, which no finite distance matches
+    tight = (dist[:, None] + instance.edge_weights == dist) & (dist < sentinel)
     level = tight & (dist[:, None] == dist)  # zero-weight tight edges
     if level.any():
         hop, frontier, step = np.full(n, n), np.arange(n) == a, 0

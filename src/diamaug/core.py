@@ -34,12 +34,9 @@ would silently widen a uint16 sum.
 An instance stores its listed pairs once, as arrays (:class:`PairSet`,
 :class:`PairTable`). A scan over the listed pairs sorts those arrays
 (:func:`sorted_pairs`) and looks its pairs up; every scan over all vertex
-pairs reads one cached dense view built from them, :class:`DensePairs`:
-weight and cost as symmetric n×n int64 matrices, an edge mask, and masks of
-the pairs each table lists. Matrix entries saturate at ±INF64 (2**62). A
-valid instance's weights lie below that bound, so they are exact; a cost of
-2**70 reads as INF64. A value that is printed or summed goes through
-:meth:`PairTable.exact_at`, which reads the arrays where the view saturates.
+pairs reads one cached view built from them, :class:`DensePairs`: an edge
+mask and, per table, an n×n index into its arrays. Every value is read
+through :meth:`PairTable.at`, so it is exact at any size.
 """
 
 from __future__ import annotations
@@ -62,8 +59,7 @@ Dist = int | float
 Pair = tuple[int, int]
 
 # The headroom bound: validation keeps n·W, and so every finite distance,
-# below it. It is the sentinel of uint64 distance tables, the saturation
-# bound of the int64 pair view, and the oracle's own INF.
+# below it. It is the sentinel of uint64 distance tables and the oracle's own INF.
 INF64 = 2**62
 
 
@@ -117,13 +113,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _symmetric(n: int, rows: np.ndarray, cols: np.ndarray, values, fill) -> np.ndarray:
-    """A read-only n×n matrix of ``fill``, with ``values`` at (rows, cols) and (cols, rows)."""
-    matrix = np.full((n, n), fill)
-    matrix[rows, cols] = matrix[cols, rows] = values
-    return _read_only(matrix)
-
-
 class PairSet(AbstractSet):
     """A set of ``(u, v)`` tuples stored as a read-only (m, 2) array, as listed.
 
@@ -163,7 +152,9 @@ class PairSet(AbstractSet):
         if n not in self._within:
             rows, cols = self.array.T
             kept = (0 <= rows) & (rows < cols) & (cols < n)
-            rows, cols = (index[kept].astype(np.intp, copy=False) for index in (rows, cols))
+            if not kept.all():  # else the array's own columns serve, uncopied
+                rows, cols = rows[kept], cols[kept]
+            rows, cols = (index.astype(np.intp, copy=False) for index in (rows, cols))
             self._within[n] = (_read_only(rows), _read_only(cols), _read_only(kept))
         return self._within[n]
 
@@ -225,63 +216,56 @@ class PairTable:
         values = [int(self.values.max())] if len(self.values) else []
         return max(values + ([] if self.default is None else [self.default]), default=0)
 
-    def matrix(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The table as a symmetric n×n int64 matrix, and the mask of the pairs it lists.
+    @cached_property
+    def _padded(self) -> np.ndarray:
+        """``values`` after a slot for the default (0 for a partial table), read at index 0."""
+        return _read_only(np.concatenate([exact_array([self.default or 0]), self.values]))
 
-        Entries saturate at ±INF64; an unlisted pair of a partial table holds 0.
-        """
-        rows, cols, kept = self.pairs.within(n)
-        values = np.clip(self.values[kept], -INF64, INF64).astype(np.int64)
-        fill = np.int64(0 if self.default is None else max(-INF64, min(self.default, INF64)))
-        return _symmetric(n, rows, cols, values, fill), _symmetric(n, rows, cols, True, False)
+    def at(self, index: np.ndarray, rows, cols) -> np.ndarray:
+        """The exact values at the pairs (rows, cols), which broadcast, read through this
+        table's :class:`DensePairs` index: the listed value, else the default. int64, or
+        Python ints in an object array; KeyError at the first unlisted pair of a partial table."""
+        positions = index[rows, cols]
+        if self.default is None and not positions.all():
+            first = np.argmin(positions)
+            u, v = (int(np.broadcast_to(x, positions.shape).flat[first]) for x in (rows, cols))
+            raise KeyError(f"pair ({u}, {v}) has no value and no default")
+        return self._padded[positions]
 
-    def exact_at(self, matrix: np.ndarray, listed: np.ndarray, rows, cols) -> list[int]:
-        """The exact values at the pairs (rows[i], cols[i]).
 
-        ``matrix`` and ``listed`` are this table's :meth:`matrix`. A value comes
-        from there where it is exact, else from :meth:`get`: where the matrix
-        saturates, or at an unlisted pair of a partial table (KeyError for the
-        first such pair).
-        """
-        values = matrix[rows, cols]
-        trusted = np.abs(values) < INF64
-        if self.default is None:
-            trusted &= listed[rows, cols]
-        if trusted.all():
-            return values.tolist()
-        values = values.tolist()
-        for i in np.flatnonzero(~trusted).tolist():
-            values[i] = self.get(int(rows[i]), int(cols[i]))
-        return values
+def _index(n: int, pairs: PairSet) -> np.ndarray:
+    """A read-only symmetric n×n int32 array: 1 + the position in ``pairs`` of each pair
+    it lists in [0, n), the largest for a pair listed twice, and 0 elsewhere."""
+    rows, cols, kept = pairs.within(n)
+    positions = np.flatnonzero(kept).astype(np.int32) + 1
+    index = np.zeros((n, n), dtype=np.int32)
+    keys = np.concatenate([rows * n + cols, cols * n + rows])
+    np.maximum.at(index.reshape(-1), keys, np.concatenate([positions, positions]))
+    return _read_only(index)
 
 
 @dataclass(frozen=True, eq=False)
 class DensePairs:
     """Every vertex pair of an instance as read-only n×n numpy arrays.
 
-    ``weight`` and ``cost`` are symmetric int64 matrices whose entries
-    saturate at ±INF64: a valid instance's weights are exact, but a cost may
-    exceed the bound, so a value that is printed or summed is read through
-    :meth:`PairTable.exact_at`. ``weight_listed`` and ``cost_listed`` mark the
-    pairs each table lists; an unlisted pair of a partial table holds 0.
-    ``edge`` marks the edges. Pairs outside [0, n) or not normalized are
-    skipped, as ``get`` skips them. The diagonal holds no pair: every mask is
-    False there.
+    ``weight_index`` and ``cost_index`` are their table's :func:`_index`
+    (``index > 0`` marks the listed pairs), read by :meth:`PairTable.at`. Of a
+    pair listed twice the later entry holds: ``np.maximum.at`` keeps the larger
+    position in any order. ``edge`` marks the edges. Pairs outside [0, n), on
+    the diagonal or not normalized are skipped, as ``get`` skips them.
     """
 
-    weight: np.ndarray
-    cost: np.ndarray
-    weight_listed: np.ndarray
-    cost_listed: np.ndarray
+    weight_index: np.ndarray
+    cost_index: np.ndarray
     edge: np.ndarray
 
     @classmethod
     def of(cls, instance: WeightedInstance) -> DensePairs:
+        """Raises InstanceLimitError, before any n×n array, above ``MAX_INSTANCE_BYTES``."""
         n = max(instance.n, 0)
-        weight, weight_listed = instance.weight.matrix(n)
-        cost, cost_listed = instance.cost.matrix(n)
-        rows, cols, _ = instance.edges.within(n)
-        return cls(weight, cost, weight_listed, cost_listed, _symmetric(n, rows, cols, True, False))
+        check_instance_size(n, instance.weight.max_value())
+        edge = _read_only(_index(n, instance.edges) > 0)
+        return cls(_index(n, instance.weight.pairs), _index(n, instance.cost.pairs), edge)
 
 
 @dataclass(frozen=True)
@@ -316,8 +300,18 @@ class WeightedInstance:
 
     @cached_property
     def dense(self) -> DensePairs:
-        """The weight, cost and edge matrices, built once, read-only."""
+        """The index and edge matrices, built once, read-only."""
         return DensePairs.of(self)
+
+    @cached_property
+    def edge_weights(self) -> np.ndarray:
+        """The edges' weights as a read-only n×n matrix in ``dist_type``, its sentinel
+        elsewhere, the diagonal too. Validates first, which keeps the weights below it."""
+        ensure_valid(self)
+        u, v, _ = self.edges.within(self.n)
+        weights = np.full((self.n, self.n), self.dist_type.sentinel)
+        weights[u, v] = weights[v, u] = self.weight.at(self.dense.weight_index, u, v)
+        return _read_only(weights)
 
     @cached_property
     def problems(self) -> tuple[str, ...]:
@@ -387,10 +381,11 @@ def validate(instance: WeightedInstance) -> list[str]:
     """Check every instance invariant and report violations.
 
     Returns the list of violated invariants; an empty list means the
-    instance is valid. Never raises and never mutates. The range checks and
-    the negative weights read the listed pairs' arrays, and the costs below
-    1 are looked up at the listed cost pairs (:func:`sorted_pairs`): O(m)
-    lookups in the dense view, which validation builds. Scans of every pair
+    instance is valid. Never mutates; raises InstanceLimitError only for a
+    dense view over ``MAX_INSTANCE_BYTES``. The range checks and the negative
+    weights read the listed pairs' arrays, and the costs below 1 are looked up
+    at the listed cost pairs (:func:`sorted_pairs`), through the dense view,
+    which validation builds. Scans of every pair
     remain only where a table has no default (is it total?) and where the
     default cost is below 1 (every unlisted non-edge is then a finding).
     """
@@ -413,14 +408,14 @@ def validate(instance: WeightedInstance) -> list[str]:
         if not kept.all():
             problems += [problem.format(tuple(pair), n=n) for pair in pairs.array[~kept].tolist()]
 
-    weight_total = instance.weight.default is not None or not np.triu(~dense.weight_listed, 1).any()
+    weight = instance.weight
+    weight_total = weight.default is not None or not np.triu(dense.weight_index == 0, 1).any()
     if not weight_total:
         problems.append("weight not total: no default and some pairs unlisted")
-    if instance.cost.default is None and np.triu(~(dense.cost_listed | dense.edge), 1).any():
+    if instance.cost.default is None and np.triu((dense.cost_index == 0) & ~dense.edge, 1).any():
         # Costs are only consulted on non-edges, so edges need no cost entry.
         problems.append("cost not total: no default and some non-edges unlisted")
 
-    weight = instance.weight
     if weight.default is not None and weight.default < 0:
         problems.append(f"default weight must be >= 0, got {weight.default}")
     for i in np.flatnonzero(weight.values < 0).tolist():
@@ -432,13 +427,14 @@ def validate(instance: WeightedInstance) -> list[str]:
         rows, cols = sorted_pairs(n, cost.pairs)
     else:
         rows, cols = np.nonzero(np.triu(~dense.edge, 1))
-    below_one = ~dense.edge[rows, cols] & (dense.cost[rows, cols] < 1)
-    for pair in zip(rows[below_one].tolist(), cols[below_one].tolist()):
-        problems.append(f"cost of non-edge {pair} must be >= 1, got {cost.get(*pair)}")
+    costs = cost.at(dense.cost_index, rows, cols)
+    below_one = ~dense.edge[rows, cols] & (costs < 1)
+    for u, v, value in zip(*(x[below_one].tolist() for x in (rows, cols, costs))):
+        problems.append(f"cost of non-edge {(u, v)} must be >= 1, got {value}")
 
-    if weight_total and n * instance.weight.max_value() >= INF64:
+    if weight_total and n * weight.max_value() >= INF64:
         problems.append(
-            f"overflow headroom exceeded: n * max_weight = {n * instance.weight.max_value()} "
+            f"overflow headroom exceeded: n * max_weight = {n * weight.max_value()} "
             f"must stay below {INF64}"
         )
     return problems
@@ -450,8 +446,8 @@ def ensure_valid(instance: WeightedInstance) -> None:
         raise InstanceError("; ".join(instance.problems))
 
 
-# The largest instance a command loads or generates: its pair view (19 bytes per pair)
-# plus D₀, n·n·(19 + 2) bytes up to n = 3,575 with a uint16 D₀.
+# The largest instance a command loads or generates: its pair view (9 bytes per pair), edge
+# weights and D₀, n·n·(9 + 2·2) bytes up to n = 4,544 in uint16.
 MAX_INSTANCE_BYTES = 2**28
 
 
@@ -464,7 +460,7 @@ def check_instance_size(n: int, max_weight: int) -> None:
     pair view and D₀ above MAX_INSTANCE_BYTES; it reads no array, so it runs before any."""
     n = max(n, 0)
     itemsize = np.dtype(dist_type_for(n * max_weight).dtype).itemsize
-    size = n * n * (2 * 8 + 3 + itemsize)  # DensePairs + D₀
+    size = n * n * (4 + 4 + 1 + 2 * itemsize)  # DensePairs, edge_weights and D₀
     if size > MAX_INSTANCE_BYTES:
         raise InstanceLimitError(
             f"instance too large: n={n} needs {size} bytes for its pair view and D₀, "
@@ -490,9 +486,7 @@ def graph_metric(instance: WeightedInstance) -> np.ndarray:
     Validating first keeps weights, and so finite distances, below the
     sentinel, so two entries add up exactly.
     """
-    ensure_valid(instance)
-    dense, (dtype, sentinel) = instance.dense, instance.dist_type
-    metric = np.where(dense.edge, dense.weight.astype(dtype), sentinel)
+    metric = instance.edge_weights.copy()  # validates first
     np.fill_diagonal(metric, 0)
     for k in range(instance.n):
         np.minimum(metric, metric[:, k, None] + metric[None, k, :], out=metric)
@@ -512,9 +506,10 @@ def diameter(instance: WeightedInstance, added: Iterable[Pair] = ()) -> Dist:
     if any(not (0 <= u < v < instance.n) for u, v in pairs):
         raise InstanceError(f"added pairs {pairs} out of range for n={instance.n}")
     dtype, sentinel = instance.dist_type
-    weight = instance.dense.weight  # a valid instance's weights lie in [0, sentinel)
-    for u, v in pairs:
-        via = dists[:, u, None] + dtype(weight[u, v]) + dists[None, v, :]
+    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    weights = instance.weight.at(instance.dense.weight_index, rows, cols).astype(dtype)
+    for u, v, weight in zip(rows.tolist(), cols.tolist(), weights):
+        via = dists[:, u, None] + weight + dists[None, v, :]
         np.minimum(dists, np.minimum(via, via.T), out=dists)
     return to_dist(int(dists.max()), sentinel)
 
@@ -531,5 +526,5 @@ def augment(instance: WeightedInstance, added: Iterable[Pair]) -> Augmentation:
         if dense.edge[pair]:
             raise InstanceError(f"pair {pair} is already an edge")
     rows, cols = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2).T
-    total = sum(instance.cost.exact_at(dense.cost, dense.cost_listed, rows, cols))
+    total = sum(instance.cost.at(dense.cost_index, rows, cols).tolist())
     return Augmentation(added=pairs, total_cost=total, diameter=reached)

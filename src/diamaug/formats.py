@@ -207,10 +207,9 @@ def serialize_instance(instance: WeightedInstance) -> str:
     non-edge when there are no defaults, the one case that scans all pairs).
     Edges and listed non-edges come from the tables' arrays, sorted by
     (u, v) (:func:`sorted_pairs`, ``instance.listed_non_edges``); values are
-    looked up in the dense view and read through :meth:`PairTable.exact_at`,
-    which reads the arrays only where the view saturates, so they are exact
-    at any size. Edges that the view skips (outside [0, n) or not
-    normalized), or that are listed twice, are printed as given, sorted.
+    read through :meth:`PairTable.at`, so they are exact at any size. Edges
+    that the view skips (outside [0, n) or not normalized), or that are
+    listed twice, are printed as given, sorted.
     """
     n, weight, cost = instance.n, instance.weight, instance.cost
     text = f"n {n}\nB {instance.budget}\n"
@@ -222,14 +221,14 @@ def serialize_instance(instance: WeightedInstance) -> str:
     dense = instance.dense
     rows, cols = sorted_pairs(n, instance.edges)
     if len(rows) == len(instance.edges):
-        weights = weight.exact_at(dense.weight, dense.weight_listed, rows, cols)
+        weights = weight.at(dense.weight_index, rows, cols).tolist()
         text += _lines("edge %d %d %d\n", rows.tolist(), cols.tolist(), weights)
     else:
         text += "".join(f"edge {u} {v} {weight.get(u, v)}\n" for u, v in sorted(instance.edges))
     rows, cols = np.nonzero(np.triu(~dense.edge, 1)) if dw is None else instance.listed_non_edges
     try:
-        weights = weight.exact_at(dense.weight, dense.weight_listed, rows, cols)
-        costs = cost.exact_at(dense.cost, dense.cost_listed, rows, cols)
+        weights = weight.at(dense.weight_index, rows, cols).tolist()
+        costs = cost.at(dense.cost_index, rows, cols).tolist()
     except KeyError:  # name the first pair either table lacks, as a pair-by-pair read does
         for u, v in zip(rows.tolist(), cols.tolist()):
             weight.get(u, v), cost.get(u, v)

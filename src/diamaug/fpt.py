@@ -270,19 +270,18 @@ def reconstruct_tree(table: HeightTable, u: int, mask: int, j: int) -> CenterTre
     InfeasibleEntryError on an unreachable entry; only the root can be one,
     as a finite split forces both halves and its path to be finite.
     """
-    dists, weight = table.dists, table.dists.instance.dense.weight
     node_vertices: list[int] = [u]
-    depths: list[int] = [0]
+    parents: list[int] = []  # of node i, at i − 1
     new_edges: set[Pair] = set()
 
     def graft(anchor: int, src: int, dst: int, beta: int) -> int:
         """Attach the witness path src->dst below tree node ``anchor``."""
-        witness = PathSource(dists, src).path_to(dst, beta)
+        witness = PathSource(table.dists, src).path_to(dst, beta)
         new_edges.update(witness.used_non_edges)
         current = anchor
-        for a, b in zip(witness.vertices, witness.vertices[1:]):
+        for b in witness.vertices[1:]:
             node_vertices.append(b)
-            depths.append(depths[current] + int(weight[a, b]))
+            parents.append(current)
             current = len(node_vertices) - 1
         return current
 
@@ -306,6 +305,11 @@ def reconstruct_tree(table: HeightTable, u: int, mask: int, j: int) -> CenterTre
         pending.append((via_node, rule.via, mask ^ rule.subset_mask, j3))
         pending.append((via_node, rule.via, rule.subset_mask, j2))
 
+    instance, vertices = table.dists.instance, np.array(node_vertices, dtype=np.intp)
+    steps = instance.weight.at(instance.dense.weight_index, vertices[parents], vertices[1:])
+    depths = [0]
+    for parent, step in zip(parents, steps.tolist()):
+        depths.append(depths[parent] + step)
     return CenterTree(
         node_vertices=tuple(node_vertices), height=max(depths), new_edges=frozenset(new_edges)
     )

@@ -44,11 +44,12 @@ def ensure_unit_cost(instance: WeightedInstance) -> None:
         rows, cols = sorted_pairs(instance.n, cost.pairs)
     else:
         rows, cols = np.nonzero(np.triu(~dense.edge, 1))
-    offending = np.flatnonzero(~dense.edge[rows, cols] & (dense.cost[rows, cols] != 1))
+    costs = cost.at(dense.cost_index, rows, cols)
+    offending = np.flatnonzero(~dense.edge[rows, cols] & (costs != 1))
     if len(offending):
-        u, v = int(rows[offending[0]]), int(cols[offending[0]])
+        u, v, value = rows[offending[0]], cols[offending[0]], costs[offending[0]]
         raise InstanceError(
-            f"unit-cost solver requires cost 1 on non-edges, ({u}, {v}) costs {cost.get(u, v)}"
+            f"unit-cost solver requires cost 1 on non-edges, ({u}, {v}) costs {value}"
         )
 
 
@@ -99,7 +100,8 @@ def _lightest_connectors(
     for a_pos, i in enumerate(occupied):
         for j in occupied[a_pos + 1 :]:
             block = np.ix_(members[i], members[j])
-            weight, non_edge = dense.weight[block].ravel(), ~dense.edge[block].ravel()
+            weight = instance.weight.at(dense.weight_index, *block).ravel()
+            non_edge = ~dense.edge[block].ravel()
             first = int(np.lexsort((non_edge, weight))[0])
             a, b = divmod(first, len(members[j]))
             connectors[(i, j)] = (

@@ -313,11 +313,14 @@ def _engine_inputs(instance: WeightedInstance) -> dict[int, np.ndarray]:
     The reference jump set: ``apsp_b`` reads the same jumps from its
     complement structure instead.
     """
-    budget, dense = instance.budget, instance.dense
-    weight = dense.weight.astype(np.uint64)  # a valid instance's weights lie in [0, INF64)
-    cost = np.minimum(dense.cost, budget + 1)
-    cost[dense.edge] = budget + 1  # existing edges are never inserted
-    np.fill_diagonal(cost, budget + 1)
+    budget, n = instance.budget, instance.n
+    # read pair by pair, as the engine's lookup is under test
+    weight = np.zeros((n, n), dtype=np.uint64)  # a valid instance's weights lie in [0, INF64)
+    cost = np.full((n, n), budget + 1)  # the diagonal and existing edges are never inserted
+    for u, v in all_pairs(n):
+        weight[u, v] = weight[v, u] = instance.weight.get(u, v)
+        if not instance.is_edge(u, v):
+            cost[u, v] = cost[v, u] = min(instance.cost.get(u, v), budget + 1)
     # every entry is >= 1: validation checks non-edge costs, the rest are B+1
     present = np.bincount(cost.ravel(), minlength=budget + 2)[: budget + 1]
     return {
@@ -388,10 +391,12 @@ def _dijkstra(
 
 def _adjacency(instance: WeightedInstance) -> list[list[tuple[int, int]]]:
     """Per-vertex list of (neighbor, weight) pairs, neighbors ascending."""
-    rows, cols = np.nonzero(instance.dense.edge)  # row-major
     adj: list[list[tuple[int, int]]] = [[] for _ in range(instance.n)]
-    for u, v, w in zip(rows.tolist(), cols.tolist(), instance.dense.weight[rows, cols].tolist()):
-        adj[u].append((v, w))
+    # the normalized edges in [0, n), both ways, row-major; read pair by pair, as the
+    # solvers' lookup is under test
+    edges = [(a, b) for a, b in instance.edges if 0 <= a < b < instance.n]
+    for u, v in sorted({*edges, *((b, a) for a, b in edges)}):
+        adj[u].append((v, instance.weight.get(u, v)))
     return adj
 
 

@@ -10,7 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from diamaug import cli, core, gen_random, serialize_instance
+from diamaug import (
+    PairTable,
+    WeightedInstance,
+    cli,
+    core,
+    fpt_solve,
+    gen_random,
+    serialize_instance,
+    validate,
+)
 from diamaug.cli import SCALE_REPEATS, build_parser, run
 from diamaug.core import graph_metric
 from helpers import build, p4
@@ -294,7 +303,7 @@ def test_solve_refuses_an_oversized_height_table(tmp_path, capsys):
 )
 def test_commands_refuse_an_oversized_instance_on_load(tmp_path, capsys, monkeypatch, command):
     path, solution = tmp_path / "huge.txt", tmp_path / "huge.sol"
-    path.write_text("n 100000\nB 0\n", encoding="utf-8")  # a 190 GB pair view
+    path.write_text("n 100000\nB 0\n", encoding="utf-8")  # a 90 GB pair view
     solution.write_text("cost 0\ndiameter 0\n", encoding="utf-8")
 
     def unguarded(instance):
@@ -314,16 +323,29 @@ def test_commands_refuse_an_oversized_instance_on_load(tmp_path, capsys, monkeyp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "refused: instance too large: n=100000 needs 210000000000 bytes for its pair view "
+        "refused: instance too large: n=100000 needs 130000000000 bytes for its pair view "
         f"and D₀, above {core.MAX_INSTANCE_BYTES}\n"
     )
     assert peak < 4 * 2**20
 
 
-def test_instance_size_limit_sits_at_n_3575():
-    core.check_instance_size(3575, 1)  # 3575² · 21 bytes (uint16 D₀) is below 2**28
+@pytest.mark.parametrize("call", [validate, fpt_solve])
+def test_library_calls_refuse_an_oversized_instance(call):
+    instance = WeightedInstance(100_000, [], PairTable(1), PairTable(1), 0)  # n·W takes uint32
+    tracemalloc.start()
+    try:
+        with pytest.raises(core.InstanceLimitError, match="n=100000 needs 170000000000 bytes"):
+            call(instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_instance_size_limit_sits_at_n_4544():
+    core.check_instance_size(4544, 1)  # 4544² · 13 bytes (uint16 weights and D₀) is below 2**28
     with pytest.raises(core.InstanceLimitError):
-        core.check_instance_size(3576, 1)
+        core.check_instance_size(4545, 1)
 
 
 @pytest.mark.parametrize(
@@ -351,8 +373,8 @@ def test_generators_refuse_an_oversized_n_before_drawing(capsys, monkeypatch, co
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (  # n·W = 500,000 takes a uint32 D₀: 23 bytes per pair
-        "refused: instance too large: n=100000 needs 230000000000 bytes for its pair view "
+    assert captured.err == (  # n·W = 500,000 takes uint32 edge weights and D₀: 17 bytes per pair
+        "refused: instance too large: n=100000 needs 170000000000 bytes for its pair view "
         f"and D₀, above {core.MAX_INSTANCE_BYTES}\n"
     )
     assert peak < 4 * 2**20
@@ -403,7 +425,8 @@ def test_bounded_cost_table_limit_counts_its_entries():
 def test_apsp_refuses_an_oversized_table_before_allocating_it(tmp_path, capsys, monkeypatch):
     path = tmp_path / "g.txt"
     path.write_text(serialize_instance(gen_random(200, 0.1, 5, 1, 300, 3)), encoding="utf-8")
-    # the pair view and D₀ take 200²·21 = 840,000 bytes, the uint16 table 301·200²·2 = 24 MB
+    # the pair view, edge weights and D₀ take 200²·13 = 520,000 bytes, the uint16 table
+    # 301·200²·2 = 24 MB
     monkeypatch.setattr(core, "MAX_INSTANCE_BYTES", 2**20)
     tracemalloc.start()
     try:

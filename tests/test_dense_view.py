@@ -21,7 +21,7 @@ from diamaug import (
     validate,
 )
 from diamaug.budget_paths import _ComplementJumps
-from diamaug.core import INF64, exact_array
+from diamaug.core import exact_array
 from diamaug.unit_cost import _lightest_connectors
 from helpers import (
     EDGE_CASES,
@@ -149,22 +149,37 @@ def test_connectors_match_reference(instance):
     assert _lightest_connectors(instance, split) == reference_connectors(instance, split)
 
 
-def test_dense_view_is_cached_read_only_and_saturated():
-    instance = parse_instance(
+@pytest.mark.parametrize("instance", CORPUS)
+def test_lookup_matches_get(instance):
+    # at every pair u < v: the same value, or the same KeyError at the same first pair
+    n, dense = max(instance.n, 0), instance.dense
+    rows, cols = np.triu_indices(n, 1)
+    for table, index in ((instance.weight, dense.weight_index), (instance.cost, dense.cost_index)):
+        expected = outcome(lambda: [table.get(u, v) for u, v in zip(rows.tolist(), cols.tolist())])
+        assert outcome(lambda: table.at(index, rows, cols).tolist()) == expected
+
+
+def test_dense_view_is_cached_read_only_and_exact():
+    text = (
         "n 4\nB 2\ndefault_nonedge weight 1 cost 1\nedge 0 1 3\nedge 1 2 1\nedge 2 3 1\n"
-        f"nonedge 0 3 1 {2**70}\nnonedge 0 2 2 {-(2**70)}\n"
+        f"nonedge 0 3 1 {2**70}\n"
     )
+    valid, instance = parse_instance(text), parse_instance(f"{text}nonedge 0 2 2 {-(2**70)}\n")
     dense = instance.dense
-    assert dense is instance.dense
-    for array in (dense.weight, dense.cost, dense.weight_listed, dense.cost_listed, dense.edge):
+    assert dense is instance.dense and valid.edge_weights is valid.edge_weights
+    for array in (dense.weight_index, dense.cost_index, dense.edge, valid.edge_weights):
         assert array.shape == (4, 4)
         assert not array.flags.writeable
         assert np.array_equal(array, array.T)
-    assert dense.weight[0, 1] == 3 and dense.weight[0, 2] == 2
-    assert dense.cost[0, 3] == INF64 and dense.cost[0, 2] == -INF64
+    assert dense.weight_index.dtype == dense.cost_index.dtype == np.int32
+    weight, cost = instance.weight.at, instance.cost.at
+    assert weight(dense.weight_index, [0, 0, 1], [1, 2, 3]).tolist() == [3, 2, 1]
+    assert cost(dense.cost_index, [0, 2, 3], [3, 0, 1]).tolist() == [2**70, -(2**70), 1]
+    s = 2**14  # the uint16 sentinel, off the edges and on the diagonal
+    assert valid.edge_weights.tolist() == [[s, 3, s, s], [3, s, 1, s], [s, 1, s, 1], [s, s, 1, s]]
     assert dense.edge[1, 2] and not dense.edge[0, 2]
-    assert dense.weight_listed[0, 1] and not dense.weight_listed[1, 3]
-    assert dense.cost_listed[0, 3] and not dense.cost_listed[0, 1]
+    assert dense.weight_index[0, 1] > 0 and dense.weight_index[1, 3] == 0
+    assert dense.cost_index[0, 3] > 0 and dense.cost_index[0, 1] == 0
     assert instance.cost.get(0, 3) == 2**70
 
 
