@@ -123,7 +123,7 @@ class _ComplementJumps:
     y, ``starts`` where each y's entries begin. ``targets`` holds every y
     that a listed jump of cost <= B ends at. Weights and ``sentinel`` are in
     the instance's table dtype. The listed jumps come from the tables' arrays
-    (``instance.listed_non_edges``); only ``excluded`` is n×n.
+    (``instance.non_edge_pairs``); only ``excluded`` is n×n.
     """
 
     weight: np.unsignedinteger
@@ -135,20 +135,21 @@ class _ComplementJumps:
 
     @classmethod
     def of(cls, instance: WeightedInstance) -> _ComplementJumps:
-        budget, dense, (dtype, sentinel) = instance.budget, instance.dense, instance.dist_type
-        excluded = (dense.weight_index > 0) | (dense.cost_index > 0) | dense.edge
+        budget, (dtype, sentinel) = instance.budget, instance.dist_type
+        rows, cols = instance.non_edge_pairs(instance.weight, instance.cost)
+        excluded = instance.dense.edge.copy()
+        excluded[rows, cols] = excluded[cols, rows] = True
         np.fill_diagonal(excluded, True)
         if not excluded.all():  # some pair is unlisted, so validation saw both defaults
             cost, weight = min(instance.cost.default, budget + 1), instance.weight.default
         else:
             cost, weight = budget + 1, 0
-        rows, cols = instance.listed_non_edges
         ys, xs = np.concatenate([rows, cols]), np.concatenate([cols, rows])
         order = np.argsort(ys * instance.n + xs)  # grouped by y
         ys, xs = ys[order], xs[order]
-        costs = instance.cost.at(dense.cost_index, ys, xs)
+        costs = instance.cost_at(ys, xs)
         # a valid instance's weights lie in [0, sentinel)
-        weights = instance.weight.at(dense.weight_index, ys, xs).astype(dtype)
+        weights = instance.weight_at(ys, xs).astype(dtype)
         groups = {}
         for c in np.unique(costs[costs <= budget]).tolist():
             y, x = ys[costs == c], xs[costs == c]

@@ -73,8 +73,7 @@ SCALE_WMAX = 5
 def _load_instance(path: str) -> WeightedInstance:
     text = Path(path).read_text(encoding="utf-8")
     instance = parse_instance(text)
-    check_instance_size(instance.n, instance.weight.max_value())  # before the first n×n array
-    ensure_valid(instance)
+    ensure_valid(instance)  # builds the pair view, which checks the size before any n×n array
     return instance
 
 

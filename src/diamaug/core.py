@@ -32,11 +32,11 @@ Scalars added to a table are cast to its dtype first: a uint64 scalar
 would silently widen a uint16 sum.
 
 An instance stores its listed pairs once, as arrays (:class:`PairSet`,
-:class:`PairTable`). A scan over the listed pairs sorts those arrays
-(:func:`sorted_pairs`) and looks its pairs up; every scan over all vertex
-pairs reads one cached view built from them, :class:`DensePairs`: an edge
-mask and, per table, an n×n index into its arrays. Every value is read
-through :meth:`PairTable.at`, so it is exact at any size.
+:class:`PairTable`), plus one cached view, :class:`DensePairs`: an edge mask
+and, per table, an n×n index into its arrays, read only in this module.
+Callers read exact values through ``instance.weight_at`` and ``cost_at``,
+and take non-edges from ``instance.non_edge_pairs``: those some tables list,
+by a sort of their arrays, or every non-edge, the one scan over all pairs.
 """
 
 from __future__ import annotations
@@ -248,11 +248,11 @@ def _index(n: int, pairs: PairSet) -> np.ndarray:
 class DensePairs:
     """Every vertex pair of an instance as read-only n×n numpy arrays.
 
-    ``weight_index`` and ``cost_index`` are their table's :func:`_index`
-    (``index > 0`` marks the listed pairs), read by :meth:`PairTable.at`. Of a
-    pair listed twice the later entry holds: ``np.maximum.at`` keeps the larger
-    position in any order. ``edge`` marks the edges. Pairs outside [0, n), on
-    the diagonal or not normalized are skipped, as ``get`` skips them.
+    ``weight_index`` and ``cost_index`` are their table's :func:`_index`, read
+    by :meth:`PairTable.at`. Of a pair listed twice the later entry holds:
+    ``np.maximum.at`` keeps the larger position in any order. ``edge`` marks
+    the edges. Pairs outside [0, n), on the diagonal or not normalized are
+    skipped, as ``get`` skips them.
     """
 
     weight_index: np.ndarray
@@ -264,8 +264,11 @@ class DensePairs:
         """Raises InstanceLimitError, before any n×n array, above ``MAX_INSTANCE_BYTES``."""
         n = max(instance.n, 0)
         check_instance_size(n, instance.weight.max_value())
-        edge = _read_only(_index(n, instance.edges) > 0)
-        return cls(_index(n, instance.weight.pairs), _index(n, instance.cost.pairs), edge)
+        weight, cost = _index(n, instance.weight.pairs), _index(n, instance.cost.pairs)
+        rows, cols, _ = instance.edges.within(n)
+        edge = np.zeros((n, n), dtype=bool)
+        edge[rows, cols] = edge[cols, rows] = True
+        return cls(weight, cost, _read_only(edge))
 
 
 @dataclass(frozen=True)
@@ -310,8 +313,26 @@ class WeightedInstance:
         ensure_valid(self)
         u, v, _ = self.edges.within(self.n)
         weights = np.full((self.n, self.n), self.dist_type.sentinel)
-        weights[u, v] = weights[v, u] = self.weight.at(self.dense.weight_index, u, v)
+        weights[u, v] = weights[v, u] = self.weight_at(u, v)
         return _read_only(weights)
+
+    def weight_at(self, rows, cols) -> np.ndarray:
+        """The exact weights at the pairs (rows, cols), which broadcast: :meth:`PairTable.at`."""
+        return self.weight.at(self.dense.weight_index, rows, cols)
+
+    def cost_at(self, rows, cols) -> np.ndarray:
+        """The exact costs at the pairs (rows, cols), which broadcast: :meth:`PairTable.at`."""
+        return self.cost.at(self.dense.cost_index, rows, cols)
+
+    def non_edge_pairs(self, *tables: PairTable) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and columns of non-edges, each once, in (u, v) order: those ``tables``
+        list, by :func:`sorted_pairs` in O(m log m), or, given none, every non-edge,
+        the one scan over all vertex pairs."""
+        if not tables:
+            return np.nonzero(np.triu(~self.dense.edge, 1))
+        rows, cols = sorted_pairs(self.n, *(table.pairs for table in tables))
+        kept = ~self.dense.edge[rows, cols]
+        return rows[kept], cols[kept]
 
     @cached_property
     def problems(self) -> tuple[str, ...]:
@@ -330,24 +351,12 @@ class WeightedInstance:
         metric.flags.writeable = False
         return metric
 
-    @cached_property
-    def listed_non_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and columns of the non-edges either table lists, in (u, v) order, read-only.
-
-        The pairs in [0, n) that :func:`sorted_pairs` keeps, less the edges:
-        O(m log m) over the tables' arrays, not a scan of the n×n view.
-        """
-        edge = self.dense.edge
-        rows, cols = sorted_pairs(self.n, self.weight.pairs, self.cost.pairs)
-        kept = ~edge[rows, cols]
-        return _read_only(rows[kept]), _read_only(cols[kept])
-
     def is_edge(self, u: int, v: int) -> bool:
         return ordered_pair(u, v) in self.edges
 
     def non_edges(self) -> list[Pair]:
         """All insertable pairs, lexicographically sorted."""
-        rows, cols = np.nonzero(np.triu(~self.dense.edge, 1))
+        rows, cols = self.non_edge_pairs()
         return list(zip(rows.tolist(), cols.tolist()))
 
 
@@ -382,12 +391,12 @@ def validate(instance: WeightedInstance) -> list[str]:
 
     Returns the list of violated invariants; an empty list means the
     instance is valid. Never mutates; raises InstanceLimitError only for a
-    dense view over ``MAX_INSTANCE_BYTES``. The range checks and the negative
-    weights read the listed pairs' arrays, and the costs below 1 are looked up
-    at the listed cost pairs (:func:`sorted_pairs`), through the dense view,
-    which validation builds. Scans of every pair
-    remain only where a table has no default (is it total?) and where the
-    default cost is below 1 (every unlisted non-edge is then a finding).
+    dense view over ``MAX_INSTANCE_BYTES``, which validation builds. The range
+    checks, the repeated edges, the totality counts and the negative weights
+    read the listed pairs' arrays, and the costs below 1 are looked up at the
+    listed cost pairs (:meth:`WeightedInstance.non_edge_pairs`). Every
+    non-edge is scanned only under a default cost below 1, where each
+    unlisted non-edge is a finding.
     """
     problems: list[str] = []
     n = instance.n
@@ -397,7 +406,6 @@ def validate(instance: WeightedInstance) -> list[str]:
     if instance.budget < 0:
         problems.append(f"budget must be >= 0, got {instance.budget}")
 
-    dense = instance.dense
     edge_problem = "edge {} is not a normalized pair of distinct vertices in [0, {n})"
     for pairs, problem in (
         (instance.edges, edge_problem),
@@ -407,12 +415,19 @@ def validate(instance: WeightedInstance) -> list[str]:
         kept = pairs.within(n)[2]
         if not kept.all():
             problems += [problem.format(tuple(pair), n=n) for pair in pairs.array[~kept].tolist()]
+    rows, cols, _ = instance.edges.within(n)
+    keys = np.sort(rows * n + cols)
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    problems += [f"edge {divmod(key, n)} is listed twice" for key in np.unique(repeated).tolist()]
 
-    weight = instance.weight
-    weight_total = weight.default is not None or not np.triu(dense.weight_index == 0, 1).any()
+    weight, cost = instance.weight, instance.cost
+    all_pairs = n * (n - 1) // 2
+    weight_total = weight.default is not None or len(sorted_pairs(n, weight.pairs)[0]) == all_pairs
     if not weight_total:
         problems.append("weight not total: no default and some pairs unlisted")
-    if instance.cost.default is None and np.triu((dense.cost_index == 0) & ~dense.edge, 1).any():
+    listed = cost.default is None or cost.default >= 1  # only a listed pair can cost less
+    rows, cols = instance.non_edge_pairs(cost) if listed else instance.non_edge_pairs()
+    if cost.default is None and len(rows) < all_pairs - (len(keys) - len(repeated)):
         # Costs are only consulted on non-edges, so edges need no cost entry.
         problems.append("cost not total: no default and some non-edges unlisted")
 
@@ -422,14 +437,8 @@ def validate(instance: WeightedInstance) -> list[str]:
         pair = tuple(weight.pairs.array[i].tolist())
         problems.append(f"weight of {pair} must be >= 0, got {weight.values[i]}")
 
-    cost = instance.cost
-    if cost.default is None or cost.default >= 1:  # only a listed pair can cost less
-        rows, cols = sorted_pairs(n, cost.pairs)
-    else:
-        rows, cols = np.nonzero(np.triu(~dense.edge, 1))
-    costs = cost.at(dense.cost_index, rows, cols)
-    below_one = ~dense.edge[rows, cols] & (costs < 1)
-    for u, v, value in zip(*(x[below_one].tolist() for x in (rows, cols, costs))):
+    costs = instance.cost_at(rows, cols)
+    for u, v, value in zip(*(x[costs < 1].tolist() for x in (rows, cols, costs))):
         problems.append(f"cost of non-edge {(u, v)} must be >= 1, got {value}")
 
     if weight_total and n * weight.max_value() >= INF64:
@@ -507,7 +516,7 @@ def diameter(instance: WeightedInstance, added: Iterable[Pair] = ()) -> Dist:
         raise InstanceError(f"added pairs {pairs} out of range for n={instance.n}")
     dtype, sentinel = instance.dist_type
     rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    weights = instance.weight.at(instance.dense.weight_index, rows, cols).astype(dtype)
+    weights = instance.weight_at(rows, cols).astype(dtype)
     for u, v, weight in zip(rows.tolist(), cols.tolist(), weights):
         via = dists[:, u, None] + weight + dists[None, v, :]
         np.minimum(dists, np.minimum(via, via.T), out=dists)
@@ -521,10 +530,9 @@ def augment(instance: WeightedInstance, added: Iterable[Pair]) -> Augmentation:
     """
     pairs = frozenset(ordered_pair(*pair) for pair in added)
     reached = diameter(instance, pairs)  # validates, and range-checks pairs before costing them
-    dense = instance.dense
     for pair in pairs:
-        if dense.edge[pair]:
+        if instance.dense.edge[pair]:
             raise InstanceError(f"pair {pair} is already an edge")
     rows, cols = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2).T
-    total = sum(instance.cost.at(dense.cost_index, rows, cols).tolist())
+    total = sum(instance.cost_at(rows, cols).tolist())
     return Augmentation(added=pairs, total_cost=total, diameter=reached)

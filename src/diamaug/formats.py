@@ -200,35 +200,31 @@ def _lines(form: str, *columns: list) -> str:
 def serialize_instance(instance: WeightedInstance) -> str:
     """Canonical instance text: sorted lines, minimal non-edge overrides.
 
-    Parsing the result reproduces the instance, and equal instances
-    serialize to identical bytes, so the output doubles as a digest input
-    and as golden-file material. Only a non-edge that one of the tables
-    lists can differ from the defaults, so only those are compared (every
-    non-edge when there are no defaults, the one case that scans all pairs).
-    Edges and listed non-edges come from the tables' arrays, sorted by
-    (u, v) (:func:`sorted_pairs`, ``instance.listed_non_edges``); values are
-    read through :meth:`PairTable.at`, so they are exact at any size. Edges
-    that the view skips (outside [0, n) or not normalized), or that are
-    listed twice, are printed as given, sorted.
+    Parsing the result reproduces every pair's weight and cost, and equal
+    instances serialize to identical bytes, so the output doubles as a digest
+    input and as golden-file material. With both defaults set, a
+    ``default_nonedge`` line names them and only the non-edges the tables
+    list are compared with them. When either default is missing that line is
+    omitted and every non-edge is listed (the one scan over all pairs). Pairs
+    come sorted by (u, v), values exact at any size. Edges outside [0, n) or
+    not normalized, or listed twice, are printed as given, sorted.
     """
     n, weight, cost = instance.n, instance.weight, instance.cost
     text = f"n {n}\nB {instance.budget}\n"
     dw, dc = weight.default, cost.default
-    if dw is not None or dc is not None:
-        if dw is None or dc is None:
-            raise ValueError("cannot serialize: only one of the default weight/cost is set")
+    defaults = dw is not None and dc is not None
+    if defaults:
         text += f"default_nonedge weight {dw} cost {dc}\n"
-    dense = instance.dense
     rows, cols = sorted_pairs(n, instance.edges)
     if len(rows) == len(instance.edges):
-        weights = weight.at(dense.weight_index, rows, cols).tolist()
+        weights = instance.weight_at(rows, cols).tolist()
         text += _lines("edge %d %d %d\n", rows.tolist(), cols.tolist(), weights)
     else:
         text += "".join(f"edge {u} {v} {weight.get(u, v)}\n" for u, v in sorted(instance.edges))
-    rows, cols = np.nonzero(np.triu(~dense.edge, 1)) if dw is None else instance.listed_non_edges
+    rows, cols = instance.non_edge_pairs(weight, cost) if defaults else instance.non_edge_pairs()
     try:
-        weights = weight.at(dense.weight_index, rows, cols).tolist()
-        costs = cost.at(dense.cost_index, rows, cols).tolist()
+        weights = instance.weight_at(rows, cols).tolist()
+        costs = instance.cost_at(rows, cols).tolist()
     except KeyError:  # name the first pair either table lacks, as a pair-by-pair read does
         for u, v in zip(rows.tolist(), cols.tolist()):
             weight.get(u, v), cost.get(u, v)

@@ -306,7 +306,7 @@ def reconstruct_tree(table: HeightTable, u: int, mask: int, j: int) -> CenterTre
         pending.append((via_node, rule.via, rule.subset_mask, j2))
 
     instance, vertices = table.dists.instance, np.array(node_vertices, dtype=np.intp)
-    steps = instance.weight.at(instance.dense.weight_index, vertices[parents], vertices[1:])
+    steps = instance.weight_at(vertices[parents], vertices[1:])
     depths = [0]
     for parent, step in zip(parents, steps.tolist()):
         depths.append(depths[parent] + step)

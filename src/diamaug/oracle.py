@@ -41,7 +41,7 @@ def _base_matrix(instance: WeightedInstance) -> np.ndarray:
     """All-pairs distance matrix of the bare instance graph (int64)."""
     rows, cols, _ = instance.edges.within(instance.n)
     d = np.full((instance.n, instance.n), INF64)  # a valid instance's weights lie in [0, INF64)
-    d[rows, cols] = d[cols, rows] = instance.weight.at(instance.dense.weight_index, rows, cols)
+    d[rows, cols] = d[cols, rows] = instance.weight_at(rows, cols)
     np.fill_diagonal(d, 0)
     for k in range(instance.n):
         via = d[:, k, None] + d[None, k, :]
@@ -81,10 +81,10 @@ def exact_optimum(instance: WeightedInstance) -> ExactResult:
     """
     ensure_valid(instance)
     n = instance.n
-    dense, non_edges = instance.dense, instance.non_edges()
-    rows, cols = np.array(non_edges, dtype=np.intp).reshape(-1, 2).T
-    costs = instance.cost.at(dense.cost_index, rows, cols).tolist()
-    weights = instance.weight.at(dense.weight_index, rows, cols).tolist()
+    rows, cols = instance.non_edge_pairs()
+    non_edges = list(zip(rows.tolist(), cols.tolist()))
+    costs = instance.cost_at(rows, cols).tolist()
+    weights = instance.weight_at(rows, cols).tolist()
     max_sets = MAX_WORK // (n * n) - n
     fitting = sum(1 for total in accumulate(sorted(costs)) if total <= instance.budget)
     explored = 1 << fitting  # at least this many sets, until counted

@@ -26,7 +26,6 @@ from .core import (
     WeightedInstance,
     augment,
     ensure_valid,
-    sorted_pairs,
 )
 
 
@@ -35,17 +34,15 @@ def ensure_unit_cost(instance: WeightedInstance) -> None:
 
     The error names the lexicographically first offending non-edge. With a
     default cost of 1, or none, only a listed cost pair can offend, so only
-    those are looked up (:func:`sorted_pairs`); any other default scans
-    every non-edge.
+    those are looked up; any other default scans every non-edge
+    (:meth:`~diamaug.core.WeightedInstance.non_edge_pairs`).
     """
     ensure_valid(instance)
-    dense, cost = instance.dense, instance.cost
-    if cost.default is None or cost.default == 1:  # an unlisted non-edge costs 1, or is invalid
-        rows, cols = sorted_pairs(instance.n, cost.pairs)
-    else:
-        rows, cols = np.nonzero(np.triu(~dense.edge, 1))
-    costs = cost.at(dense.cost_index, rows, cols)
-    offending = np.flatnonzero(~dense.edge[rows, cols] & (costs != 1))
+    cost = instance.cost
+    listed = cost.default is None or cost.default == 1  # unlisted non-edges cost 1, or are invalid
+    rows, cols = instance.non_edge_pairs(cost) if listed else instance.non_edge_pairs()
+    costs = instance.cost_at(rows, cols)
+    offending = np.flatnonzero(costs != 1)
     if len(offending):
         u, v, value = rows[offending[0]], cols[offending[0]], costs[offending[0]]
         raise InstanceError(
@@ -94,14 +91,13 @@ def _lightest_connectors(
     lexsort over the members[i] × members[j] block: members ascend, so ties
     in (weight, non-edge) keep the smallest (u, v).
     """
-    dense = instance.dense
     occupied = [i for i, vs in enumerate(members) if vs]
     connectors = {}
     for a_pos, i in enumerate(occupied):
         for j in occupied[a_pos + 1 :]:
             block = np.ix_(members[i], members[j])
-            weight = instance.weight.at(dense.weight_index, *block).ravel()
-            non_edge = ~dense.edge[block].ravel()
+            weight = instance.weight_at(*block).ravel()
+            non_edge = ~instance.dense.edge[block].ravel()
             first = int(np.lexsort((non_edge, weight))[0])
             a, b = divmod(first, len(members[j]))
             connectors[(i, j)] = (

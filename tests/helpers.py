@@ -15,6 +15,7 @@ import pytest
 from diamaug import (
     BoundedCostDistances,
     ClusterCenters,
+    FormatError,
     InstanceError,
     PairTable,
     PathSource,
@@ -628,6 +629,11 @@ def reference_validate(instance: WeightedInstance) -> list[str]:
             if not (0 <= u < v < n):
                 problems.append(f"{name} override {pair} is out of range")
 
+    listed = [pair for pair in instance.edges if 0 <= pair[0] < pair[1] < n]
+    for pair in sorted(set(listed)):
+        if listed.count(pair) > 1:
+            problems.append(f"edge {pair} is listed twice")
+
     if not _covers(instance.weight, n):
         problems.append("weight not total: no default and some pairs unlisted")
     if instance.cost.default is None and any(
@@ -665,9 +671,7 @@ def reference_serialize_instance(instance: WeightedInstance) -> str:
     """``serialize_instance`` as one ``get`` per vertex pair."""
     lines = [f"n {instance.n}", f"B {instance.budget}"]
     dw, dc = instance.weight.default, instance.cost.default
-    if dw is not None or dc is not None:
-        if dw is None or dc is None:
-            raise ValueError("cannot serialize: only one of the default weight/cost is set")
+    if dw is not None and dc is not None:
         lines.append(f"default_nonedge weight {dw} cost {dc}")
     for u, v in sorted(instance.edges):
         lines.append(f"edge {u} {v} {instance.weight.get(u, v)}")
@@ -679,6 +683,79 @@ def reference_serialize_instance(instance: WeightedInstance) -> str:
         if w != dw or c != dc:
             lines.append(f"nonedge {u} {v} {w} {c}")
     return "\n".join(lines) + "\n"
+
+
+def _reference_int(line_no: int, token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(line_no, f"{what} must be a decimal integer, got {token!r}") from None
+
+
+def reference_parse_instance(text: str) -> WeightedInstance:
+    """``parse_instance`` one line at a time, one ``int`` per token; same messages.
+
+    The first line that fails is reported, each line checked against what
+    the lines above it said. The tables are dicts, so an equal instance
+    compares equal to the parser's.
+    """
+    n = budget = default_weight = default_cost = None
+    edges: list[Pair] = []
+    weights: dict[Pair, int] = {}
+    costs: dict[Pair, int] = {}
+    seen: dict[Pair, int] = {}
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        kind, *args = tokens
+        if kind in ("edge", "nonedge"):
+            if len(args) != (3 if kind == "edge" else 4):
+                form = "<u> <v> <weight>" + " <cost>" * (kind == "nonedge")
+                raise FormatError(line_no, f"expected: {kind} {form}")
+            u, v = (_reference_int(line_no, token, "vertex") for token in args[:2])
+            if n is None:
+                raise FormatError(line_no, "vertex pair listed before the 'n' line")
+            if u == v:
+                raise FormatError(line_no, f"self-loop ({u}, {v}) is not allowed")
+            if not (0 <= u < n and 0 <= v < n):
+                raise FormatError(line_no, f"vertex pair ({u}, {v}) out of range for n={n}")
+            pair = ordered_pair(u, v)
+            if pair in seen:
+                raise FormatError(line_no, f"pair {pair} already listed on line {seen[pair]}")
+            seen[pair] = line_no
+            weights[pair] = _reference_int(line_no, args[2], "weight")
+            if kind == "edge":
+                edges.append(pair)
+            else:
+                costs[pair] = _reference_int(line_no, args[3], "cost")
+        elif kind == "n":
+            if n is not None:
+                raise FormatError(line_no, "duplicate 'n' line")
+            if len(args) != 1:
+                raise FormatError(line_no, "expected: n <count>")
+            n = _reference_int(line_no, args[0], "vertex count")
+        elif kind == "B":
+            if budget is not None:
+                raise FormatError(line_no, "duplicate 'B' line")
+            if len(args) != 1:
+                raise FormatError(line_no, "expected: B <budget>")
+            budget = _reference_int(line_no, args[0], "budget")
+        elif kind == "default_nonedge":
+            if default_weight is not None:
+                raise FormatError(line_no, "duplicate 'default_nonedge' line")
+            if len(args) != 4 or args[0] != "weight" or args[2] != "cost":
+                raise FormatError(line_no, "expected: default_nonedge weight <w> cost <c>")
+            default_weight = _reference_int(line_no, args[1], "default weight")
+            default_cost = _reference_int(line_no, args[3], "default cost")
+        else:
+            raise FormatError(line_no, f"unknown directive {kind!r}")
+    if n is None:
+        raise FormatError(1, "missing 'n' line")
+    if budget is None:
+        raise FormatError(1, "missing 'B' line")
+    weight, cost = PairTable(default_weight, weights), PairTable(default_cost, costs)
+    return WeightedInstance(n, edges, weight, cost, budget)
 
 
 def outcome(call, *args):

@@ -306,10 +306,10 @@ def test_commands_refuse_an_oversized_instance_on_load(tmp_path, capsys, monkeyp
     path.write_text("n 100000\nB 0\n", encoding="utf-8")  # a 90 GB pair view
     solution.write_text("cost 0\ndiameter 0\n", encoding="utf-8")
 
-    def unguarded(instance):
-        raise AssertionError("the pair view was built before the size check")
+    def unguarded(n, pairs):
+        raise AssertionError("the pair view's first n×n array was built before the size check")
 
-    monkeypatch.setattr(core.DensePairs, "of", unguarded)
+    monkeypatch.setattr(core, "_index", unguarded)
     argv = [command[0], "--input", str(path), *command[1:]]
     if command[0] == "check":
         argv += ["--solution", str(solution)]

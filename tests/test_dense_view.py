@@ -28,6 +28,7 @@ from helpers import (
     INVALID_CASES,
     build,
     outcome,
+    override_corpus,
     p4,
     reference_connectors,
     reference_listed_jumps,
@@ -106,6 +107,14 @@ def test_pair_scans_match_references(instance):
         }
         assert listed == expected
         assert jumps.targets.tolist() == sorted({y for c in expected for y, _, _ in expected[c]})
+
+
+def test_valid_instances_round_trip_through_text():
+    # one default missing: no default line, every non-edge listed; a repeated edge is invalid
+    corpus = CORPUS + seeded_corpus(300, seed=51) + override_corpus(300, seed=9)
+    for instance in (x for x in corpus if not validate(x)):
+        text = serialize_instance(instance)
+        assert serialize_instance(parse_instance(text)) == text
 
 
 def test_listed_pair_scans_read_no_triangle(monkeypatch):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamaug import (
     INF,
@@ -18,7 +20,14 @@ from diamaug import (
     validate,
 )
 from diamaug.report import instance_digest
-from helpers import all_pairs, p4, path_graph, seeded_corpus
+from helpers import (
+    all_pairs,
+    outcome,
+    p4,
+    path_graph,
+    reference_parse_instance,
+    seeded_corpus,
+)
 
 P4_TEXT = """\
 # tiny path fixture
@@ -194,3 +203,75 @@ def test_cost_beyond_int64_is_valid_and_solvable():
     outcome = fpt_solve(instance)
     assert (0, 3) not in outcome.augmentation.added
     assert outcome.augmentation.total_cost <= instance.budget
+
+
+# Number spellings that ``int`` reads or refuses: signs, underscores, non-ASCII
+# digits, values beyond int64 and a few non-integers.
+NUMBER_TOKENS = [
+    "+3", "1_000", "-0", "٣", "１２", "0", "-1", str(2**70), str(-(2**70)), "1__0", "0x1", "1.5", "x"
+]
+
+
+@st.composite
+def instance_lines(draw) -> list[list[str]]:
+    """The token lines of a valid instance text: the ``n`` line, then the rest in a drawn order."""
+    n = draw(st.integers(1, 5))
+    lines = [["B", str(draw(st.integers(0, 3)))]]
+    defaults = draw(st.booleans())
+    if defaults:
+        lines.append(["default_nonedge", "weight", "1", "cost", "2"])
+    for u, v in all_pairs(n):
+        kind = draw(st.sampled_from(["edge", "nonedge"] + ["skip"] * defaults))
+        weight, cost = (str(draw(st.integers(0, 4))) for _ in range(2))
+        if kind != "skip":
+            lines.append([kind, str(u), str(v), weight] + [cost] * (kind == "nonedge"))
+    return [["n", str(n)]] + draw(st.permutations(lines))
+
+
+@st.composite
+def mutated_texts(draw) -> str:
+    """A valid instance text after a few line and token edits."""
+    lines = [list(tokens) for tokens in draw(instance_lines())]
+    for _ in range(draw(st.integers(0, 4))):
+        if not lines:
+            break
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        op = draw(st.sampled_from(
+            ["delete", "repeat", "swap", "token", "number", "comment", "reverse", "n last"]
+        ))
+        if op == "delete":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(j, list(lines[i]))
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "token" and lines[i]:  # delete, repeat or swap a token
+            k, m = (draw(st.integers(0, len(lines[i]) - 1)) for _ in range(2))
+            edit = draw(st.sampled_from(["delete", "repeat", "swap"]))
+            if edit == "delete":
+                del lines[i][k]
+            elif edit == "repeat":
+                lines[i].insert(m, lines[i][k])
+            else:
+                lines[i][k], lines[i][m] = lines[i][m], lines[i][k]
+        elif op == "number" and len(lines[i]) > 1:
+            k = draw(st.integers(1, len(lines[i]) - 1))
+            lines[i][k] = draw(st.sampled_from(NUMBER_TOKENS))
+        elif op == "comment":  # at the end of a line, or on a line of its own
+            comment = draw(st.sampled_from(["#", "#0 1", "# edge 0 1 1"]))
+            if draw(st.booleans()):
+                lines[i].append(comment)
+            else:
+                lines.insert(j, [comment])
+        elif op == "reverse" and lines[i][:1] in (["edge"], ["nonedge"]) and len(lines[i]) > 2:
+            lines.insert(j, [lines[i][0], lines[i][2], lines[i][1], *lines[i][3:]])
+        elif op == "n last":
+            lines.sort(key=lambda tokens: tokens[:1] == ["n"])
+    return "".join(" ".join(tokens) + "\n" for tokens in lines)
+
+
+@settings(max_examples=300)
+@given(mutated_texts())
+def test_parser_matches_line_by_line_reference(text):
+    # the same instance, or the same FormatError text
+    assert outcome(parse_instance, text) == outcome(reference_parse_instance, text)
