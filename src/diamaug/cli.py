@@ -71,8 +71,7 @@ SCALE_WMAX = 5
 
 
 def _load_instance(path: str) -> WeightedInstance:
-    text = Path(path).read_text(encoding="utf-8")
-    instance = parse_instance(text)
+    instance = parse_instance(Path(path).read_text(encoding="utf-8"))
     ensure_valid(instance)  # builds the pair view, which checks the size before any n×n array
     return instance
 

@@ -325,13 +325,14 @@ class WeightedInstance:
         return self.cost.at(self.dense.cost_index, rows, cols)
 
     def non_edge_pairs(self, *tables: PairTable) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and columns of non-edges, each once, in (u, v) order: those ``tables``
-        list, by :func:`sorted_pairs` in O(m log m), or, given none, every non-edge,
-        the one scan over all vertex pairs."""
+        """Rows and columns of non-edges, each once, in (u, v) order: those ``tables`` list,
+        by :func:`sorted_pairs` in O(m log m), or, given none, every non-edge, the one scan
+        over all pairs. The view's size check runs first: a key u·n + v wraps for n ≥ 2**63."""
+        edge = self.dense.edge
         if not tables:
-            return np.nonzero(np.triu(~self.dense.edge, 1))
+            return np.nonzero(np.triu(~edge, 1))
         rows, cols = sorted_pairs(self.n, *(table.pairs for table in tables))
-        kept = ~self.dense.edge[rows, cols]
+        kept = ~edge[rows, cols]
         return rows[kept], cols[kept]
 
     @cached_property
@@ -391,12 +392,12 @@ def validate(instance: WeightedInstance) -> list[str]:
 
     Returns the list of violated invariants; an empty list means the
     instance is valid. Never mutates; raises InstanceLimitError only for a
-    dense view over ``MAX_INSTANCE_BYTES``, which validation builds. The range
-    checks, the repeated edges, the totality counts and the negative weights
-    read the listed pairs' arrays, and the costs below 1 are looked up at the
-    listed cost pairs (:meth:`WeightedInstance.non_edge_pairs`). Every
-    non-edge is scanned only under a default cost below 1, where each
-    unlisted non-edge is a finding.
+    dense view over ``MAX_INSTANCE_BYTES``, which validation builds first
+    (:meth:`WeightedInstance.non_edge_pairs`). The range checks, the repeated
+    edges, the totality counts and the negative weights read the listed
+    pairs' arrays, and the costs below 1 are looked up at the listed cost
+    pairs. Every non-edge is scanned only under a default cost below 1,
+    where each unlisted non-edge is a finding.
     """
     problems: list[str] = []
     n = instance.n
@@ -405,6 +406,9 @@ def validate(instance: WeightedInstance) -> list[str]:
         return problems
     if instance.budget < 0:
         problems.append(f"budget must be >= 0, got {instance.budget}")
+    weight, cost = instance.weight, instance.cost
+    listed = cost.default is None or cost.default >= 1  # only a listed pair can cost less
+    non_edges = instance.non_edge_pairs(cost) if listed else instance.non_edge_pairs()
 
     edge_problem = "edge {} is not a normalized pair of distinct vertices in [0, {n})"
     for pairs, problem in (
@@ -420,14 +424,11 @@ def validate(instance: WeightedInstance) -> list[str]:
     repeated = keys[1:][keys[1:] == keys[:-1]]
     problems += [f"edge {divmod(key, n)} is listed twice" for key in np.unique(repeated).tolist()]
 
-    weight, cost = instance.weight, instance.cost
     all_pairs = n * (n - 1) // 2
     weight_total = weight.default is not None or len(sorted_pairs(n, weight.pairs)[0]) == all_pairs
     if not weight_total:
         problems.append("weight not total: no default and some pairs unlisted")
-    listed = cost.default is None or cost.default >= 1  # only a listed pair can cost less
-    rows, cols = instance.non_edge_pairs(cost) if listed else instance.non_edge_pairs()
-    if cost.default is None and len(rows) < all_pairs - (len(keys) - len(repeated)):
+    if cost.default is None and len(non_edges[0]) < all_pairs - (len(keys) - len(repeated)):
         # Costs are only consulted on non-edges, so edges need no cost entry.
         problems.append("cost not total: no default and some non-edges unlisted")
 
@@ -437,8 +438,8 @@ def validate(instance: WeightedInstance) -> list[str]:
         pair = tuple(weight.pairs.array[i].tolist())
         problems.append(f"weight of {pair} must be >= 0, got {weight.values[i]}")
 
-    costs = instance.cost_at(rows, cols)
-    for u, v, value in zip(*(x[costs < 1].tolist() for x in (rows, cols, costs))):
+    costs = instance.cost_at(*non_edges)
+    for u, v, value in zip(*(x[costs < 1].tolist() for x in (*non_edges, costs))):
         problems.append(f"cost of non-edge {(u, v)} must be >= 1, got {value}")
 
     if weight_total and n * weight.max_value() >= INF64:

@@ -213,15 +213,15 @@ def serialize_instance(instance: WeightedInstance) -> str:
     text = f"n {n}\nB {instance.budget}\n"
     dw, dc = weight.default, cost.default
     defaults = dw is not None and dc is not None
+    rows, cols = instance.non_edge_pairs(weight, cost) if defaults else instance.non_edge_pairs()
     if defaults:
         text += f"default_nonedge weight {dw} cost {dc}\n"
-    rows, cols = sorted_pairs(n, instance.edges)
-    if len(rows) == len(instance.edges):
-        weights = instance.weight_at(rows, cols).tolist()
-        text += _lines("edge %d %d %d\n", rows.tolist(), cols.tolist(), weights)
+    edge_rows, edge_cols = sorted_pairs(n, instance.edges)
+    if len(edge_rows) == len(instance.edges):
+        weights = instance.weight_at(edge_rows, edge_cols).tolist()
+        text += _lines("edge %d %d %d\n", edge_rows.tolist(), edge_cols.tolist(), weights)
     else:
         text += "".join(f"edge {u} {v} {weight.get(u, v)}\n" for u, v in sorted(instance.edges))
-    rows, cols = instance.non_edge_pairs(weight, cost) if defaults else instance.non_edge_pairs()
     try:
         weights = instance.weight_at(rows, cols).tolist()
         costs = instance.cost_at(rows, cols).tolist()

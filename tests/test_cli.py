@@ -329,6 +329,21 @@ def test_commands_refuse_an_oversized_instance_on_load(tmp_path, capsys, monkeyp
     assert peak < 4 * 2**20
 
 
+def test_solve_refuses_a_vertex_count_beyond_int64(tmp_path, capsys):
+    # the size check runs before any pair key u·n + v, which int64 cannot hold here
+    path = tmp_path / "huge.txt"
+    path.write_text(f"n {2**70}\nB 0\nedge 0 1 1\n", encoding="utf-8")
+    assert run(["solve", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"refused: instance too large: n={2**70} needs ")
+
+
+@pytest.mark.parametrize("call", [validate, serialize_instance])
+def test_library_calls_refuse_a_vertex_count_beyond_int64(call):
+    instance = WeightedInstance(2**70, [(0, 1)], PairTable(1, {(0, 2): 3}), PairTable(1), 0)
+    with pytest.raises(core.InstanceLimitError, match=f"n={2**70} needs "):
+        call(instance)
+
+
 @pytest.mark.parametrize("call", [validate, fpt_solve])
 def test_library_calls_refuse_an_oversized_instance(call):
     instance = WeightedInstance(100_000, [], PairTable(1), PairTable(1), 0)  # n·W takes uint32

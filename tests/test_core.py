@@ -56,6 +56,13 @@ def test_partial_weight_table_is_flagged():
     assert any("weight not total" in msg for msg in validate(instance))
 
 
+def test_repeated_edge_is_flagged():
+    # the parser refuses a pair listed twice, so such an instance's text could not be read back
+    instance = WeightedInstance(4, [(0, 1), (0, 1)], PairTable(1), PairTable(1), 2)
+    assert len(instance.edges) == 2
+    assert validate(instance) == ["edge (0, 1) is listed twice"]
+
+
 def test_negative_weight_and_bad_budget_are_flagged():
     instance = build(3, {(0, 1)}, weight_overrides={(0, 1): -2})
     assert any("weight" in msg for msg in validate(instance))
