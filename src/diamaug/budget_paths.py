@@ -12,8 +12,8 @@ non-edge gives
 so the table for every budget 0..B follows from D₀ (``instance.metric``) and
 the non-edges alone, which are read through the instance's pair index
 (costs clipped to B+1). Row s of D_beta depends only on row s of the smaller
-budgets, so :class:`BoundedCostDistances` fills each row when it is first
-asked for, and a :class:`PathSource` is a view of one filled row.
+budgets, so :class:`BoundedCostDistances` builds the rows of the sources
+it is given in one batch, and a :class:`PathSource` is a view of one row.
 
 Each budget pays for one jump step (X_beta) and at most one walk product.
 The jump step uses the complement structure of the W_c rather than a dense
@@ -56,7 +56,7 @@ budget drops on every jump, so zero-weight ties cannot make the walk cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -197,8 +197,8 @@ class _ComplementJumps:
 
 def _table_rows(
     graph: np.ndarray, jumps: _ComplementJumps, rows: np.ndarray, table: np.ndarray
-) -> np.ndarray:
-    """Fill and return ``table``, (budget+1, len(rows), n) in D₀'s dtype, with rows ``rows`` of D_beta.
+) -> None:
+    """Fill ``table``, (budget+1, len(rows), n) in D₀'s dtype, with rows ``rows`` of D_beta.
 
     Each budget takes one jump step and, when some jump costs at most beta,
     one walk product: D_beta = min(D_{beta-1}, X_beta ⊗ D₀). A default jump
@@ -232,7 +232,6 @@ def _table_rows(
             else:
                 changed = np.take_along_axis(jump, changing, axis=1)
                 _min_plus(changed, graph, table[beta], changing)
-    return table
 
 
 def _check_entry(instance: WeightedInstance, beta: int, v: int) -> None:
@@ -266,63 +265,58 @@ def _graph_tree(instance: WeightedInstance, a: int) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class BoundedCostDistances:
-    """The bounded-cost table ``table[beta, u, v]``, filled a batch of rows at a time.
+    """The bounded-cost table ``table[beta, sources[u], v]`` from each source u.
 
-    ``table`` has shape (B+1, n, n) in the instance's ``dist_type``, whose
-    sentinel marks unreachable entries; row u holds values once
-    ``filled[u]``. :meth:`rows` fills rows, and :meth:`get` and
-    :class:`PathSource` the one row they read. A row's values do not depend
-    on its batch, as every entry is an exact minimum, and a full
-    ``table[beta]`` is symmetric, as every path runs both ways.
-    ``jumps`` is the complement structure rows are built from, and ``trees``
-    holds one :func:`_graph_tree` per start of a graph path; the witness
-    walks of every :class:`PathSource` view read both.
+    ``sources`` maps each source, ascending, to its row of ``table``, which has
+    shape (B+1, len(sources), n) in the instance's ``dist_type``, whose sentinel
+    marks unreachable entries. :meth:`of` builds every row in one batch and
+    nothing fills the table later; :meth:`row` finds a source's row. A row's
+    values do not depend on its batch, as every entry is an exact minimum, so
+    a table over every vertex (:func:`apsp_b`) has ``table[beta]`` symmetric,
+    as every path runs both ways. ``jumps`` is the complement structure rows
+    are built from, and ``trees`` holds one :func:`_graph_tree` per start of a
+    graph path; the witness walks of every :class:`PathSource` view read both.
     """
 
     instance: WeightedInstance
+    sources: dict[int, int]
     table: np.ndarray
-    filled: np.ndarray
     jumps: _ComplementJumps
     trees: dict[int, list[int]] = field(default_factory=dict, repr=False)
 
     @classmethod
-    def of(cls, instance: WeightedInstance) -> BoundedCostDistances:
-        """An empty table for ``instance``: no row is filled yet.
+    def of(cls, instance: WeightedInstance, sources: Iterable[int]) -> BoundedCostDistances:
+        """The rows of the distinct ``sources``, built in one batch.
 
-        Raises InstanceLimitError, before allocating it, for a table over
-        ``MAX_INSTANCE_BYTES``.
+        Raises ValueError for a source outside [0, n) and InstanceLimitError,
+        before allocating the table, for one over ``MAX_INSTANCE_BYTES``.
         """
         ensure_valid(instance)
-        dtype = instance.dist_type.dtype
-        check_bounded_table_size(instance.budget, instance.n, np.dtype(dtype).itemsize)
-        table = np.empty((instance.budget + 1, instance.n, instance.n), dtype=dtype)
-        return cls(instance, table, np.zeros(instance.n, dtype=bool), _ComplementJumps.of(instance))
+        n, budget, dtype = instance.n, instance.budget, instance.dist_type.dtype
+        rows = np.unique(np.fromiter(sources, dtype=np.intp))
+        if len(rows) and not (0 <= rows[0] and rows[-1] < n):
+            raise ValueError(f"sources {rows.tolist()} out of range for n={n}")
+        check_bounded_table_size(budget, len(rows), n, np.dtype(dtype).itemsize)
+        table = np.empty((budget + 1, len(rows), n), dtype=dtype)
+        jumps = _ComplementJumps.of(instance)
+        _table_rows(instance.metric, jumps, rows, table)
+        table.flags.writeable = False
+        return cls(instance, {u: i for i, u in enumerate(rows.tolist())}, table, jumps)
 
-    def rows(self, vertices: Sequence[int]) -> BoundedCostDistances:
-        """Fill the rows of ``vertices`` still missing, in one batch; return the table."""
-        graph, n = self.instance.metric, self.instance.n
-        wanted = np.asarray(vertices, dtype=np.intp)
-        if ((wanted < 0) | (wanted >= n)).any():
-            raise ValueError(f"vertices {wanted.tolist()} out of range for n={n}")
-        missing = np.unique(wanted[~self.filled[wanted]])
-        if len(missing) == n:  # in place, so a full fill holds one full-size table
-            _table_rows(graph, self.jumps, missing, self.table)
-        elif len(missing):
-            block = np.empty((len(self.table), len(missing), n), dtype=self.table.dtype)
-            self.table[:, missing] = _table_rows(graph, self.jumps, missing, block)
-        self.filled[missing] = True
-        return self
+    def row(self, u: int) -> int:
+        """The index of ``u``'s row in ``table``; ValueError unless ``u`` is a source."""
+        if u not in self.sources:
+            raise ValueError(f"vertex {u} is not a source of this table")
+        return self.sources[u]
 
     def get(self, beta: int, u: int, v: int) -> Dist:
         _check_entry(self.instance, beta, v)
-        if not (0 <= u < self.instance.n and self.filled[u]):  # rows() rejects u outside [0, n)
-            self.rows((u,))
-        return to_dist(int(self.table[beta, u, v]), self.instance.dist_type.sentinel)
+        return to_dist(int(self.table[beta, self.row(u), v]), self.instance.dist_type.sentinel)
 
 
 def apsp_b(instance: WeightedInstance) -> BoundedCostDistances:
     """Bounded-cost distances between every pair of vertices, for budgets 0..B."""
-    return BoundedCostDistances.of(instance).rows(range(instance.n))
+    return BoundedCostDistances.of(instance, range(instance.n))
 
 
 @dataclass(frozen=True)
@@ -342,14 +336,12 @@ class PathSource:
 
     ``table[beta][v]`` is the cheapest weight of a beta-bounded path from
     ``source`` to ``v`` (the instance's sentinel for unreachable; read
-    entries through ``to_dist``). ``dists`` fills the row when it is
-    missing; ValueError when ``source`` is outside [0, n).
+    entries through ``to_dist``). ValueError unless ``source`` is one of
+    ``dists.sources``.
     """
 
     def __init__(self, dists: BoundedCostDistances, source: int):
-        if not (0 <= source < dists.instance.n and dists.filled[source]):
-            dists.rows((source,))  # ValueError for a source outside [0, n)
-        self.table = dists.table[:, source]
+        self.table = dists.table[:, dists.row(source)]
         self.instance, self.source, self._dists = dists.instance, source, dists
 
     def _graph_path(self, a: int, b: int) -> list[int]:

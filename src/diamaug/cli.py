@@ -30,7 +30,9 @@ from .core import (
     SolveOutcome,
     WeightedInstance,
     augment,
+    check_bounded_table_size,
     check_instance_size,
+    dist_type_for,
     ensure_valid,
 )
 from .formats import (
@@ -175,7 +177,7 @@ def _cmd_apsp(args: argparse.Namespace) -> int:
     _check_flag("--beta", args.beta, instance.budget + 1)
     sources = range(instance.n) if args.source is None else (args.source,)
     betas = range(instance.budget + 1) if args.beta is None else (args.beta,)
-    dists = BoundedCostDistances.of(instance).rows(sources)
+    dists = BoundedCostDistances.of(instance, sources)
     for beta in betas:
         for u in sources:
             for v in range(instance.n):
@@ -318,8 +320,10 @@ def _bench_scale(args: argparse.Namespace) -> int:
     check_instance_size(args.n, SCALE_WMAX)
     for budget in budgets:
         _on_flags(check_random_args, args.n, 0.15, SCALE_WMAX, 3, budget)
+    itemsize = dist_type_for(args.n * SCALE_WMAX).sentinel.itemsize  # in the table dtype
     for budget in budgets:
         _check_table_size(min(budget + 1, args.n) - 1, budget, args.n)
+        check_bounded_table_size(budget, args.n, args.n, itemsize)  # fpt's full table
     instances = [_on_flags(gen_random, args.n, 0.15, SCALE_WMAX, 3, b, args.seed) for b in budgets]
     timings: list[tuple[int, float]] = []
     names = ("metric", *SCALE_STAGES)

@@ -355,11 +355,6 @@ class WeightedInstance:
     def is_edge(self, u: int, v: int) -> bool:
         return ordered_pair(u, v) in self.edges
 
-    def non_edges(self) -> list[Pair]:
-        """All insertable pairs, lexicographically sorted."""
-        rows, cols = self.non_edge_pairs()
-        return list(zip(rows.tolist(), cols.tolist()))
-
 
 @dataclass(frozen=True)
 class Augmentation:
@@ -478,10 +473,10 @@ def check_instance_size(n: int, max_weight: int) -> None:
         )
 
 
-def check_bounded_table_size(budget: int, n: int, itemsize: int) -> None:
-    """Raise InstanceLimitError when a bounded-cost table, (budget+1)·n·n entries of
+def check_bounded_table_size(budget: int, rows: int, n: int, itemsize: int) -> None:
+    """Raise InstanceLimitError when a bounded-cost table, (budget+1)·rows·n entries of
     ``itemsize`` bytes, exceeds MAX_INSTANCE_BYTES; it reads no array, so it runs before any."""
-    size = (budget + 1) * n * n * itemsize
+    size = (budget + 1) * rows * n * itemsize
     if size > MAX_INSTANCE_BYTES:
         raise InstanceLimitError(
             f"bounded-cost table too large: budget {budget} and n={n} need {size} bytes, "

@@ -178,7 +178,7 @@ class HeightTable:
         smasks = np.array(_kept_halves(mask))
         kept, comp = self.values[smasks], self.values[mask ^ smasks]  # (splits, budget+1, n)
         j1s, j2s = np.nonzero(np.add.outer(np.arange(j + 1), np.arange(j + 1)) <= j)  # j1 major
-        path = self.dists.table[j1s, u]  # (pairs, n)
+        path = self.dists.table[j1s, self.dists.row(u)]  # (pairs, n)
         step, first = max(1, budget_paths._TILE // path.size), None
         for start in range(0, len(smasks), step):  # blocks of splits, first hit by (v, split)
             block = slice(start, start + step)
@@ -205,16 +205,19 @@ def solve_height_table(centers: ClusterCenters, dists: BoundedCostDistances) -> 
     Layer j1 is fresh unless D_{j1} = D_{j1-1}. H[A, j, ·] does not increase
     with j (D_β does not, so neither does the merge, by induction), so then
     D_{j1} ⊗ g[j - j1] >= D_{j1-1} ⊗ g[j - j1 + 1], a term already taken.
-    The move step reads every row of ``dists``, which fills the missing ones
-    in one batch. Raises HeightTableLimitError, before filling or allocating
-    anything, for a table over ``MAX_HEIGHT_TABLE_BYTES``.
+    The move step reads every row of ``dists``: ValueError unless it holds
+    every vertex's (:func:`~diamaug.budget_paths.apsp_b`). Raises
+    HeightTableLimitError, before allocating anything, for a table over
+    ``MAX_HEIGHT_TABLE_BYTES``.
     """
     n, budget = dists.instance.n, dists.instance.budget
     dtype, sentinel = dists.instance.dist_type
     others = tuple(centers.centers[1:])
     m = len(others)
+    if len(dists.sources) < n:  # sources are distinct, so n of them are every vertex
+        raise ValueError(f"the height table needs all {n} rows, the table has {len(dists.sources)}")
     _check_table_size(m, budget, n)
-    d = dists.rows(range(n)).table  # (budget+1, n, n)
+    d = dists.table  # (budget+1, n, n)
 
     values = np.full(((1 << m), budget + 1, n), sentinel, dtype=dtype)
     for i, c in enumerate(others):

@@ -54,12 +54,12 @@ def _join_centers(instance: WeightedInstance, first_center: int, rows: int) -> S
     """Join each of the first ``rows`` centers to every later center by a k-bounded path.
 
     ``rows`` is a slice stop over the centers, so -1 means all but the last.
-    One batch fills those centers' rows of a bounded-cost table, and each
-    row serves all of that center's pairs; unreachable pairs add nothing.
+    A bounded-cost table holds only those centers' rows, and each row
+    serves all of that center's pairs; unreachable pairs add nothing.
     """
     ensure_unit_cost(instance)
     centers = greedy_centers(instance, first_center).centers
-    dists = BoundedCostDistances.of(instance).rows(centers[:rows])
+    dists = BoundedCostDistances.of(instance, centers[:rows])
     added: set[Pair] = set()
     for i, ci in enumerate(centers[:rows]):
         source = PathSource(dists, ci)

@@ -36,6 +36,12 @@ def all_pairs(n: int) -> Iterator[Pair]:
             yield (u, v)
 
 
+def non_edges(instance: WeightedInstance) -> list[Pair]:
+    """All insertable pairs of ``instance``, lexicographically sorted."""
+    rows, cols = instance.non_edge_pairs()
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 def build(
     n: int,
     edges: set[tuple[int, int]],
@@ -270,7 +276,7 @@ def build_layered_digraph(instance: WeightedInstance) -> LayeredDigraph:
             w = instance.weight.get(u, v)
             arcs.append(((u, i), (v, i), w))
             arcs.append(((v, i), (u, i), w))
-    for u, v in instance.non_edges():
+    for u, v in non_edges(instance):
         c = instance.cost.get(u, v)
         w = instance.weight.get(u, v)
         for i in range(budget - c + 1):
@@ -511,17 +517,17 @@ def sssp(instance: WeightedInstance, source: int) -> list[Dist]:
 
 def sssp_b(instance: WeightedInstance, source: int) -> PathSource:
     """Bounded-cost distances from one source, for every budget 0..B."""
-    return PathSource(BoundedCostDistances.of(instance), source)
+    return PathSource(BoundedCostDistances.of(instance, (source,)), source)
 
 
 def batch_rows(instance: WeightedInstance, rows: Sequence[int]) -> np.ndarray:
-    """Rows ``rows`` of a table that fills them in one batch, (B+1, len(rows), n), widened."""
-    table = BoundedCostDistances.of(instance).rows(rows).table
-    return widened(instance, table[:, np.asarray(rows, dtype=np.intp)])
+    """Rows ``rows``, in that order, of a table built over them, (B+1, len(rows), n), widened."""
+    dists = BoundedCostDistances.of(instance, rows)
+    return widened(instance, dists.table[:, [dists.row(u) for u in rows]])
 
 
 def reconstruct_path(dists: BoundedCostDistances, beta: int, u: int, v: int) -> PathWitness:
-    """Witness path for a finite entry of ``dists``, which fills row ``u`` when it is missing."""
+    """Witness path for a finite entry of ``dists``; ValueError unless ``u`` is a source."""
     return PathSource(dists, u).path_to(v, beta)
 
 
@@ -781,7 +787,7 @@ def reference_unit_cost_error(instance: WeightedInstance) -> str | None:
         ensure_valid(instance)
     except InstanceError as exc:
         return str(exc)
-    for u, v in instance.non_edges():
+    for u, v in non_edges(instance):
         cost = instance.cost.get(u, v)
         if cost != 1:
             return f"unit-cost solver requires cost 1 on non-edges, ({u}, {v}) costs {cost}"

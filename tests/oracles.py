@@ -26,7 +26,7 @@ from diamaug.core import (
     to_dist,
 )
 from diamaug.oracle import OracleLimitError, _base_matrix, _with_edge
-from helpers import all_pairs
+from helpers import all_pairs, non_edges
 
 # Default guards of the span-height and feasibility searches.
 MAX_NONEDGES = 28
@@ -118,12 +118,12 @@ def span_height_profile(
     targets = tuple(targets)
     if len(targets) > 3:
         raise OracleLimitError(f"span-height oracle is limited to 3 targets, got {len(targets)}")
-    non_edges = instance.non_edges()
-    if len(non_edges) > max_nonedges:
+    pairs = non_edges(instance)
+    if len(pairs) > max_nonedges:
         raise OracleLimitError(
-            f"instance too large: {len(non_edges)} non-edges exceed the guard ({max_nonedges})"
+            f"instance too large: {len(pairs)} non-edges exceed the guard ({max_nonedges})"
         )
-    costs = [instance.cost.get(u, v) for (u, v) in non_edges]
+    costs = [instance.cost.get(u, v) for (u, v) in pairs]
     heights: list[Dist] = [INF] * (budget + 1)
     explored = 0
 
@@ -138,11 +138,11 @@ def span_height_profile(
         for j in range(cost_used, budget + 1):
             if h < heights[j]:
                 heights[j] = h
-        for idx in range(start, len(non_edges)):
+        for idx in range(start, len(pairs)):
             c = costs[idx]
             if cost_used + c > budget:
                 continue
-            u, v = non_edges[idx]
+            u, v = pairs[idx]
             visit(_with_edge(d, u, v, instance.weight.get(u, v)), idx + 1, cost_used + c)
 
     visit(_base_matrix(instance), 0, 0)

@@ -16,6 +16,7 @@ from diamaug import (
     budget_paths,
     fpt_solve,
     gen_random,
+    greedy_centers,
     pairwise_centers,
     star_centers,
     validate,
@@ -114,7 +115,7 @@ def test_sssp_b_matches_apsp_rows():
 def test_tables_take_the_instance_dtype(weight, dtype):
     instance = p4(budget=2, default_weight=weight)
     assert instance.dist_type.dtype is dtype
-    for dists in (apsp_b(instance), BoundedCostDistances.of(instance).rows((2,))):
+    for dists in (apsp_b(instance), BoundedCostDistances.of(instance, (2,))):
         assert dists.table.dtype == PathSource(dists, 2).table.dtype == dtype
 
 
@@ -280,7 +281,7 @@ def test_walk_reads_every_searched_column():
         8, {(0, 2), (1, 2)}, budget=2, cost_overrides=costly, weight_overrides={(0, 2): 10}
     )
     for rows in ((0,), range(8)):
-        assert BoundedCostDistances.of(instance).rows(rows).get(2, 0, 1) == 3
+        assert BoundedCostDistances.of(instance, rows).get(2, 0, 1) == 3
         assert batch_rows(instance, rows).tobytes() == reference_table_rows(instance, rows).tobytes()
 
 
@@ -297,7 +298,7 @@ def test_one_walk_product_per_budget_from_the_cheapest_cost(monkeypatch, budget,
     instance = path_graph(7, budget=budget, default_cost=cost)
     for rows in (range(7), (3,)):
         products.clear()
-        BoundedCostDistances.of(instance).rows(rows)
+        BoundedCostDistances.of(instance, rows)
         assert len(products) == max(0, budget - cost + 1)
 
 
@@ -407,82 +408,85 @@ def test_witnesses_follow_the_tie_break(instance):
 
 @pytest.mark.parametrize("instance", seeded_corpus(8, seed=37, n_range=(2, 6)) + EDGE_CASES)
 def test_source_rows_match_full_table(instance):
-    # rows filled in batches (one row, an unsorted set, then all) equal apsp_b's
+    # a table over some sources (one row, an unsorted set with repeats, then all) holds
+    # apsp_b's rows of its distinct sources, ascending, and the same witnesses
     full = apsp_b(instance)
     n = instance.n
-    part = BoundedCostDistances.of(instance)
-    done: list[int] = []
-    for batch in [(n // 2,), tuple(dict.fromkeys((n - 1, 0, n // 2))), range(n)]:
-        part.rows(batch)
-        done += [s for s in batch if s not in done]
-        assert part.filled.tolist() == [s in done for s in range(n)]
-        assert part.table[:, done].tobytes() == full.table[:, done].tobytes()
-    assert part.table.tobytes() == full.table.tobytes()
-    for s in range(n):
-        for beta in range(instance.budget + 1):
-            for v in range(n):
-                if full.get(beta, s, v) != INF:
-                    assert reconstruct_path(part, beta, s, v) == reconstruct_path(full, beta, s, v)
+    for batch in [(n // 2,), (n - 1, 0, n // 2, 0), range(n)]:
+        part = BoundedCostDistances.of(instance, batch)
+        sources = sorted(set(batch))
+        assert part.sources == {s: i for i, s in enumerate(sources)}
+        assert part.table.tobytes() == full.table[:, sources].tobytes()
+        for s in sources:
+            for beta in range(instance.budget + 1):
+                for v in range(n):
+                    if full.get(beta, s, v) != INF:
+                        witness = reconstruct_path(full, beta, s, v)
+                        assert reconstruct_path(part, beta, s, v) == witness
 
 
 @pytest.mark.parametrize("source", [-1, 4])
-def test_apsp_rejects_out_of_range_source(source):
-    # the whole batch is checked before any row of it is filled
-    dists = BoundedCostDistances.of(p4())
+def test_apsp_rejects_out_of_range_source(monkeypatch, source):
+    # every source is checked before any row is built
+    def unguarded(*args):
+        raise AssertionError("rows were built before the sources were checked")
+
+    monkeypatch.setattr(budget_paths, "_table_rows", unguarded)
     with pytest.raises(ValueError):
-        dists.rows((0, source))
-    assert not dists.filled.any()
+        BoundedCostDistances.of(p4(), (0, source))
 
 
 def test_vertex_outside_the_rows_raises():
-    # numpy would read row -1 as row n - 1, and row n raises IndexError
-    for dists in (BoundedCostDistances.of(p4()), apsp_b(p4())):
-        for v in (-1, 4):
+    # numpy would read row -1 as row n - 1, and row n raises IndexError; a vertex
+    # that is not a source has no row, which nothing fills later
+    for dists, outside in (
+        (BoundedCostDistances.of(p4(), (2, 1)), (-1, 0, 3, 4)),
+        (apsp_b(p4()), (-1, 4)),
+    ):
+        for v in outside:
             with pytest.raises(ValueError):
-                dists.rows((v,))
+                dists.row(v)
             with pytest.raises(ValueError):
                 dists.get(0, v, 0)
             with pytest.raises(ValueError):
                 PathSource(dists, v)
             with pytest.raises(ValueError):
                 reconstruct_path(dists, 0, v, 1)
+        assert list(dists.sources) == sorted(set(range(4)) - set(outside))
 
 
-def test_rows_fill_each_missing_row_once(monkeypatch):
+def test_each_table_builds_its_rows_in_one_batch(monkeypatch):
     batches = []
     table_rows = budget_paths._table_rows
 
     def recorded(graph, jumps, rows, table):
         batches.append(rows.tolist())
-        return table_rows(graph, jumps, rows, table)
+        table_rows(graph, jumps, rows, table)
 
     monkeypatch.setattr(budget_paths, "_table_rows", recorded)
     instance = path_graph(6, budget=2)
-    dists = BoundedCostDistances.of(instance)
-    assert dists.rows((4, 1, 4)) is dists
-    dists.rows((1, 4))
-    dists.rows(())
-    assert dists.get(2, 1, 3) == 1 and PathSource(dists, 4).path_to(0, 2).vertices == (4, 0)
+    dists = BoundedCostDistances.of(instance, (4, 1, 4))
     assert batches == [[1, 4]]
-    dists.get(1, 0, 5)  # a missing row read by get or PathSource fills alone
-    PathSource(dists, 2)
-    dists.rows(range(6))
-    assert batches == [[1, 4], [0], [2], [3, 5]]
+    assert dists.table.shape == (3, 2, 6) and not dists.table.flags.writeable
+    assert dists.get(2, 1, 3) == 1 and PathSource(dists, 4).path_to(0, 2).vertices == (4, 0)
     for beta in range(3):
-        for u in range(6):
+        for u in (1, 4):
             for v in range(6):
                 dists.get(beta, u, v)
                 PathSource(dists, u)
-    dists.rows(range(6))
-    assert batches == [[1, 4], [0], [2], [3, 5]]
-    # apsp_b fills every row in one batch, and fpt_solve reads no row it has not filled
+    assert batches == [[1, 4]]  # reading builds nothing
+    assert BoundedCostDistances.of(instance, ()).table.shape == (3, 0, 6)
+    assert batches == [[1, 4], []]
+    # apsp_b builds every row in one batch, fpt_solve no other, and pairs its centers' rows
     for build_table in (apsp_b, fpt_solve):
         batches.clear()
         build_table(instance)
         assert batches == [list(range(6))], build_table.__name__
-    batches.clear()
-    pairwise_centers(instance)
-    assert len(batches) == 1
+    centers = greedy_centers(instance).centers
+    for solve, rows in ((pairwise_centers, sorted(centers[:-1])), (star_centers, centers[:1])):
+        batches.clear()
+        solve(instance)
+        assert batches == [list(rows)], solve.__name__
 
 
 @pytest.mark.parametrize("beta, v", [(1, -1), (1, 4), (-1, 3), (2, 3)])

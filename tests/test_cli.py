@@ -17,12 +17,14 @@ from diamaug import (
     core,
     fpt_solve,
     gen_random,
+    parse_instance,
     serialize_instance,
     validate,
 )
 from diamaug.cli import SCALE_REPEATS, build_parser, run
 from diamaug.core import graph_metric
-from helpers import build, p4
+from diamaug.report import render_dist
+from helpers import build, p4, sssp
 
 P4_TEXT = serialize_instance(p4())
 
@@ -425,37 +427,74 @@ def test_bench_scale_checks_every_budget_before_drawing(capsys, monkeypatch, bud
 
 
 def test_bounded_cost_table_limit_counts_its_entries():
-    # (B+1)·n²·itemsize against 2**28: n = 3,000 in uint16 fits B = 13, not 14
-    core.check_bounded_table_size(13, 3000, 2)
+    # (B+1)·rows·n·itemsize against 2**28: every row of n = 3,000 in uint16 fits B = 13, not 14
+    core.check_bounded_table_size(13, 3000, 3000, 2)
     with pytest.raises(core.InstanceLimitError):
-        core.check_bounded_table_size(14, 3000, 2)
-    core.check_bounded_table_size(3, 2**12, 4)  # 4·2**24·4: exactly 2**28 bytes
-    for budget, n in ((3, 2**12 + 1), (4, 2**12)):
+        core.check_bounded_table_size(14, 3000, 3000, 2)
+    core.check_bounded_table_size(3, 2**12, 2**12, 4)  # 4·2**24·4: exactly 2**28 bytes
+    for budget, rows, n in ((3, 2**12 + 1, 2**12 + 1), (4, 2**12, 2**12), (3, 2**12 + 1, 2**12)):
         with pytest.raises(core.InstanceLimitError):
-            core.check_bounded_table_size(budget, n, 4)
+            core.check_bounded_table_size(budget, rows, n, 4)
     with pytest.raises(core.InstanceLimitError):
-        core.check_bounded_table_size(40, 3000, 2)  # 738 MB
+        core.check_bounded_table_size(40, 3000, 3000, 2)  # 738 MB
+    # only the rows built count: one row at n = 1,000, B = 134 is 270 KB, all of them 270 MB
+    core.check_bounded_table_size(134, 1, 1000, 2)
+    with pytest.raises(core.InstanceLimitError, match="need 270000000 bytes"):
+        core.check_bounded_table_size(134, 1000, 1000, 2)
 
 
-def test_apsp_refuses_an_oversized_table_before_allocating_it(tmp_path, capsys, monkeypatch):
+def _run_budget_300(tmp_path, monkeypatch, command: list[str]) -> tuple[int, str]:
+    """Run ``command`` on n = 200 at B = 300 under a 1 MiB limit; return its code and
+    ``--input``. The pair view, edge weights and D₀ take 200²·13 = 520,000 bytes, one
+    row of the uint16 bounded-cost table 301·200·2 = 120,400 bytes, and the run peaks
+    below 4 MiB under tracemalloc."""
     path = tmp_path / "g.txt"
     path.write_text(serialize_instance(gen_random(200, 0.1, 5, 1, 300, 3)), encoding="utf-8")
-    # the pair view, edge weights and D₀ take 200²·13 = 520,000 bytes, the uint16 table
-    # 301·200²·2 = 24 MB
     monkeypatch.setattr(core, "MAX_INSTANCE_BYTES", 2**20)
     tracemalloc.start()
     try:
-        code = run(["apsp", "--input", str(path), "--source", "0"])
+        code = run([*command, "--input", str(path)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 2
+    assert peak < 4 * 2**20
+    return code, str(path)
+
+
+def test_apsp_refuses_an_oversized_table_before_allocating_it(tmp_path, capsys, monkeypatch):
+    assert _run_budget_300(tmp_path, monkeypatch, ["apsp"])[0] == 2  # every source's row
     assert capsys.readouterr() == (
         "",
         "refused: bounded-cost table too large: budget 300 and n=200 need 24080000 bytes, "
         "above 1048576\n",
     )
-    assert peak < 4 * 2**20
+
+
+def test_pairs_refuses_an_oversized_table_before_allocating_it(tmp_path, capsys, monkeypatch):
+    # all 200 vertices are centers, and pairs builds the rows of the first 199
+    assert _run_budget_300(tmp_path, monkeypatch, ["solve", "--algo", "pairs"])[0] == 2
+    assert capsys.readouterr() == (
+        "",
+        "refused: bounded-cost table too large: budget 300 and n=200 need 23959600 bytes, "
+        "above 1048576\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "command", [["solve", "--algo", "star"], ["apsp", "--source", "0", "--beta", "0"]],
+    ids=["star", "apsp"],
+)
+def test_one_row_tables_fit_where_a_full_table_is_refused(tmp_path, capsys, monkeypatch, command):
+    # star and a one-source apsp build one row, which the limit admits
+    code, path = _run_budget_300(tmp_path, monkeypatch, command)
+    assert code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command[0] == "apsp":  # budget 0 is the graph metric
+        row = sssp(parse_instance(Path(path).read_text(encoding="utf-8")), 0)
+        assert out.splitlines() == [f"0 0 {v} {render_dist(d)}" for v, d in enumerate(row)]
+    else:
+        assert "algorithm star" in out
 
 
 def test_gen_setcover_copies_guard(tmp_path, capsys):
@@ -561,6 +600,22 @@ def test_bench_scale_sizes_every_table_before_the_first_row(capsys):
     assert captured.err == (
         "refused: height table of 19 non-root centers, budget 30 and 20 vertices needs "
         "2600468480 bytes, over the limit of 268435456\n"
+    )
+
+
+def test_bench_scale_sizes_every_bounded_cost_table_before_drawing(monkeypatch, capsys):
+    # n = 250 fits the instance (250²·13 = 812,500 bytes) and budget 3's table (500,000),
+    # but not budget 8's: 9·250²·2 bytes, over a 1 MiB limit
+    calls = []
+    monkeypatch.setattr(core, "graph_metric", calls.append)
+    monkeypatch.setattr(cli, "gen_random", _unguarded_draw)
+    monkeypatch.setattr(core, "MAX_INSTANCE_BYTES", 2**20)
+    assert run(["bench", "--suite", "scale", "--n", "250", "--budgets", "3,8"]) == 2
+    assert calls == []
+    assert capsys.readouterr() == (
+        "",
+        "refused: bounded-cost table too large: budget 8 and n=250 need 1125000 bytes, "
+        "above 1048576\n",
     )
 
 

@@ -36,6 +36,7 @@ from helpers import (
     SENTINELS,
     build,
     force_dist_type,
+    non_edges,
     override_corpus,
     path_graph,
     seeded_corpus,
@@ -137,7 +138,7 @@ def _stages(instance) -> dict:
             for v in range(n):
                 if source.table[beta, v] < instance.dist_type.sentinel:
                     witnesses[s, beta, v] = source.path_to(v, beta)
-    non_edges = instance.non_edges()
+    pairs = non_edges(instance)
     out = {
         "dtype": instance.dist_type.dtype,
         "metric": widened(instance, instance.metric),
@@ -150,7 +151,7 @@ def _stages(instance) -> dict:
         "centers": centers,
         "diameters": [
             diameter(instance, added)
-            for added in ((), non_edges[:1], non_edges[::2], non_edges)
+            for added in ((), pairs[:1], pairs[::2], pairs)
         ],
     }
     outcome = fpt_solve(instance)

@@ -398,14 +398,23 @@ def test_fpt_degenerate_inputs_insert_nothing(instance):
     assert clusters.centers == (0,)
 
 
-def test_height_table_fills_missing_rows():
+def test_height_table_refuses_a_table_without_every_row(monkeypatch):
+    # the move step reads every row; a table that lacks one is refused, not filled
     for instance in [p4(budget=2), *seeded_corpus(6, seed=58, n_range=(4, 9))]:
-        centers = greedy_centers(instance)
+        centers, n = greedy_centers(instance), instance.n
         expected = solve_height_table(centers, apsp_b(instance)).values
-        for filled in [(0,), (3, 2, 1, 0), ()]:
-            dists = BoundedCostDistances.of(instance).rows(filled)
-            assert solve_height_table(centers, dists).values.tobytes() == expected.tobytes()
-            assert dists.filled.all()
+        for sources in [(0,), tuple(range(n - 1, 0, -1)), ()]:
+            dists = BoundedCostDistances.of(instance, sources)
+            with monkeypatch.context() as patched:
+                patched.setattr(budget_paths, "_table_rows", _unguarded_rows)
+                with pytest.raises(ValueError, match=f"needs all {n} rows"):
+                    solve_height_table(centers, dists)
+        rebuilt = BoundedCostDistances.of(instance, range(n - 1, -1, -1))
+        assert solve_height_table(centers, rebuilt).values.tobytes() == expected.tobytes()
+
+
+def _unguarded_rows(*args):
+    raise AssertionError("a table row was built after the table")
 
 
 def test_fpt_infeasible_budget_is_flagged():

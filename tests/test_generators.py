@@ -20,7 +20,14 @@ from diamaug import (
     validate,
 )
 from diamaug.generators import _check_reduction
-from helpers import build, hub_vertices, reference_reduction_problem, set_vertices, sssp
+from helpers import (
+    build,
+    hub_vertices,
+    non_edges,
+    reference_reduction_problem,
+    set_vertices,
+    sssp,
+)
 from oracles import diameter2_feasible, has_cover
 
 BASE_SC = SetCoverInstance(
@@ -269,10 +276,10 @@ def test_gen_random_determinism_and_seed_sensitivity():
 
 def test_gen_random_extremes():
     full = gen_random(4, 1.0, 1, 1, 1, seed=1)
-    assert not full.non_edges()
+    assert not non_edges(full)
     empty = gen_random(5, 0.0, 1, 1, 2, seed=1)
     assert not empty.edges
-    assert len(empty.non_edges()) == 10
+    assert len(non_edges(empty)) == 10
 
 
 def test_gen_random_validates_args():

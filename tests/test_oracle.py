@@ -21,6 +21,7 @@ from helpers import (
     build,
     complete_graph,
     dijkstra_rows,
+    non_edges,
     p4,
     path_graph,
     seeded_corpus,
@@ -224,8 +225,8 @@ def test_incremental_matrices_match_dijkstra(instance):
     def as_dist(x):
         return inf if x >= 2**62 else int(x)
 
-    non_edges = instance.non_edges()
-    subsets = [()] + [(p,) for p in non_edges[:4]] + list(combinations(non_edges[:4], 2))
+    pairs = non_edges(instance)
+    subsets = [()] + [(p,) for p in pairs[:4]] + list(combinations(pairs[:4], 2))
     for added in subsets:
         matrix = _base_matrix(instance)
         for u, v in added:

@@ -46,6 +46,7 @@ from helpers import (
     build,
     dijkstra_rows,
     force_dist_type,
+    non_edges,
     outcome,
     reference_centers,
     reference_connectors,
@@ -137,8 +138,8 @@ def check_graph_metric(instance):
 
 
 def check_diameter(instance, data):
-    non_edges = instance.non_edges()
-    added = data.draw(st.sets(st.sampled_from(non_edges)) if non_edges else st.just(set()))
+    pairs = non_edges(instance)
+    added = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
     assert diameter(instance, added) == max(map(max, dijkstra_rows(instance, added)))
 
 
